@@ -29,6 +29,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .errors import (
     DivisionNotExact,
     EmptyInput,
+    InconsistentLP,
     NegativeExponent,
     NonIntegerCoefficient,
     NonIntegerMilnor,
@@ -68,6 +69,7 @@ _INTERNAL_ERRORS = (
     NonIntegerMilnor,
     NonIntegerCoefficient,
     NegativeExponent,
+    InconsistentLP,
     AssertionError,
 )
 

@@ -72,3 +72,9 @@ class NonIntegerCoefficient(StringyMirrorError):
     """A sector Hilbert series expected to be a polynomial with non-negative
     integer coefficients is not one (the transversality claim was false, or
     there is an internal bug)."""
+
+
+class InconsistentLP(StringyMirrorError):
+    """The exact interior-point linear program or its separation oracle
+    contradicted itself: an infeasible, unbounded or rank-deficient system,
+    or an oracle point already among the columns."""

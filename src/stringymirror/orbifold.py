@@ -42,6 +42,7 @@ self-test of the fractional-exponent algebra, not a mirror statement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,25 +76,20 @@ def _zero_sets(wv: WeightVector) -> Tuple[FrozenSet[int], ...]:
 
 
 def vafa_euler(wv: WeightVector) -> Fraction:
-    """Orbifold Euler number of the hypersurface (exact rational)."""
-    zs = _zero_sets(wv)
+    """Orbifold Euler number of the hypersurface (exact rational).
+
+    The pair sum runs over the distinct zero sets (at most 2^(d+1) of them),
+    each weighted by how many elements l share it."""
+    mult = Counter(_zero_sets(wv))
     ws = wv.weights
     w = wv.w
-    factor_cache: Dict[FrozenSet[int], Fraction] = {}
-
-    def factor(S: FrozenSet[int]) -> Fraction:
-        val = factor_cache.get(S)
-        if val is None:
-            val = Fraction(1)
-            for i in S:
-                val *= Fraction(ws[i] - w, ws[i])
-            factor_cache[S] = val
-        return val
-
     total = Fraction(0)
-    for zl in zs:
-        for zr in zs:
-            total += factor(zl & zr)
+    for zl, ml in mult.items():
+        for zr, mr in mult.items():
+            val = Fraction(ml * mr)
+            for i in zl & zr:
+                val *= Fraction(ws[i] - w, ws[i])
+            total += val
     return total / w
 
 

@@ -14,11 +14,19 @@ Well-formedness forces size(l) >= 2 and 1 <= age(l) <= size(l) - 1 for all
 l != 0.
 
 ``lattice_counts`` counts monomials of degree k*w supported exactly off a
-given index subset; ``ip_property`` decides whether the all-ones exponent
-vector lies in the interior of the degree-w monomial polytope (exact
-rational simplex with column generation, no floats); ``transverse`` is the
-standard monomial-existence criterion for the generic member of the linear
-system to be quasi-smooth.
+given index subset; ``transverse`` is the standard monomial-existence
+criterion for the generic member of the linear system to be quasi-smooth.
+
+``ip_property`` decides whether the all-ones exponent vector lies in the
+interior of the degree-w monomial polytope without listing its lattice
+points (there are roughly w^d of them).  One oracle minimizes an integer
+functional over those points by an unbounded-knapsack DP over the degrees
+0..w, O(n w) integer steps.  After the free reject 2 w_i > w (z on the face
+u_i = 1), the oracle serves three steps in turn: sound rejects (z on a face
+sum_{j in J} u_j = |J| for a proper index subset J), a search for an
+affinely spanning set of points along integer directions orthogonal to the
+span so far, and the exact separation step of a column generation whose LP
+is a small rational simplex over the points found.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +38,13 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .errors import EmptyInput, NonIntegerMilnor, NotWellFormed, OutOfRange
+from .errors import (
+    EmptyInput,
+    InconsistentLP,
+    NonIntegerMilnor,
+    NotWellFormed,
+    OutOfRange,
+)
 from .exact_arith import RationalT, poly_mul
 
 # ---------------------------------------------------------------------------
@@ -182,24 +196,74 @@ def lattice_counts(wv: WeightVector, J: Iterable[int], K: int) -> Tuple[int, ...
     )
 
 
-@lru_cache(maxsize=64)
-def _lattice_points(wv: WeightVector) -> Tuple[Tuple[int, ...], ...]:
-    """All non-negative integer u with sum w_i u_i = w (degree-w monomials)."""
-    ws = wv.weights
-    d = wv.d
-    out: List[Tuple[int, ...]] = []
+# ---------------------------------------------------------------------------
+# exact IP test: sound integer rejects, then column generation over a
+# knapsack separation oracle (no enumeration of the degree-w monomials)
 
-    def rec(i: int, remaining: int, prefix: Tuple[int, ...]):
-        if i == d:
-            if remaining % ws[d] == 0:
-                out.append(prefix + (remaining // ws[d],))
-            return
-        step = ws[i]
-        for u in range(remaining // step + 1):
-            rec(i + 1, remaining - u * step, prefix + (u,))
 
-    rec(0, wv.w, ())
-    return tuple(out)
+def _knapsack_min(
+    ws: Sequence[int], cost: Sequence[int]
+) -> Tuple[int, Tuple[int, ...]]:
+    """min cost.u over integer u >= 0 with sum ws_i u_i = sum(ws), and one
+    minimiser: an unbounded-knapsack DP over the degrees 0..w, O(n w)."""
+    w = sum(ws)
+    # every reachable degree has |value| <= w * top, so `big` plus any chain
+    # of at most w costs stays above all of them
+    top = max(map(abs, cost))
+    big = 2 * w * top + 1
+    f = [big] * (w + 1)
+    f[0] = 0
+    arg = [0] * (w + 1)
+    for i, (wi, ci) in enumerate(zip(ws, cost)):
+        for s in range(wi, w + 1):
+            v = f[s - wi] + ci
+            if v < f[s]:
+                f[s] = v
+                arg[s] = i
+    u = [0] * len(ws)
+    s = w
+    while s:
+        i = arg[s]
+        u[i] += 1
+        s -= ws[i]
+    return f[w], tuple(u)
+
+
+def _primitive(v: Sequence[Fraction]) -> List[int]:
+    """The positive multiple of a nonzero rational vector that is a
+    primitive integer vector."""
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _kernel_vector(rows: List[Sequence[int]], n: int) -> List[int]:
+    """A primitive integer vector orthogonal to every row (fewer than n
+    linearly independent rows)."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][col]
+        M[r] = [x * inv for x in M[r]]
+        for i, row in enumerate(M):
+            if i != r and row[col]:
+                f = row[col]
+                M[i] = [a - f * b for a, b in zip(row, M[r])]
+        pivots.append(col)
+    if len(pivots) == n:
+        raise InconsistentLP("affine hull rows already span the whole space")
+    free = next(c for c in range(n) if c not in pivots)
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for row, p in zip(M, pivots):
+        x[p] = -row[free]
+    return _primitive(x)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +308,7 @@ def _run_simplex(T, rhs, basis, cost, allowed):
                 ):
                     best, leave = ratio, i
         if leave < 0:
-            raise ArithmeticError("LP unbounded; malformed input")
+            raise InconsistentLP("LP unbounded")
         _pivot(T, rhs, leave, enter)
         basis[leave] = enter
 
@@ -253,7 +317,8 @@ def _simplex_max(cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]
     """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0 (b >= 0).
 
     Returns (value, y) with y an exact dual vector: y.cols[j] >= obj[j] for
-    all j and y.b = value.  Requires full row rank (true for our instances).
+    all j and y.b = value.  Requires full row rank (true for our instances);
+    an infeasible, unbounded or rank-deficient system raises InconsistentLP.
     """
     m = len(b)
     n = len(cols)
@@ -268,7 +333,7 @@ def _simplex_max(cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]
     cost1 = [F(0)] * n + [F(-1)] * m
     _run_simplex(T, rhs, basis, cost1, range(n + m))
     if any(rhs[i] for i in range(m) if basis[i] >= n):
-        raise ArithmeticError("LP infeasible; malformed input")
+        raise InconsistentLP("LP infeasible")
     for i in range(m):
         if basis[i] >= n:  # degenerate artificial: pivot out on a real column
             for j in range(n):
@@ -277,7 +342,7 @@ def _simplex_max(cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]
                     basis[i] = j
                     break
             else:
-                raise ArithmeticError("row rank deficiency; malformed input")
+                raise InconsistentLP("LP constraint rows are rank deficient")
     # phase 2
     cost2 = [F(c) for c in obj] + [F(0)] * m
     _run_simplex(T, rhs, basis, cost2, range(n))
@@ -296,7 +361,7 @@ def _solve_linear(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
     for col in range(m):
         piv = next((r for r in range(col, m) if M[r][col]), None)
         if piv is None:
-            raise ArithmeticError("singular linear system in dual extraction")
+            raise InconsistentLP("singular basis in dual extraction")
         M[col], M[piv] = M[piv], M[col]
         inv = Fraction(1) / M[col][col]
         M[col] = [x * inv for x in M[col]]
@@ -307,51 +372,69 @@ def _solve_linear(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
     return [M[r][m] for r in range(m)]
 
 
+def _add_column(V: List[Tuple[int, ...]], u: Tuple[int, ...]):
+    # an exact oracle only returns points off the span found so far (hull)
+    # or violating the current dual (column generation), never one of V
+    if u in V:
+        raise InconsistentLP(f"oracle point {u} is already a column of the LP")
+    V.append(u)
+
+
 @lru_cache(maxsize=None)
 def ip_property(wv: WeightVector) -> bool:
     """Whether the all-ones vector z is interior to the degree-w monomial
     polytope: conv{u >= 0 : sum w_i u_i = w} must be d-dimensional with z in
     its relative interior.
 
-    Exact method: maximize eps subject to z = sum_p mu_p u_p + eps * s_V over
-    mu >= 0, eps >= 0 where s_V = sum of the current candidate vertices V
-    (substituting lambda_p = mu_p + eps into a convex combination; the degree
-    functional forces sum lambda = 1 automatically).  eps > 0 certifies
-    interiority; at eps = 0 the dual vector y supports the polytope at z, and
-    any lattice point with y.u < 0 enters V (column generation).  If none
-    exists the supporting functional is genuine and the answer is False.
+    The lattice points are never listed.  Every step after the first
+    reject asks one oracle, ``_knapsack_min``: the minimum of an integer functional c.u over them,
+    by an unbounded-knapsack DP over the degrees 0..w.  z is itself a
+    lattice point, so min <= c.z <= max for every c.
+
+    1. Sound rejects, cheapest first.  If 2 w_i > w then u_i <= 1 on every
+       point, so z lies on the face u_i = 1.  Otherwise, for each proper
+       nonempty index subset J, if the minimum or the maximum of
+       sum_{j in J} u_j equals |J|, z lies on a face (a proper one, or the
+       polytope is not d-dimensional since 1_J is not parallel to w).
+    2. Affine hull: starting from V = {z}, take a primitive integer c
+       orthogonal to w and to every u - z, u in V.  If both the minimum and
+       the maximum of c.u equal c.z, the points lie in a hyperplane of the
+       degree hyperplane and the answer is False; otherwise the optimal
+       point joins V.  After d steps V spans the polytope affinely.
+    3. Column generation: maximize eps subject to z = sum_p mu_p u_p +
+       eps * s_V over mu >= 0, eps >= 0, where s_V = sum of the points in V
+       (substituting lambda_p = mu_p + eps into a convex combination; the
+       degree functional forces sum lambda = 1).  eps > 0 certifies
+       interiority.  At eps = 0 the exact dual y, scaled to a primitive
+       integer vector, supports conv(V) at z; the oracle's minimum of y.u
+       is either >= 0 (y supports the whole polytope at z: False) or
+       attained at a point outside V, which joins V.
     """
-    pts = _lattice_points(wv)
-    n = wv.d + 1
-    z = (1,) * n
-    # quick reject: if some coordinate attains its maximum 1 at z while
-    # vanishing somewhere, z sits on a proper face
-    for i in range(n):
-        col = [u[i] for u in pts]
-        if max(col) == 1 and min(col) == 0:
-            return False
-    # affine span via exact row reduction of u - z
-    echelon: List[List[Fraction]] = []
-    pivots: List[int] = []
-    spanning: List[Tuple[int, ...]] = [z]
-    for u in pts:
-        vec = [Fraction(ui - 1) for ui in u]
-        for row, p in zip(echelon, pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        lead = next((i for i, a in enumerate(vec) if a), None)
-        if lead is not None:
-            inv = Fraction(1) / vec[lead]
-            echelon.append([a * inv for a in vec])
-            pivots.append(lead)
-            spanning.append(u)
-            if len(echelon) == wv.d:
-                break
-    if len(echelon) < wv.d:
+    ws = wv.weights
+    n = len(ws)
+    w = wv.w
+    if any(2 * wi > w for wi in ws):
         return False
-    V: List[Tuple[int, ...]] = spanning
-    Vset = set(V)
+    for mask in range(1, (1 << n) - 1):
+        ind = [mask >> i & 1 for i in range(n)]
+        size = sum(ind)
+        if _knapsack_min(ws, ind)[0] == size:
+            return False
+        if -_knapsack_min(ws, [-x for x in ind])[0] == size:
+            return False
+    z = (1,) * n
+    V: List[Tuple[int, ...]] = [z]
+    rows: List[Sequence[int]] = [ws]
+    while len(V) < n:
+        c = _kernel_vector(rows, n)
+        cz = sum(c)
+        lo, u_lo = _knapsack_min(ws, c)
+        neg_hi, u_hi = _knapsack_min(ws, [-x for x in c])
+        if lo == cz == -neg_hi:
+            return False
+        u = u_lo if lo < cz else u_hi
+        _add_column(V, u)
+        rows.append([ui - 1 for ui in u])
     while True:
         cols: List[Sequence[int]] = list(V)
         cols.append(tuple(sum(u[i] for u in V) for i in range(n)))
@@ -359,16 +442,10 @@ def ip_property(wv: WeightVector) -> bool:
         eps, y = _simplex_max(cols, z, obj)
         if eps > 0:
             return True
-        violators = sorted(
-            (u for u in pts if sum(yi * ui for yi, ui in zip(y, u)) < 0),
-            key=lambda u: sum(yi * ui for yi, ui in zip(y, u)),
-        )
-        if not violators:
+        value, u = _knapsack_min(ws, _primitive(y))
+        if value >= 0:
             return False
-        for u in violators[:10]:
-            if u not in Vset:  # dual feasibility guarantees novelty
-                V.append(u)
-                Vset.add(u)
+        _add_column(V, u)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ The survey population (every well-formed IP weight vector of dimension 3
 with w <= 40, plus 20 pseudo-random dimension-4 vectors with w <= 60) is
 built once per session and reused by the slow sweeps.  The count oracles
 below recompute lattice data straight from the definition so the library's
-reconstruction pipeline is checked against independent code.
+reconstruction pipeline is checked against independent code, and
+``slow_ip_property`` decides the IP property from the full list of lattice
+points.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from stringymirror import ip_property, validate
 from stringymirror.errors import NotWellFormed
+from stringymirror.weights import _simplex_max
 
 D3_BUDGET = 40
 D4_BUDGET = 60
@@ -118,3 +122,77 @@ def enumerated_counts(weights, comp, kmax):
     if coins:
         walk(0, 0)
     return counts[1:]
+
+
+def lattice_points(weights):
+    """All non-negative integer u with sum w_i u_i = w (degree-w monomials)."""
+    d = len(weights) - 1
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == d:
+            if remaining % weights[d] == 0:
+                out.append(prefix + (remaining // weights[d],))
+            return
+        step = weights[i]
+        for u in range(remaining // step + 1):
+            rec(i + 1, remaining - u * step, prefix + (u,))
+
+    rec(0, sum(weights), ())
+    return out
+
+
+def slow_ip_property(weights):
+    """The IP property by enumeration: list every lattice point, check the
+    affine span by exact row reduction, then run column generation in which
+    the separating points are found by scanning the whole list.
+
+    Exponential in the dimension; the reference for ``ip_property``.
+    """
+    pts = lattice_points(weights)
+    n = len(weights)
+    d = n - 1
+    z = (1,) * n
+    # quick reject: if some coordinate attains its maximum 1 at z while
+    # vanishing somewhere, z sits on a proper face
+    for i in range(n):
+        col = [u[i] for u in pts]
+        if max(col) == 1 and min(col) == 0:
+            return False
+    # affine span via exact row reduction of u - z
+    echelon, pivots, spanning = [], [], [z]
+    for u in pts:
+        vec = [Fraction(ui - 1) for ui in u]
+        for row, p in zip(echelon, pivots):
+            if vec[p]:
+                f = vec[p]
+                vec = [a - f * b for a, b in zip(vec, row)]
+        lead = next((i for i, a in enumerate(vec) if a), None)
+        if lead is not None:
+            inv = Fraction(1) / vec[lead]
+            echelon.append([a * inv for a in vec])
+            pivots.append(lead)
+            spanning.append(u)
+            if len(echelon) == d:
+                break
+    if len(echelon) < d:
+        return False
+    V = spanning
+    Vset = set(V)
+    while True:
+        cols = list(V)
+        cols.append(tuple(sum(u[i] for u in V) for i in range(n)))
+        obj = [0] * len(V) + [1]
+        eps, y = _simplex_max(cols, z, obj)
+        if eps > 0:
+            return True
+        violators = sorted(
+            (u for u in pts if sum(yi * ui for yi, ui in zip(y, u)) < 0),
+            key=lambda u: sum(yi * ui for yi, ui in zip(y, u)),
+        )
+        if not violators:
+            return False
+        for u in violators[:10]:
+            if u not in Vset:  # dual feasibility guarantees novelty
+                V.append(u)
+                Vset.add(u)

@@ -4,9 +4,11 @@ strings, exit codes, the scan stream, and the guard-band override."""
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from stringymirror import weights
 from stringymirror.cli import main
 
 
@@ -41,6 +43,69 @@ def test_analyze_text_matches_json(capsys):
     payload = json.loads(json_out)
     assert payload["transverse"] is False and payload["ip"] is True
     assert payload["milnor"] is None
+
+
+ANALYZE_SEPTIC_30 = """\
+weights: 1 1 1 1 1 1 30
+w: 36
+d: 6
+charges: ["1/36", "1/36", "1/36", "1/36", "1/36", "1/36", "5/6"]
+well_formed: true
+ip: false
+transverse: false
+census (size age count):
+  0 0 1
+  6 1 1
+  6 2 1
+  6 3 1
+  6 4 1
+  6 5 1
+  7 1 5
+  7 2 5
+  7 3 5
+  7 4 5
+  7 5 5
+  7 6 5
+psi: 1 6 6 6 6 6 5
+""" + "milnor: \n"  # no Milnor number: the vector is not transverse
+
+ANALYZE_DEGREE_1806 = """\
+weights: 1 42 258 602 903
+w: 1806
+d: 4
+charges: ["1/1806", "1/43", "1/7", "1/3", "1/2"]
+well_formed: true
+ip: true
+transverse: true
+census (size age count):
+  0 0 1
+  2 1 51
+  3 1 199
+  3 2 199
+  4 1 97
+  4 2 658
+  4 3 97
+  5 1 1
+  5 2 251
+  5 3 251
+  5 4 1
+psi: 1 348 1108 348 1
+milnor: 909720
+"""
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [("1,1,1,1,1,1,30", ANALYZE_SEPTIC_30), ("1,42,258,602,903", ANALYZE_DEGREE_1806)],
+)
+def test_analyze_large_degree_in_bounded_time(raw, expected, capsys):
+    # the IP test never lists the degree-w monomials (750k of them for the
+    # first vector), so both answers are immediate
+    start = time.perf_counter()
+    code, out, _ = run(["analyze", raw], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == expected
 
 
 def test_analyze_rejects_malformed(capsys):
@@ -143,6 +208,18 @@ def test_orbifold_assume_transverse_hits_internal_guard(capsys):
     )
     assert code == 4
     assert "internal error" in err
+
+
+def test_ip_oracle_inconsistency_is_internal_error(capsys, monkeypatch):
+    # an oracle that always answers the all-ones point, which is already a
+    # column of the LP: the guard must fire as exit 4, also under -O
+    monkeypatch.setattr(
+        weights, "_knapsack_min", lambda ws, cost: (sum(cost) - 1, (1,) * len(ws))
+    )
+    weights.ip_property.cache_clear()
+    code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
+    assert code == 4
+    assert "internal error" in err and "already a column" in err
 
 
 # ---------------------------------------------------------------------------

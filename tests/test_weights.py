@@ -28,7 +28,7 @@ from stringymirror.errors import (
 )
 from stringymirror.exact_arith import poly_mul
 
-from conftest import ascending_tuples, enumerated_counts
+from conftest import ascending_tuples, enumerated_counts, slow_ip_property
 
 HYP = settings(deadline=None, derandomize=True, max_examples=40)
 
@@ -284,6 +284,34 @@ def test_ip_matches_polygon_oracle_on_surfaces():
         assert ip_property(wv) == _polygon_ip(tup), tup
         checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize(
+    "dim, wmax, tuples", [(2, 60, 1857), (3, 30, 1059), (4, 14, 70), (5, 10, 12)]
+)
+def test_ip_matches_enumeration_oracle(dim, wmax, tuples):
+    checked = 0
+    for tup in ascending_tuples(dim + 1, wmax):
+        try:
+            wv = validate(tup)
+        except NotWellFormed:
+            continue
+        assert ip_property(wv) == slow_ip_property(tup), tup
+        checked += 1
+    assert checked == tuples
+
+
+def test_ip_count_k3_anchor():
+    # 95 IP weight systems with four weights (Reid's list; Yonemura), the
+    # largest having w = 66
+    count = 0
+    for tup in ascending_tuples(4, 66):
+        try:
+            wv = validate(tup)
+        except NotWellFormed:
+            continue
+        count += ip_property(wv)
+    assert count == 95
 
 
 # ---------------------------------------------------------------------------
