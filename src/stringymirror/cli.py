@@ -23,8 +23,8 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (
     DivisionNotExact,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .exact_arith import BiPoly, RationalT
 from .face_epoly import psi
-from .mirror_verify import verify
+from .mirror_verify import VerificationReport, verify
 from .orbifold import mirror_orbifold_e, vafa_euler, vafa_poincare
 from .stringy import EFunction, hodge_table, stringy_e, stringy_e_per_l, stringy_euler
 from .weights import (
@@ -52,6 +52,7 @@ from .weights import (
     census,
     ip_property,
     milnor_number,
+    require_ip,
     transverse,
     validate,
 )
@@ -192,13 +193,12 @@ def _analyze_payload(wv: WeightVector) -> Dict:
     return payload
 
 
-def _row_payload(wv: WeightVector, run_verify: bool) -> Dict:
+def _row_payload(wv: WeightVector, report: Optional[VerificationReport] = None) -> Dict:
     dim = wv.d - 1
     s = stringy_e(wv)
     poly = s.is_polynomial()
     mirror_check = "n/a"
-    if run_verify:
-        report = verify(wv)
+    if report is not None:
         mirror_check = "pass" if report.passed else "fail"
     payload = {
         "weights": list(wv.weights),
@@ -249,16 +249,16 @@ _ROW_FIELDS = (
 )
 
 
-def _print_csv_rows(rows: Iterator[Dict], out=None) -> None:
-    writer = csv.writer(out or sys.stdout)
+def _print_csv_rows(rows: Iterable[Dict]) -> None:
+    writer = csv.writer(sys.stdout)
     writer.writerow(_ROW_FIELDS)
-    (out or sys.stdout).flush()
+    sys.stdout.flush()
     for row in rows:
         flat = dict(row)
         if not row["stringy_polynomial"]:
             flat["e_str"] = "non-polynomial"
         writer.writerow([_csv_scalar(flat[f]) for f in _ROW_FIELDS])
-        (out or sys.stdout).flush()
+        sys.stdout.flush()
 
 
 def _print_text_kv(payload: Dict, order: Tuple[str, ...]) -> None:
@@ -309,15 +309,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _require_ip(wv: WeightVector) -> None:
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
-
-
 def _cmd_stringy(args) -> int:
     wv = _parse_weights(args.weights)
-    _require_ip(wv)
-    payload = _row_payload(wv, run_verify=False)
+    require_ip(wv)
+    payload = _row_payload(wv)
     if args.per_l:
         payload["per_l"] = {
             str(l): render_efunction(stringy_e_per_l(wv, l)) for l in range(wv.w)
@@ -328,10 +323,10 @@ def _cmd_stringy(args) -> int:
 
 def _cmd_orbifold(args) -> int:
     wv = _parse_weights(args.weights)
-    _require_ip(wv)
+    require_ip(wv)
     tr = transverse(wv) if args.assume_transverse is None else args.assume_transverse
     orb = mirror_orbifold_e(wv)
-    payload = _row_payload(wv, run_verify=False)
+    payload = _row_payload(wv)
     payload["e_str"] = render_efunction(orb.value)
     payload["hodge"] = _hodge_grid(orb.value, wv.d - 1)
     payload["formal"] = not tr
@@ -347,16 +342,17 @@ def _cmd_orbifold(args) -> int:
 
 def _cmd_mirror_check(args) -> int:
     wv = _parse_weights(args.weights)
-    _require_ip(wv)
-    payload = _row_payload(wv, run_verify=True)
+    require_ip(wv)
     report = verify(wv)
+    payload = _row_payload(wv, report)
     payload["per_l_failures"] = list(report.per_l_failures)
     payload["hodge_pairs_match"] = report.hodge_pairs_match
     if args.per_l:
+        orb_terms = mirror_orbifold_e(wv).per_l_terms
         payload["per_l"] = {
             str(l): {
                 "stringy": render_efunction(stringy_e_per_l(wv, l)),
-                "orbifold": render_efunction(mirror_orbifold_e(wv).per_l_terms[l]),
+                "orbifold": render_efunction(orb_terms[l]),
                 "equal": l not in report.per_l_failures,
             }
             for l in range(wv.w)
@@ -369,7 +365,7 @@ def _emit_single(args, payload: Dict) -> None:
     if args.format == "json":
         _print_json(payload)
     elif args.format == "csv":
-        _print_csv_rows(iter([payload]))
+        _print_csv_rows([payload])
     else:
         order = _ROW_FIELDS + (
             "hodge", "untwisted_limit", "note", "formal", "vafa_poincare",
@@ -402,7 +398,7 @@ def _scan_rows(dim: int, wmax: int) -> Iterator[Dict]:
             continue
         if not ip_property(wv):
             continue
-        yield _row_payload(wv, run_verify=True)
+        yield _row_payload(wv, verify(wv))
 
 
 def _cmd_scan(args) -> int:
@@ -410,31 +406,18 @@ def _cmd_scan(args) -> int:
         raise OutOfRange("scan supports --dim between 1 and 6")
     if not 1 <= args.wmax <= 400:
         raise OutOfRange("scan supports --wmax between 1 and 400")
-    rows = _scan_rows(args.dim, args.wmax)
-    emitted = 0
-    index = 0
-    if args.format == "csv" or args.format == "text":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_ROW_FIELDS)
-        sys.stdout.flush()
-    for row in rows:
-        if index < args.skip:
-            index += 1
-            continue
-        index += 1
-        if args.format == "json":
+    if args.skip < 0:
+        raise OutOfRange("scan supports --skip >= 0")
+    if args.limit is not None and args.limit < 0:
+        raise OutOfRange("scan supports --limit >= 0")
+    stop = None if args.limit is None else args.skip + args.limit
+    rows = islice(_scan_rows(args.dim, args.wmax), args.skip, stop)
+    if args.format == "json":
+        for row in rows:
             print(json.dumps(row, sort_keys=True))
-        else:
-            flat = dict(row)
-            if not row["stringy_polynomial"]:
-                flat["e_str"] = "non-polynomial"
-            csv.writer(sys.stdout).writerow(
-                [_csv_scalar(flat[f]) for f in _ROW_FIELDS]
-            )
-        sys.stdout.flush()
-        emitted += 1
-        if args.limit is not None and emitted >= args.limit:
-            break
+            sys.stdout.flush()
+    else:
+        _print_csv_rows(rows)
     return 0
 
 

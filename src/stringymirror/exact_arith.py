@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     NegativeExponent,
@@ -145,6 +144,17 @@ def expand_factors(factors: Iterable[Factor]) -> List[int]:
         for _ in range(e):
             out = poly_mul(out, f)
     return out
+
+
+def series_quotient(num: Sequence[int], den: Iterable[Factor], n: int) -> List[int]:
+    """First n+1 coefficients of num(t) / prod (1 - t**m)**e expanded at
+    t = 0: one prefix-sum pass with stride m per denominator factor."""
+    g = list(num[: n + 1]) + [0] * max(0, n + 1 - len(num))
+    for m, e in den:
+        for _ in range(e):
+            for i in range(m, n + 1):
+                g[i] += g[i - m]
+    return g
 
 
 def _merge_factors(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
@@ -342,12 +352,7 @@ class RationalT:
     def laurent_series(self, n: int) -> Tuple[int, List[int]]:
         """(start, coefficients of t**start .. t**(start+n)) of the expansion
         at t = 0; start equals the shift since num(0) != 0."""
-        g = list(self.num[: n + 1]) + [0] * max(0, n + 1 - len(self.num))
-        for m, e in self.den:
-            for _ in range(e):
-                for i in range(m, n + 1):
-                    g[i] += g[i - m]
-        return self.shift, g
+        return self.shift, series_quotient(self.num, self.den, n)
 
     def series(self, n: int) -> List[int]:
         """Coefficients of t**0 .. t**n; requires no pole at t = 0."""
@@ -550,11 +555,14 @@ def reynolds_factor_property(p: FracPoly, q: FracPoly) -> bool:
 # certified reconstruction and limits
 
 
-def reconstruction_guard(default: int) -> int:
-    """Guard-band width; MIRROR_STRINGY_GUARD overrides the default."""
+def guard_override() -> Optional[int]:
+    """The validated MIRROR_STRINGY_GUARD width, or None when it is unset.
+
+    Public entry points read it once and pass it down, so it is part of the
+    key of every cache whose value depends on a reconstruction."""
     raw = os.environ.get("MIRROR_STRINGY_GUARD")
     if raw is None:
-        return default
+        return None
     try:
         g = int(raw)
     except ValueError:
@@ -562,6 +570,11 @@ def reconstruction_guard(default: int) -> int:
     if g < 1:
         raise OutOfRange("MIRROR_STRINGY_GUARD must be >= 1")
     return g
+
+
+def reconstruction_guard(default: int) -> int:
+    """Guard-band width; MIRROR_STRINGY_GUARD overrides the default."""
+    return guard_override() or default
 
 
 def series_to_rational(

@@ -22,7 +22,6 @@ use as a cross-check between the two code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Tuple
 
@@ -37,8 +36,9 @@ class FaceEPolynomial:
     value: BiPoly
 
 
-@lru_cache(maxsize=None)
-def _face_e(wv: WeightVector, Jf: FrozenSet[int]) -> FaceEPolynomial:
+def face_e(wv: WeightVector, J: Iterable[int]) -> FaceEPolynomial:
+    """E-polynomial of the face piece for J (|J| >= 2)."""
+    Jf = _check_subset(wv, J)
     k = len(Jf)
     if k < 2:
         raise SubsetTooSmall(f"face subsets need at least two indices, got {sorted(Jf)}")
@@ -67,11 +67,6 @@ def _face_e(wv: WeightVector, Jf: FrozenSet[int]) -> FaceEPolynomial:
             )
         out[(a - 1, b - 1)] = c
     return FaceEPolynomial(Jf, BiPoly(out))
-
-
-def face_e(wv: WeightVector, J: Iterable[int]) -> FaceEPolynomial:
-    """E-polynomial of the face piece for J (|J| >= 2)."""
-    return _face_e(wv, _check_subset(wv, J))
 
 
 def psi(wv: WeightVector) -> Tuple[int, ...]:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .errors import NotIP, OutOfRange
+from .errors import OutOfRange
 from .exact_arith import mirror_transform
 from .orbifold import mirror_orbifold_e, vafa_euler
 from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
-from .weights import WeightVector, _elements, ip_property
+from .weights import WeightVector, _elements, require_ip, transverse
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class VerificationReport:
 def per_l_check(wv: WeightVector, l: int) -> bool:
     """Does the face-assembled contribution of the group element l equal the
     orbifold sector term of the same l?"""
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+    require_ip(wv)
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
     return stringy_e_per_l(wv, l) == mirror_orbifold_e(wv).per_l_terms[l]
@@ -55,10 +54,7 @@ def per_l_check(wv: WeightVector, l: int) -> bool:
 
 def verify(wv: WeightVector) -> VerificationReport:
     """Full mirror-duality report; raises NotIP when no mirror exists."""
-    from .weights import transverse as _transverse
-
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+    require_ip(wv)
     s = stringy_e(wv)
     orb = mirror_orbifold_e(wv)
     # deduplicate the per-element checks by the data they depend on: the
@@ -96,7 +92,7 @@ def verify(wv: WeightVector) -> VerificationReport:
     return VerificationReport(
         weights=wv.weights,
         ip=True,
-        transverse=_transverse(wv),
+        transverse=transverse(wv),
         global_identity=global_identity,
         per_l_failures=tuple(failures),
         stringy_polynomial=poly,

@@ -28,16 +28,23 @@ fixed by l.  Three related objects are computed:
              * (-v)^{size} (u/v)^{age}.
 
   The projected product depends only on Z(l).  With s = t^(1/w) it equals
-  [ s^a prod (1 - s^(w-w_i)) / (1 - s^(w_i)) ]_int, a = sum_{i in Z} w_i,
-  recovered by certified reconstruction with denominator
-  prod (1 - t^(m_i)), m_i = w_i / gcd(w_i, w), and numerator degree bound
-  sum m_i + |Z| (the multisection can raise the degree past the naive bound
-  by one per factor).
+  [ s^a U_l(s) ]_int, a = sum_{i in Z} w_i.
+
+Both rational projections go through one multisection helper: it expands
+U_l as a series in s (``exact_arith.series_quotient``), keeps the
+coefficients at the exponents k w + offset, and recovers sum_k c t^k by
+certified reconstruction with denominator prod (1 - t^(m_i)),
+m_i = w_i / gcd(w_i, w), and numerator degree bound sum m_i + |Z| (the
+multisection can raise the degree past the naive bound by one per factor).
+``mirror_orbifold_e`` uses the offset -a; the non-polynomial sectors of the
+Poincare-style route use the offset sum_{i not in Z} w_i mod w.
 
 ``q_identity_check`` verifies, element by element, that the Poincare-style
-route (fractional exponents over 2w, no signs) and the reconstruction route
-(s^a twist) produce the same projected sector term; it is a structural
+route (fractional exponents over 2w, no signs) times (-1)^size equals the
+per-element term of ``mirror_orbifold_e`` (s^a twist); it is a structural
 self-test of the fractional-exponent algebra, not a mirror statement.
+The guard-band override (MIRROR_STRINGY_GUARD) is read once per public call
+and keys every cached reconstruction.
 """
 
 from __future__ import annotations
@@ -49,15 +56,17 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import NonIntegerCoefficient, OutOfRange
+from .errors import NonIntegerCoefficient
 from .exact_arith import (
     BiPoly,
+    Factor,
     FracPoly,
     RationalT,
+    expand_factors,
+    guard_override,
     integral_project,
     poly_div_exact,
-    poly_mul,
-    reconstruction_guard,
+    series_quotient,
     series_to_rational,
 )
 from .stringy import EFunction, efunction_from_bipoly
@@ -94,29 +103,14 @@ def vafa_euler(wv: WeightVector) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sector Hilbert polynomials and the Poincare polynomial
+# sector Hilbert series and the Poincare polynomial
 
 
-def _sector_numerator(wv: WeightVector, zero: FrozenSet[int]) -> List[int]:
-    num = [1]
-    for i in sorted(zero):
-        wi = wv.weights[i]
-        factor = [0] * (wv.w - wi + 1)
-        factor[0] = 1
-        factor[wv.w - wi] = -1
-        num = poly_mul(num, factor)
-    return num
-
-
-def _sector_denominator(wv: WeightVector, zero: FrozenSet[int]) -> List[int]:
-    den = [1]
-    for i in sorted(zero):
-        wi = wv.weights[i]
-        factor = [0] * (wi + 1)
-        factor[0] = 1
-        factor[wi] = -1
-        den = poly_mul(den, factor)
-    return den
+def _sector_factors(wv: WeightVector, zero: FrozenSet[int]) -> Tuple[List[Factor], List[Factor]]:
+    """Numerator and denominator factors (m, 1), standing for 1 - s^m, of
+    U_l = prod_{i in Z} (1 - s^(w - w_i)) / (1 - s^(w_i))."""
+    ws = [wv.weights[i] for i in sorted(zero)]
+    return [(wv.w - wi, 1) for wi in ws], [(wi, 1) for wi in ws]
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +119,26 @@ def _sector_polynomial(wv: WeightVector, zero: FrozenSet[int]) -> Optional[Tuple
     polynomial (the vector is then not transverse)."""
     if not zero:
         return (1,)
-    q = poly_div_exact(_sector_numerator(wv, zero), _sector_denominator(wv, zero))
+    num, den = _sector_factors(wv, zero)
+    q = poly_div_exact(expand_factors(num), expand_factors(den))
     return None if q is None else tuple(q)
+
+
+def _multisection(
+    wv: WeightVector, zero: FrozenSet[int], offset: int, guard: Optional[int]
+) -> RationalT:
+    """sum_k c_{k w + offset} t^k for the coefficients c_e of U_l in s (zero
+    at negative e), by certified reconstruction with denominator
+    prod (1 - t^(m_i)), m_i = w_i / gcd(w_i, w), and numerator degree bound
+    sum m_i + |Z|."""
+    w = wv.w
+    ms = sorted(wv.weights[i] // gcd(wv.weights[i], w) for i in zero)
+    bound = sum(ms) + len(zero)
+    top = (bound + (guard or sum(ms))) * w + offset
+    num, den = _sector_factors(wv, zero)
+    series = series_quotient(expand_factors(num), den, top)
+    coeffs = tuple(series[e] if e >= 0 else 0 for e in range(offset, top + 1, w))
+    return series_to_rational(coeffs, [(m, 1) for m in ms], bound)
 
 
 def _sector_bipoly(wv: WeightVector, l: int) -> Optional[BiPoly]:
@@ -184,34 +196,12 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
 
 
 @lru_cache(maxsize=None)
-def _projected_sector(wv: WeightVector, zero: FrozenSet[int]) -> RationalT:
+def _projected_sector(wv: WeightVector, zero: FrozenSet[int], guard: Optional[int]) -> RationalT:
     """[ prod_{i in Z} ((uv)^{q_i} - uv) / (1 - (uv)^{q_i}) ]_int as a
-    rational function of t = uv, via s^a-twisted multisection of the sector
-    Hilbert series."""
+    rational function of t = uv: the multisection of U_l at offset -a."""
     if not zero:
         return RationalT.one()
-    w = wv.w
-    a = sum(wv.weights[i] for i in zero)
-    ms = sorted(wv.weights[i] // gcd(wv.weights[i], w) for i in sorted(zero))
-    bound = sum(ms) + len(zero)
-    guard = reconstruction_guard(sum(ms))
-    n_t = bound + guard
-    series = _hilbert_series(wv, zero, n_t * w)
-    tcoeffs = tuple(
-        series[k * w - a] if k * w >= a else 0 for k in range(n_t + 1)
-    )
-    return series_to_rational(tcoeffs, [(m, 1) for m in ms], bound)
-
-
-def _hilbert_series(wv: WeightVector, zero: FrozenSet[int], n: int) -> List[int]:
-    """First n+1 coefficients of prod (1-s^(w-w_i))/(1-s^(w_i)), i in Z."""
-    num = _sector_numerator(wv, zero)
-    g = list(num[: n + 1]) + [0] * max(0, n + 1 - len(num))
-    for i in sorted(zero):
-        wi = wv.weights[i]
-        for k in range(wi, n + 1):
-            g[k] += g[k - wi]
-    return g
+    return _multisection(wv, zero, -sum(wv.weights[i] for i in zero), guard)
 
 
 @dataclass(frozen=True)
@@ -224,12 +214,12 @@ class OrbifoldEResult:
 
 
 @lru_cache(maxsize=None)
-def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
+def _mirror_orbifold_e(wv: WeightVector, guard: Optional[int]) -> OrbifoldEResult:
     per: Dict[int, EFunction] = {}
     total = EFunction(wv.d - 1, ())
     zs = _zero_sets(wv)
     for l in range(wv.w):
-        B = _projected_sector(wv, zs[l])
+        B = _projected_sector(wv, zs[l], guard)
         if l == 0:
             ef = EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])
         else:
@@ -243,12 +233,17 @@ def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
     return OrbifoldEResult(total, total.value_at_one(), per)
 
 
+def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
+    """(-u)^(d-1) E_orb(X; 1/u, v), summed over the sectors l in Z/wZ."""
+    return _mirror_orbifold_e(wv, guard_override())
+
+
 # ---------------------------------------------------------------------------
 # structural identity between the two sector forms
 
 
-def _sector_efunction_direct(wv: WeightVector, l: int) -> EFunction:
-    """Route 1: project U_l (or its full rational series) against the twisted
+def _sector_efunction_direct(wv: WeightVector, l: int, guard: Optional[int]) -> EFunction:
+    """Project U_l (or its full rational series) against the twisted
     monomial, fractional exponents carried over 2w."""
     el = _elements(wv)[l]
     zero = _zero_sets(wv)[l]
@@ -259,14 +254,7 @@ def _sector_efunction_direct(wv: WeightVector, l: int) -> EFunction:
     # rational sector: multisection at the offset forced by integrality
     twisted_sum = sum(wv.weights[i] for i in wv.indices() if i not in zero)
     e0 = twisted_sum % w
-    a = sum(wv.weights[i] for i in zero)
-    ms = sorted(wv.weights[i] // gcd(wv.weights[i], w) for i in sorted(zero))
-    bound = sum(ms) + len(zero)
-    guard = reconstruction_guard(sum(ms))
-    n_t = bound + guard
-    series = _hilbert_series(wv, zero, n_t * w + e0)
-    gcoeffs = tuple(series[k * w + e0] for k in range(n_t + 1))
-    G = series_to_rational(gcoeffs, [(m, 1) for m in ms], bound)
+    G = _multisection(wv, zero, e0, guard)
     alpha0 = Fraction(e0, w) + Fraction(el.size, 2) - Fraction(twisted_sum, w) \
         + el.age - Fraction(el.size, 2)
     beta0 = alpha0 - (2 * el.age - el.size)
@@ -274,19 +262,16 @@ def _sector_efunction_direct(wv: WeightVector, l: int) -> EFunction:
     return EFunction(wv.d - 1, [(int(alpha0), int(beta0), G)])
 
 
-def _sector_efunction_twisted(wv: WeightVector, l: int) -> EFunction:
-    """Route 2: u^(age-1) v^(size-age-1) times the s^a-twisted projection."""
-    el = _elements(wv)[l]
-    B = _projected_sector(wv, _zero_sets(wv)[l])
-    if l == 0:
-        return EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])
-    return EFunction(wv.d - 1, [(el.age - 1, el.size - el.age - 1, B)])
-
-
 def q_identity_check(wv: WeightVector) -> bool:
     """Element-by-element agreement of the two displayed forms of the
-    orbifold sector sum (signs removed from both sides)."""
-    for l in range(wv.w):
-        if _sector_efunction_direct(wv, l) != _sector_efunction_twisted(wv, l):
+    orbifold sector sum: the direct projection, signed by (-1)^size, equals
+    the s^a-twisted term of ``mirror_orbifold_e``."""
+    guard = guard_override()
+    per_l = _mirror_orbifold_e(wv, guard).per_l_terms
+    for l, el in enumerate(_elements(wv)):
+        direct = _sector_efunction_direct(wv, l, guard)
+        # per_l[l] - (-1)^size * direct
+        diff = per_l[l] + direct if el.size % 2 else per_l[l] - direct
+        if not diff.is_zero():
             return False
     return True

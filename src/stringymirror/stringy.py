@@ -34,24 +34,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import NotIP, NotPolynomial, OutOfRange, SignPatternViolation
+from .errors import NotPolynomial, OutOfRange, SignPatternViolation
 from .exact_arith import (
     BiPoly,
     RationalT,
+    guard_override,
     limit_at_one,
     rational_from_counts,
-    reconstruction_guard,
-    series_to_rational,
 )
 from .face_epoly import face_e
 from .weights import (
     WeightVector,
     _check_subset,
     _elements,
-    ip_property,
     lattice_counts,
+    require_ip,
 )
 
 # ---------------------------------------------------------------------------
@@ -148,14 +147,14 @@ def _denominator_orders(wv: WeightVector, comp: List[int]) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _bracket(wv: WeightVector, Jf: FrozenSet[int]) -> RationalT:
+def _bracket(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> RationalT:
     comp = [j for j in wv.indices() if j not in Jf]
     if not comp:
         return RationalT.one()
     ms = _denominator_orders(wv, comp)
     bound = sum(ms)
-    guard = reconstruction_guard(bound)
-    counts = lattice_counts(wv, Jf, bound + guard)
+    # guard: the MIRROR_STRINGY_GUARD width, None for one full period
+    counts = lattice_counts(wv, Jf, bound + (guard or bound))
     fx = rational_from_counts(counts, [(m, 1) for m in ms])
     bt = fx.inverse_substitution()
     if __debug__:
@@ -167,12 +166,17 @@ def _bracket(wv: WeightVector, Jf: FrozenSet[int]) -> RationalT:
 def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
     t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
-    return _bracket(wv, _check_subset(wv, J))
+    return _bracket(wv, _check_subset(wv, J), guard_override())
 
 
 def _uv_minus_one_pow(n: int) -> List[int]:
     """(t - 1)^n as dense coefficients."""
     return [comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
+
+
+def _weighted_bracket(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> RationalT:
+    """(uv - 1)^(d+1-|J|) * bracket_J, the factor every assembly shares."""
+    return _bracket(wv, Jf, guard).mul_poly(_uv_minus_one_pow(wv.d + 1 - len(Jf)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +195,9 @@ def _subsets(wv: WeightVector, min_size: int = 2) -> List[FrozenSet[int]]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _term(wv: WeightVector, Jf: FrozenSet[int]) -> EFunction:
+def _term(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> EFunction:
     fe = face_e(wv, Jf).value
-    base = bracket(wv, Jf).mul_poly(_uv_minus_one_pow(wv.d + 1 - len(Jf)))
+    base = _weighted_bracket(wv, Jf, guard)
     return EFunction(
         wv.d - 1, ((a, b, base * c) for (a, b), c in fe.terms.items())
     )
@@ -202,20 +205,23 @@ def _term(wv: WeightVector, Jf: FrozenSet[int]) -> EFunction:
 
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
-    return {Jf: _term(wv, Jf) for Jf in _subsets(wv)}
+    require_ip(wv)
+    guard = guard_override()
+    return {Jf: _term(wv, Jf, guard) for Jf in _subsets(wv)}
 
 
 @lru_cache(maxsize=None)
-def stringy_e(wv: WeightVector) -> EFunction:
-    """Stringy E-function of the mirror hypersurface."""
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+def _stringy_e(wv: WeightVector, guard: Optional[int]) -> EFunction:
     total = EFunction(wv.d - 1, ())
     for Jf in _subsets(wv):
-        total = total + _term(wv, Jf)
+        total = total + _term(wv, Jf, guard)
     return total
+
+
+def stringy_e(wv: WeightVector) -> EFunction:
+    """Stringy E-function of the mirror hypersurface."""
+    require_ip(wv)
+    return _stringy_e(wv, guard_override())
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +229,7 @@ def stringy_e(wv: WeightVector) -> EFunction:
 
 
 @lru_cache(maxsize=None)
-def _untwisted_component(wv: WeightVector) -> EFunction:
+def _untwisted_component(wv: WeightVector, guard: Optional[int]) -> EFunction:
     entries = []
     for Jf in _subsets(wv):
         k = len(Jf)
@@ -231,38 +237,36 @@ def _untwisted_component(wv: WeightVector) -> EFunction:
         num = _uv_minus_one_pow(k - 1)
         num[0] -= (-1) ** (k - 1)
         assert num[0] == 0
-        shifted = num[1:]
-        r = bracket(wv, Jf).mul_poly(_uv_minus_one_pow(wv.d + 1 - k)).mul_poly(shifted)
-        entries.append((0, 0, r))
+        entries.append((0, 0, _weighted_bracket(wv, Jf, guard).mul_poly(num[1:])))
     return EFunction(wv.d - 1, entries)
 
 
 @lru_cache(maxsize=None)
-def _twisted_component(wv: WeightVector, support: FrozenSet[int]) -> RationalT:
+def _twisted_component(
+    wv: WeightVector, support: FrozenSet[int], guard: Optional[int]
+) -> RationalT:
     """sum over J containing the support of (-1)^|J| (uv-1)^(d+1-|J|) bracket_J."""
     rest = [j for j in wv.indices() if j not in support]
     total = RationalT.zero()
     for mask in range(1 << len(rest)):
         Jf = frozenset(support | {rest[i] for i in range(len(rest)) if mask >> i & 1})
         sign = -1 if len(Jf) % 2 else 1
-        total = total + bracket(wv, Jf).mul_poly(
-            _uv_minus_one_pow(wv.d + 1 - len(Jf))
-        ) * sign
+        total = total + _weighted_bracket(wv, Jf, guard) * sign
     return total
 
 
 def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     """The contribution E^(l) of a single group element to E_str; summing
     over all l in Z/wZ recovers ``stringy_e``."""
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+    require_ip(wv)
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
+    guard = guard_override()
     if l == 0:
-        return _untwisted_component(wv)
+        return _untwisted_component(wv, guard)
     el = _elements(wv)[l]
     support = frozenset(i for i, q in enumerate(el.theta_tilde) if q)
-    r = _twisted_component(wv, support)
+    r = _twisted_component(wv, support, guard)
     return EFunction(wv.d - 1, [(el.age - 1, el.size - el.age - 1, r)])
 
 

@@ -36,16 +36,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
     InconsistentLP,
     NonIntegerMilnor,
+    NotIP,
     NotWellFormed,
     OutOfRange,
 )
-from .exact_arith import RationalT, poly_mul
+from .exact_arith import RationalT, expand_factors
 
 # ---------------------------------------------------------------------------
 # the weight vector itself
@@ -152,19 +153,15 @@ def _check_subset(wv: WeightVector, J: Iterable[int]) -> FrozenSet[int]:
     return Jf
 
 
-@lru_cache(maxsize=None)
-def _subgroup(wv: WeightVector, Jf: FrozenSet[int]) -> FaceSubgroup:
+def subgroup(wv: WeightVector, J: Iterable[int]) -> FaceSubgroup:
+    """G_J = { l : theta~_j(l) = 0 for every j outside J }."""
+    Jf = _check_subset(wv, J)
     w = wv.w
     comp = [wv.weights[j] for j in wv.indices() if j not in Jf]
     members = tuple(
         l for l in range(w) if all((l * wj) % w == 0 for wj in comp)
     )
     return FaceSubgroup(Jf, members)
-
-
-def subgroup(wv: WeightVector, J: Iterable[int]) -> FaceSubgroup:
-    """G_J = { l : theta~_j(l) = 0 for every j outside J }."""
-    return _subgroup(wv, _check_subset(wv, J))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +445,12 @@ def ip_property(wv: WeightVector) -> bool:
         _add_column(V, u)
 
 
+def require_ip(wv: WeightVector) -> None:
+    """Raise NotIP unless wv has the IP property (no mirror otherwise)."""
+    if not ip_property(wv):
+        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+
+
 # ---------------------------------------------------------------------------
 # transversality, Milnor number, sector Poincare series
 
@@ -503,15 +506,6 @@ def poincare_series(wv: WeightVector, l: int) -> RationalT:
     the product is empty and the series is 1.
     """
     el = element(wv, l)
-    w = wv.w
-    num = [1]
-    den = []
-    for j, q in enumerate(el.theta_tilde):
-        if q == 0:
-            wj = wv.weights[j]
-            factor = [0] * (w - wj + 1)
-            factor[0] = 1
-            factor[w - wj] = -1
-            num = poly_mul(num, factor)
-            den.append((wj, 1))
-    return RationalT(num, 0, den)
+    fixed = [wv.weights[j] for j, q in enumerate(el.theta_tilde) if q == 0]
+    num = expand_factors((wv.w - wj, 1) for wj in fixed)
+    return RationalT(num, 0, [(wj, 1) for wj in fixed])

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from stringymirror import weights
+from stringymirror import cli, stringy, weights
 from stringymirror.cli import main
 
 
@@ -256,6 +256,14 @@ def test_mirror_check_per_l_detail(capsys):
     assert payload["per_l"]["0"]["stringy"] == payload["per_l"]["0"]["orbifold"]
 
 
+def test_mirror_check_verifies_once(capsys, monkeypatch):
+    calls = []
+    real = cli.verify
+    monkeypatch.setattr(cli, "verify", lambda wv: calls.append(wv) or real(wv))
+    assert run(["mirror-check", "1,1,1,1,1", "--per-l"], capsys)[0] == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -293,6 +301,14 @@ def test_scan_skip_resumes(capsys):
     assert full.splitlines()[2:] == tail.splitlines()
     _, limited, _ = run(base + ["--limit", "1"], capsys)
     assert limited.splitlines() == full.splitlines()[:1]
+    _, window, _ = run(base + ["--skip", "1", "--limit", "2"], capsys)
+    assert window.splitlines() == full.splitlines()[1:3]
+    # --limit 0 emits no rows: nothing in json, the header alone in csv/text
+    assert run(base + ["--limit", "0"], capsys)[:2] == (0, "")
+    for fmt in ("csv", "text"):
+        code, out, _ = run(base[:-1] + [fmt, "--limit", "0"], capsys)
+        assert code == 0
+        assert out.splitlines() == [",".join(cli._ROW_FIELDS)]
 
 
 def test_scan_empty_range(capsys):
@@ -312,6 +328,12 @@ def test_scan_empty_range(capsys):
 def test_scan_bounds_checked(capsys):
     assert run(["scan", "--dim", "7", "--wmax", "10"], capsys)[0] == 2
     assert run(["scan", "--dim", "3", "--wmax", "500"], capsys)[0] == 2
+    base = ["scan", "--dim", "3", "--wmax", "20"]
+    for extra in (["--skip", "-2"], ["--limit", "-3"]):
+        code, out, err = run(base + extra, capsys)
+        assert code == 2
+        assert out == ""
+        assert extra[0] in err
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +354,30 @@ def test_guard_invalid_is_input_error(capsys, monkeypatch):
     code, _, err = run(["stringy", "1,1,2", "--format", "json"], capsys)
     assert code == 2
     assert "MIRROR_STRINGY_GUARD" in err
+    # still rejected once the vector's results are cached
+    monkeypatch.delenv("MIRROR_STRINGY_GUARD")
+    assert run(["stringy", "1,1,2"], capsys)[0] == 0
+    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "wide")
+    assert run(["stringy", "1,1,2"], capsys)[0] == 2
+
+
+def test_guard_change_applies_to_cached_vector(capsys, monkeypatch):
+    # J = {0, 1} of (1,2,3): one coin of order 1, so K = 1 + guard counts
+    widths = []
+    real = stringy.lattice_counts
+
+    def spy(wv, J, K):
+        if wv.weights == (1, 2, 3) and set(J) == {0, 1}:
+            widths.append(K)
+        return real(wv, J, K)
+
+    monkeypatch.setattr(stringy, "lattice_counts", spy)
+    for guard in ("5", "6"):
+        monkeypatch.setenv("MIRROR_STRINGY_GUARD", guard)
+        code, out, _ = run(["stringy", "1,2,3", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["e_str"] == "1 - u - v + u*v"
+    assert widths == [6, 7]
 
 
 def test_missing_subcommand_is_usage_error(capsys):
