@@ -29,6 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .errors import (
     DivisionNotExact,
     EmptyInput,
+    InconsistentCensus,
     InconsistentLP,
     NegativeExponent,
     NonIntegerCoefficient,
@@ -71,6 +72,7 @@ _INTERNAL_ERRORS = (
     NonIntegerCoefficient,
     NegativeExponent,
     InconsistentLP,
+    InconsistentCensus,
     AssertionError,
 )
 
@@ -390,15 +392,14 @@ def _ascending_tuples(k: int, budget: int, start: int = 1) -> Iterator[Tuple[int
             yield (v,) + rest
 
 
-def _scan_rows(dim: int, wmax: int) -> Iterator[Dict]:
+def _ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
     for tup in _ascending_tuples(dim + 1, wmax):
         try:
             wv = validate(tup)
         except NotWellFormed:
             continue
-        if not ip_property(wv):
-            continue
-        yield _row_payload(wv, verify(wv))
+        if ip_property(wv):
+            yield wv
 
 
 def _cmd_scan(args) -> int:
@@ -411,7 +412,9 @@ def _cmd_scan(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise OutOfRange("scan supports --limit >= 0")
     stop = None if args.limit is None else args.skip + args.limit
-    rows = islice(_scan_rows(args.dim, args.wmax), args.skip, stop)
+    # rows are built only for the vectors past --skip
+    vectors = islice(_ip_vectors(args.dim, args.wmax), args.skip, stop)
+    rows = (_row_payload(wv, verify(wv)) for wv in vectors)
     if args.format == "json":
         for row in rows:
             print(json.dumps(row, sort_keys=True))

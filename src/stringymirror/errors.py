@@ -76,5 +76,12 @@ class NonIntegerCoefficient(StringyMirrorError):
 
 class InconsistentLP(StringyMirrorError):
     """The exact interior-point linear program or its separation oracle
-    contradicted itself: an infeasible, unbounded or rank-deficient system,
-    or an oracle point already among the columns."""
+    contradicted itself: a singular simplex basis, an unbounded LP, affine
+    hull rows that already span the whole space, or an oracle point already
+    among the columns."""
+
+
+class InconsistentCensus(StringyMirrorError):
+    """The group-element data contradict themselves: a non-integral age, or
+    an age census psi whose psi_0 is not 1 or whose entries do not sum to
+    w."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, FrozenSet, Iterable, Tuple
 
-from .errors import DivisionNotExact, SubsetTooSmall
+from .errors import DivisionNotExact, InconsistentCensus, SubsetTooSmall
 from .exact_arith import BiPoly
 from .weights import WeightVector, _check_subset, _elements, subgroup
 
@@ -75,5 +75,8 @@ def psi(wv: WeightVector) -> Tuple[int, ...]:
     counts = [0] * (wv.d + 1)
     for el in _elements(wv):
         counts[el.age] += 1
-    assert counts[0] == 1 and sum(counts) == wv.w
+    if counts[0] != 1 or sum(counts) != wv.w:
+        raise InconsistentCensus(
+            f"age census {counts} of {wv} needs psi_0 = 1 and sum {wv.w}"
+        )
     return tuple(counts)

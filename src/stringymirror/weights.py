@@ -25,8 +25,12 @@ functional over those points by an unbounded-knapsack DP over the degrees
 u_i = 1), the oracle serves three steps in turn: sound rejects (z on a face
 sum_{j in J} u_j = |J| for a proper index subset J), a search for an
 affinely spanning set of points along integer directions orthogonal to the
-span so far, and the exact separation step of a column generation whose LP
-is a small rational simplex over the points found.  No floats anywhere.
+span so far, and the exact separation step of a column generation over the
+points found.  Its LP is a revised simplex in plain integers: it starts
+from the feasible basis the spanning search already found, so there is no
+phase 1, and one fraction-free Gauss-Jordan elimination gives both its
+scaled basis inverses and the orthogonal directions.  The IP test uses
+neither floats nor fractions.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
+    InconsistentCensus,
     InconsistentLP,
     NonIntegerMilnor,
     NotIP,
@@ -121,7 +126,8 @@ def element(wv: WeightVector, l: int) -> OrbifoldElement:
         raise OutOfRange(f"group element {l} outside 0..{w - 1}")
     theta = tuple(Fraction((l * wi) % w, w) for wi in wv.weights)
     age = sum(theta)
-    assert age.denominator == 1, "ages of diagonal symmetries are integers"
+    if age.denominator != 1:
+        raise InconsistentCensus(f"element {l} of {wv} has a non-integral age {age}")
     return OrbifoldElement(l, theta, int(age), sum(1 for q in theta if q))
 
 
@@ -226,147 +232,122 @@ def _knapsack_min(
     return f[w], tuple(u)
 
 
-def _primitive(v: Sequence[Fraction]) -> List[int]:
-    """The positive multiple of a nonzero rational vector that is a
-    primitive integer vector."""
-    scale = lcm(*(x.denominator for x in v))
-    ints = [int(x * scale) for x in v]
-    g = gcd(*ints)
-    return [x // g for x in ints]
-
-
-def _kernel_vector(rows: List[Sequence[int]], n: int) -> List[int]:
-    """A primitive integer vector orthogonal to every row (fewer than n
-    linearly independent rows)."""
-    M = [[Fraction(x) for x in row] for row in rows]
+def _eliminate(
+    rows: Sequence[Sequence[int]],
+) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968): (R, pivots, D) with D > 0 and R = D * rref(rows), so the first
+    len(pivots) rows of R hold D in their pivot column and 0 in every other
+    pivot column.  Every division is exact and every entry is a minor of
+    rows, so the integers stay small."""
+    M = [list(row) for row in rows]
     pivots: List[int] = []
-    for col in range(n):
+    prev = 1
+    for col in range(len(M[0])):
         r = len(pivots)
         piv = next((i for i in range(r, len(M)) if M[i][col]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
+        top = M[r]
+        p = top[col]
         for i, row in enumerate(M):
-            if i != r and row[col]:
+            if i != r:
                 f = row[col]
-                M[i] = [a - f * b for a, b in zip(row, M[r])]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(col)
+    if prev < 0:
+        M = [[-x for x in row] for row in M]
+    return M, pivots, abs(prev)
+
+
+def _scaled_inverse(B: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(A, D) with B A = A B = D I and D > 0, from [B | I] reduced by
+    ``_eliminate``; a singular B raises InconsistentLP."""
+    m = len(B)
+    R, pivots, D = _eliminate(
+        [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(B)]
+    )
+    if pivots != list(range(m)):
+        raise InconsistentLP("singular basis in the integer simplex")
+    return [row[m:] for row in R], D
+
+
+def _primitive(v: Sequence[int]) -> List[int]:
+    """The positive multiple of a nonzero integer vector that is primitive."""
+    g = gcd(*v)
+    return [x // g for x in v]
+
+
+def _kernel_vector(rows: List[Sequence[int]], n: int) -> List[int]:
+    """A primitive integer vector orthogonal to every row (fewer than n
+    linearly independent rows)."""
+    R, pivots, D = _eliminate(rows)
     if len(pivots) == n:
         raise InconsistentLP("affine hull rows already span the whole space")
     free = next(c for c in range(n) if c not in pivots)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for row, p in zip(M, pivots):
+    x = [0] * n
+    x[free] = D
+    for row, p in zip(R, pivots):
         x[p] = -row[free]
     return _primitive(x)
 
 
 # ---------------------------------------------------------------------------
-# exact LP (two-phase simplex, Bland's rule) for the IP property
+# exact LP (revised simplex in integers, Bland's rule) for the IP property
 
 
-def _pivot(T: List[List[Fraction]], rhs: List[Fraction], r: int, c: int):
-    pr = T[r]
-    inv = Fraction(1) / pr[c]
-    if inv != 1:
-        T[r] = pr = [x * inv for x in pr]
-        rhs[r] *= inv
-    for i, row in enumerate(T):
-        if i != r and row[c]:
-            f = row[c]
-            T[i] = [x - f * y for x, y in zip(row, pr)]
-            rhs[i] -= f * rhs[r]
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _run_simplex(T, rhs, basis, cost, allowed):
-    m = len(T)
-    while True:
-        cb = [cost[b] for b in basis]
-        enter = -1
-        for j in allowed:
-            if j in basis:
-                continue
-            rc = cost[j] - sum(cb[i] * T[i][j] for i in range(m) if cb[i] or T[i][j])
-            if rc > 0:
-                enter = j  # Bland: smallest improving index
-                break
-        if enter < 0:
-            return
-        leave = -1
-        best = None
-        for i in range(m):
-            a = T[i][enter]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best, leave = ratio, i
-        if leave < 0:
-            raise InconsistentLP("LP unbounded")
-        _pivot(T, rhs, leave, enter)
-        basis[leave] = enter
+def _simplex_max(
+    cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]
+) -> Tuple[int, List[int]]:
+    """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0, starting
+    from the basis of the first len(b) columns, whose basic solution must be
+    feasible (there is no phase 1).
 
-
-def _simplex_max(cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]):
-    """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0 (b >= 0).
-
-    Returns (value, y) with y an exact dual vector: y.cols[j] >= obj[j] for
-    all j and y.b = value.  Requires full row rank (true for our instances);
-    an infeasible, unbounded or rank-deficient system raises InconsistentLP.
+    Each iteration rebuilds A = D B^-1 (D > 0) with ``_scaled_inverse``, so
+    D x_B = A b, the dual D y = c_B A and the entering direction D B^-1 a_j
+    are integer vectors, and the ratio test compares cross products.
+    Returns (D * value, D * y) for the final D: y is an exact optimal dual,
+    y.cols[j] >= obj[j] for all j.  A singular basis or an unbounded LP
+    raises InconsistentLP.
     """
     m = len(b)
-    n = len(cols)
-    F = Fraction
-    T = [
-        [F(cols[j][i]) for j in range(n)] + [F(1 if k == i else 0) for k in range(m)]
-        for i in range(m)
-    ]
-    rhs = [F(x) for x in b]
-    basis = list(range(n, n + m))
-    # phase 1: drive the artificial variables to zero
-    cost1 = [F(0)] * n + [F(-1)] * m
-    _run_simplex(T, rhs, basis, cost1, range(n + m))
-    if any(rhs[i] for i in range(m) if basis[i] >= n):
-        raise InconsistentLP("LP infeasible")
-    for i in range(m):
-        if basis[i] >= n:  # degenerate artificial: pivot out on a real column
-            for j in range(n):
-                if j not in basis and T[i][j]:
-                    _pivot(T, rhs, i, j)
-                    basis[i] = j
-                    break
-            else:
-                raise InconsistentLP("LP constraint rows are rank deficient")
-    # phase 2
-    cost2 = [F(c) for c in obj] + [F(0)] * m
-    _run_simplex(T, rhs, basis, cost2, range(n))
-    value = sum(cost2[basis[i]] * rhs[i] for i in range(m))
-    # dual from B^T y = c_B over the original columns
-    Bt = [[F(cols[basis[i]][r]) for r in range(m)] for i in range(m)]
-    cB = [cost2[basis[i]] for i in range(m)]
-    y = _solve_linear(Bt, cB)
-    return value, y
-
-
-def _solve_linear(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
-    """Solve A x = b by Gaussian elimination (A square, invertible)."""
-    m = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col]), None)
-        if piv is None:
-            raise InconsistentLP("singular basis in dual extraction")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(m):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][m] for r in range(m)]
+    basis = list(range(m))
+    while True:
+        A, D = _scaled_inverse([[cols[j][r] for j in basis] for r in range(m)])
+        x = [_dot(row, b) for row in A]
+        cb = [obj[j] for j in basis]
+        y = [_dot(cb, col) for col in zip(*A)]
+        enter = next(
+            (
+                j
+                for j in range(len(cols))  # Bland: smallest improving index
+                if j not in basis and D * obj[j] > _dot(y, cols[j])
+            ),
+            None,
+        )
+        if enter is None:
+            return _dot(cb, x), y
+        a = [_dot(row, cols[enter]) for row in A]
+        leave = -1
+        for i in range(m):
+            if a[i] > 0 and (
+                leave < 0
+                or x[i] * a[leave] < x[leave] * a[i]
+                or (
+                    x[i] * a[leave] == x[leave] * a[i]
+                    and basis[i] < basis[leave]
+                )
+            ):
+                leave = i
+        if leave < 0:
+            raise InconsistentLP("LP unbounded")
+        basis[leave] = enter
 
 
 def _add_column(V: List[Tuple[int, ...]], u: Tuple[int, ...]):
@@ -384,9 +365,9 @@ def ip_property(wv: WeightVector) -> bool:
     its relative interior.
 
     The lattice points are never listed.  Every step after the first
-    reject asks one oracle, ``_knapsack_min``: the minimum of an integer functional c.u over them,
-    by an unbounded-knapsack DP over the degrees 0..w.  z is itself a
-    lattice point, so min <= c.z <= max for every c.
+    reject asks one oracle, ``_knapsack_min``: the minimum of an integer
+    functional c.u over them, by an unbounded-knapsack DP over the degrees
+    0..w.  z is itself a lattice point, so min <= c.z <= max for every c.
 
     1. Sound rejects, cheapest first.  If 2 w_i > w then u_i <= 1 on every
        point, so z lies on the face u_i = 1.  Otherwise, for each proper
@@ -406,6 +387,11 @@ def ip_property(wv: WeightVector) -> bool:
        integer vector, supports conv(V) at z; the oracle's minimum of y.u
        is either >= 0 (y supports the whole polytope at z: False) or
        attained at a point outside V, which joins V.
+       The LP is ``_simplex_max``, a revised simplex in integers.  It needs
+       no phase 1: the points of step 2 lie in the degree hyperplane
+       w.u = w, which misses the origin, so V[:n] (z and n - 1 affinely
+       independent points) is a basis, and since z is one of them x = e_0
+       is feasible.  Every run starts there.
     """
     ws = wv.weights
     n = len(ws)

@@ -6,17 +6,18 @@ built once per session and reused by the slow sweeps.  The count oracles
 below recompute lattice data straight from the definition so the library's
 reconstruction pipeline is checked against independent code, and
 ``slow_ip_property`` decides the IP property from the full list of lattice
-points.
+points, with its own two-phase ``Fraction`` simplex: it shares no LP code
+with the integer revised simplex in ``weights``.
 """
 
 import random
 from fractions import Fraction
+from typing import List, Sequence
 
 import pytest
 
 from stringymirror import ip_property, validate
-from stringymirror.errors import NotWellFormed
-from stringymirror.weights import _simplex_max
+from stringymirror.errors import InconsistentLP, NotWellFormed
 
 D3_BUDGET = 40
 D4_BUDGET = 60
@@ -140,6 +141,111 @@ def lattice_points(weights):
 
     rec(0, sum(weights), ())
     return out
+
+
+# exact LP (two-phase simplex, Bland's rule) for slow_ip_property
+
+
+def _pivot(T: List[List[Fraction]], rhs: List[Fraction], r: int, c: int):
+    pr = T[r]
+    inv = Fraction(1) / pr[c]
+    if inv != 1:
+        T[r] = pr = [x * inv for x in pr]
+        rhs[r] *= inv
+    for i, row in enumerate(T):
+        if i != r and row[c]:
+            f = row[c]
+            T[i] = [x - f * y for x, y in zip(row, pr)]
+            rhs[i] -= f * rhs[r]
+
+
+def _run_simplex(T, rhs, basis, cost, allowed):
+    m = len(T)
+    while True:
+        cb = [cost[b] for b in basis]
+        enter = -1
+        for j in allowed:
+            if j in basis:
+                continue
+            rc = cost[j] - sum(cb[i] * T[i][j] for i in range(m) if cb[i] or T[i][j])
+            if rc > 0:
+                enter = j  # Bland: smallest improving index
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best, leave = ratio, i
+        if leave < 0:
+            raise InconsistentLP("LP unbounded")
+        _pivot(T, rhs, leave, enter)
+        basis[leave] = enter
+
+
+def _simplex_max(cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]):
+    """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0 (b >= 0).
+
+    Returns (value, y) with y an exact dual vector: y.cols[j] >= obj[j] for
+    all j and y.b = value.  Requires full row rank (true for our instances);
+    an infeasible, unbounded or rank-deficient system raises InconsistentLP.
+    """
+    m = len(b)
+    n = len(cols)
+    F = Fraction
+    T = [
+        [F(cols[j][i]) for j in range(n)] + [F(1 if k == i else 0) for k in range(m)]
+        for i in range(m)
+    ]
+    rhs = [F(x) for x in b]
+    basis = list(range(n, n + m))
+    # phase 1: drive the artificial variables to zero
+    cost1 = [F(0)] * n + [F(-1)] * m
+    _run_simplex(T, rhs, basis, cost1, range(n + m))
+    if any(rhs[i] for i in range(m) if basis[i] >= n):
+        raise InconsistentLP("LP infeasible")
+    for i in range(m):
+        if basis[i] >= n:  # degenerate artificial: pivot out on a real column
+            for j in range(n):
+                if j not in basis and T[i][j]:
+                    _pivot(T, rhs, i, j)
+                    basis[i] = j
+                    break
+            else:
+                raise InconsistentLP("LP constraint rows are rank deficient")
+    # phase 2
+    cost2 = [F(c) for c in obj] + [F(0)] * m
+    _run_simplex(T, rhs, basis, cost2, range(n))
+    value = sum(cost2[basis[i]] * rhs[i] for i in range(m))
+    # dual from B^T y = c_B over the original columns
+    Bt = [[F(cols[basis[i]][r]) for r in range(m)] for i in range(m)]
+    cB = [cost2[basis[i]] for i in range(m)]
+    y = _solve_linear(Bt, cB)
+    return value, y
+
+
+def _solve_linear(A: List[List[Fraction]], b: List[Fraction]) -> List[Fraction]:
+    """Solve A x = b by Gaussian elimination (A square, invertible)."""
+    m = len(A)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if M[r][col]), None)
+        if piv is None:
+            raise InconsistentLP("singular basis in dual extraction")
+        M[col], M[piv] = M[piv], M[col]
+        inv = Fraction(1) / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(m):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[r][m] for r in range(m)]
 
 
 def slow_ip_property(weights):

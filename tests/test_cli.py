@@ -3,13 +3,15 @@ strings, exit codes, the scan stream, and the guard-band override."""
 
 import csv
 import io
+import itertools
 import json
 import time
 
 import pytest
 
-from stringymirror import cli, stringy, weights
+from stringymirror import cli, face_epoly, stringy, weights
 from stringymirror.cli import main
+from stringymirror.errors import InconsistentCensus
 
 
 def run(argv, capsys):
@@ -222,6 +224,38 @@ def test_ip_oracle_inconsistency_is_internal_error(capsys, monkeypatch):
     assert "internal error" in err and "already a column" in err
 
 
+def test_ip_singular_start_basis_is_internal_error(capsys, monkeypatch):
+    # an oracle whose answers all lie in one 2-plane through the all-ones
+    # point: the hull step takes them, the LP's starting basis is singular,
+    # and the guard must fire as exit 4, also under -O
+    plane = [(2, 0, 1, 1, 1), (0, 2, 1, 1, 1), (1, 1, 2, 0, 1), (1, 1, 0, 2, 1)]
+    calls = itertools.count()
+
+    def oracle(ws, cost):
+        # every step asks twice (minimum of c and of -c): a new point per pair
+        return sum(cost) - 1, plane[next(calls) // 2 % len(plane)]
+
+    monkeypatch.setattr(weights, "_knapsack_min", oracle)
+    weights.ip_property.cache_clear()
+    code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
+    assert code == 4
+    assert "internal error" in err and "singular basis" in err
+
+
+def test_census_guard_is_internal_error(capsys, monkeypatch):
+    # a census missing one element, or counting l = 0 twice: psi must raise
+    # InconsistentCensus (exit 4), also under -O
+    wv = weights.validate((1, 5, 12, 18))
+    real = face_epoly._elements(wv)
+    for bad in (real[:-1], real + real[:1]):
+        monkeypatch.setattr(face_epoly, "_elements", lambda wv, bad=bad: bad)
+        with pytest.raises(InconsistentCensus):
+            face_epoly.psi(wv)
+        code, _, err = run(["analyze", "1,5,12,18"], capsys)
+        assert code == 4
+        assert "internal error" in err and "age census" in err
+
+
 # ---------------------------------------------------------------------------
 # mirror-check
 
@@ -294,21 +328,37 @@ def test_scan_json_includes_quintic_hodge(capsys):
     assert [r["weights"] for r in rows] == sorted(r["weights"] for r in rows)
 
 
-def test_scan_skip_resumes(capsys):
+def test_scan_skip_resumes(capsys, monkeypatch):
     base = ["scan", "--dim", "3", "--wmax", "20", "--format", "json"]
-    _, full, _ = run(base, capsys)
-    _, tail, _ = run(base + ["--skip", "2"], capsys)
+    # a row (and its verify call) is built only for an emitted vector
+    seen = []
+    real = cli.verify
+    monkeypatch.setattr(
+        cli, "verify", lambda wv: seen.append(list(wv.weights)) or real(wv)
+    )
+
+    def scan(extra):
+        seen.clear()
+        code, out, _ = run(base + extra, capsys)
+        assert code == 0
+        assert seen == [json.loads(line)["weights"] for line in out.splitlines()]
+        return out
+
+    full = scan([])
+    tail = scan(["--skip", "2"])
     assert full.splitlines()[2:] == tail.splitlines()
-    _, limited, _ = run(base + ["--limit", "1"], capsys)
+    limited = scan(["--limit", "1"])
     assert limited.splitlines() == full.splitlines()[:1]
-    _, window, _ = run(base + ["--skip", "1", "--limit", "2"], capsys)
+    window = scan(["--skip", "1", "--limit", "2"])
     assert window.splitlines() == full.splitlines()[1:3]
     # --limit 0 emits no rows: nothing in json, the header alone in csv/text
-    assert run(base + ["--limit", "0"], capsys)[:2] == (0, "")
+    assert scan(["--skip", "2", "--limit", "0"]) == ""
     for fmt in ("csv", "text"):
-        code, out, _ = run(base[:-1] + [fmt, "--limit", "0"], capsys)
+        seen.clear()
+        code, out, _ = run(base[:-1] + [fmt, "--skip", "2", "--limit", "0"], capsys)
         assert code == 0
         assert out.splitlines() == [",".join(cli._ROW_FIELDS)]
+        assert seen == []
 
 
 def test_scan_empty_range(capsys):

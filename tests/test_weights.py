@@ -4,6 +4,8 @@ and the sector Poincare series."""
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,9 +21,11 @@ from stringymirror import (
     subgroup,
     transverse,
     validate,
+    weights,
 )
 from stringymirror.errors import (
     EmptyInput,
+    InconsistentLP,
     NonIntegerMilnor,
     NotWellFormed,
     OutOfRange,
@@ -312,6 +316,54 @@ def test_ip_count_k3_anchor():
             continue
         count += ip_property(wv)
     assert count == 95
+
+
+def _det(M):
+    """Leibniz expansion: independent of the elimination under test."""
+    total = 0
+    for perm in permutations(range(len(M))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(row[j] for row, j in zip(M, perm))
+    return total
+
+
+def _int_rows(n, min_rows, max_rows):
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    return st.lists(row, min_size=min_rows, max_size=max_rows)
+
+
+def _matmul(P, Q):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Q)] for row in P]
+
+
+@HYP
+@given(st.integers(1, 5).flatmap(lambda m: _int_rows(m, m, m)))
+def test_scaled_inverse_is_exact(B):
+    det = _det(B)
+    if det == 0:
+        with pytest.raises(InconsistentLP, match="singular"):
+            weights._scaled_inverse(B)
+        return
+    A, D = weights._scaled_inverse(B)
+    m = len(B)
+    identity = [[D * (i == k) for k in range(m)] for i in range(m)]
+    assert D == abs(det)  # the integers are minors of B: no growth past det
+    assert _matmul(B, A) == identity
+    assert _matmul(A, B) == identity
+
+
+@HYP
+@given(st.integers(1, 5).flatmap(lambda n: _int_rows(n, 1, n)))
+def test_kernel_vector_is_primitive_and_orthogonal(rows):
+    n = len(rows[0])
+    if len(rows) == n and _det(rows):
+        with pytest.raises(InconsistentLP, match="span"):
+            weights._kernel_vector(rows, n)
+        return
+    x = weights._kernel_vector(rows, n)
+    assert any(x)
+    assert gcd(*x) == 1
+    assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
