@@ -13,8 +13,10 @@ Output formats: ``text`` (default), ``json`` (canonical: sorted keys, so a
 load/dump round trip is byte-identical), ``csv``.
 
 Exit codes: 0 success (including "no mirror exists" answers), 2 invalid
-input, 3 IP-property precondition failed, 4 internal assertion failure
-(reconstruction guard, pole, sign pattern, non-exact division).
+input, 3 IP-property precondition failed, 4 internal error: any other
+package error (a failed guard: reconstruction, pole, sign pattern, non-exact
+division, LP, census, sector exponents, verification) or a ValueError from
+the library's own arithmetic.
 """
 
 from __future__ import annotations
@@ -26,23 +28,7 @@ import sys
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import (
-    DivisionNotExact,
-    EmptyInput,
-    InconsistentCensus,
-    InconsistentLP,
-    NegativeExponent,
-    NonIntegerCoefficient,
-    NonIntegerMilnor,
-    NotIP,
-    NotPolynomial,
-    NotWellFormed,
-    OutOfRange,
-    PoleAtOne,
-    ReconstructionFailure,
-    SignPatternViolation,
-    SubsetTooSmall,
-)
+from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
 from .exact_arith import BiPoly, RationalT
 from .face_epoly import psi
 from .mirror_verify import VerificationReport, verify
@@ -60,21 +46,12 @@ from .weights import (
 
 INVALID_INPUT, NO_MIRROR, INTERNAL = 2, 3, 4
 
-_INPUT_ERRORS = (EmptyInput, NotWellFormed, OutOfRange, ValueError)
-_INTERNAL_ERRORS = (
-    ReconstructionFailure,
-    PoleAtOne,
-    DivisionNotExact,
-    SubsetTooSmall,
-    NotPolynomial,
-    SignPatternViolation,
-    NonIntegerMilnor,
-    NonIntegerCoefficient,
-    NegativeExponent,
-    InconsistentLP,
-    InconsistentCensus,
-    AssertionError,
-)
+_INPUT_ERRORS = (EmptyInput, NotWellFormed, OutOfRange)
+# caught after NotIP and the input errors: every other package error is a
+# failed internal guard, and a ValueError comes from the library's own
+# arithmetic, never from the input (``_parse_weights`` turns a bad token
+# into NotWellFormed)
+_INTERNAL_ERRORS = (StringyMirrorError, ValueError)
 
 
 # ---------------------------------------------------------------------------

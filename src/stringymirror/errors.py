@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from StringyMirrorError so that
 callers (notably the CLI) can map failure classes to exit codes:
-invalid input, violated preconditions, and internal assertions are kept
+invalid input, violated preconditions, and failed internal guards are kept
 apart deliberately.
 """
 
@@ -85,3 +85,18 @@ class InconsistentCensus(StringyMirrorError):
     """The group-element data contradict themselves: a non-integral age, or
     an age census psi whose psi_0 is not 1 or whose entries do not sum to
     w."""
+
+
+class InconsistentVerification(StringyMirrorError):
+    """The global mirror identity and the per-element identities disagree:
+    one holds while the other fails."""
+
+
+class InconsistentSector(StringyMirrorError):
+    """A twisted sector produced a negative or non-integral exponent pair
+    (alpha, beta)."""
+
+
+class InconsistentExpansion(StringyMirrorError):
+    """A bracket's expansions at t = 0 and at infinity do not name the same
+    rational function."""

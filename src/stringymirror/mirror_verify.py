@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .errors import OutOfRange
+from .errors import InconsistentVerification, OutOfRange
 from .exact_arith import mirror_transform
 from .orbifold import mirror_orbifold_e, vafa_euler
 from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
@@ -73,9 +73,11 @@ def verify(wv: WeightVector) -> VerificationReport:
         if not ok:
             failures.append(l)
     global_identity = s == orb.value
-    assert global_identity == (not failures), (
-        "per-element identities and the global identity must agree"
-    )
+    if global_identity == bool(failures):
+        raise InconsistentVerification(
+            f"{wv}: global identity {global_identity} disagrees with"
+            f" {len(failures)} per-element failures"
+        )
     poly = s.is_polynomial()
     hodge_ok = False
     if poly and orb.value.is_polynomial():

@@ -56,7 +56,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import NonIntegerCoefficient
+from .errors import InconsistentSector, NonIntegerCoefficient
 from .exact_arith import (
     BiPoly,
     Factor,
@@ -166,7 +166,10 @@ def _sector_bipoly(wv: WeightVector, l: int) -> Optional[BiPoly]:
     for ee, c in kept.terms.items():
         alpha = ee // (2 * w)
         beta = alpha - diag_offset
-        assert alpha >= 0 and beta >= 0, "sector exponents are non-negative"
+        if alpha < 0 or beta < 0:
+            raise InconsistentSector(
+                f"sector {l} of {wv} has a negative exponent pair ({alpha}, {beta})"
+            )
         out[(alpha, beta)] = out.get((alpha, beta), 0) + c
     return BiPoly(out)
 
@@ -258,7 +261,10 @@ def _sector_efunction_direct(wv: WeightVector, l: int, guard: Optional[int]) -> 
     alpha0 = Fraction(e0, w) + Fraction(el.size, 2) - Fraction(twisted_sum, w) \
         + el.age - Fraction(el.size, 2)
     beta0 = alpha0 - (2 * el.age - el.size)
-    assert alpha0.denominator == 1 and beta0.denominator == 1
+    if alpha0.denominator != 1 or beta0.denominator != 1:
+        raise InconsistentSector(
+            f"sector {l} of {wv} has a non-integral exponent pair ({alpha0}, {beta0})"
+        )
     return EFunction(wv.d - 1, [(int(alpha0), int(beta0), G)])
 
 

@@ -36,7 +36,13 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .errors import NotPolynomial, OutOfRange, SignPatternViolation
+from .errors import (
+    DivisionNotExact,
+    InconsistentExpansion,
+    NotPolynomial,
+    OutOfRange,
+    SignPatternViolation,
+)
 from .exact_arith import (
     BiPoly,
     RationalT,
@@ -157,9 +163,11 @@ def _bracket(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> Rati
     counts = lattice_counts(wv, Jf, bound + (guard or bound))
     fx = rational_from_counts(counts, [(m, 1) for m in ms])
     bt = fx.inverse_substitution()
-    if __debug__:
-        # the two expansion conventions must name the same rational function
-        assert bt.inverse_substitution() == fx
+    if bt.inverse_substitution() != fx:
+        raise InconsistentExpansion(
+            f"bracket of {wv} for J = {sorted(Jf)}: its expansions at t = 0 and"
+            " at infinity name different rational functions"
+        )
     return bt
 
 
@@ -236,7 +244,8 @@ def _untwisted_component(wv: WeightVector, guard: Optional[int]) -> EFunction:
         # ((t-1)^(k-1) - (-1)^(k-1)) / t is a polynomial of degree k - 2
         num = _uv_minus_one_pow(k - 1)
         num[0] -= (-1) ** (k - 1)
-        assert num[0] == 0
+        if num[0]:
+            raise DivisionNotExact(f"(t - 1)^{k - 1} - (-1)^{k - 1} is not divisible by t")
         entries.append((0, 0, _weighted_bracket(wv, Jf, guard).mul_poly(num[1:])))
     return EFunction(wv.d - 1, entries)
 

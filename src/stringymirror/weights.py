@@ -17,20 +17,26 @@ l != 0.
 given index subset; ``transverse`` is the standard monomial-existence
 criterion for the generic member of the linear system to be quasi-smooth.
 
+Both tests read reach sets: for every index subset K, one int whose bit s
+says whether the degree s <= w is a non-negative integer combination of
+the weights w_k, k in K, built once over the subset lattice by shift-or
+steps (``_reach_sets``).
+
 ``ip_property`` decides whether the all-ones exponent vector lies in the
 interior of the degree-w monomial polytope without listing its lattice
-points (there are roughly w^d of them).  One oracle minimizes an integer
-functional over those points by an unbounded-knapsack DP over the degrees
-0..w, O(n w) integer steps.  After the free reject 2 w_i > w (z on the face
-u_i = 1), the oracle serves three steps in turn: sound rejects (z on a face
-sum_{j in J} u_j = |J| for a proper index subset J), a search for an
-affinely spanning set of points along integer directions orthogonal to the
-span so far, and the exact separation step of a column generation over the
-points found.  Its LP is a revised simplex in plain integers: it starts
-from the feasible basis the spanning search already found, so there is no
-phase 1, and one fraction-free Gauss-Jordan elimination gives both its
-scaled basis inverses and the orthogonal directions.  The IP test uses
-neither floats nor fractions.
+points (there are roughly w^d of them).  After the free reject 2 w_i > w
+(z on the face u_i = 1), the reach sets give the face rejects: z on a face
+sum_{j in J} u_j = |J| for a proper index subset J, found by adding coins
+of J to the reach set of the other weights one round at a time.  Then one
+oracle minimizes a general integer functional over the points by an
+unbounded-knapsack DP over the degrees 0..w, O(n w) integer steps.  It
+serves a search for an affinely spanning set of points along integer
+directions orthogonal to the span so far, and the exact separation step of
+a column generation over the points found.  Its LP is a revised simplex in
+plain integers: it starts from the feasible basis the spanning search
+already found, so there is no phase 1, and one fraction-free Gauss-Jordan
+elimination gives both its scaled basis inverses and the orthogonal
+directions.  The IP test uses neither floats nor fractions.
 """
 
 from __future__ import annotations
@@ -232,6 +238,59 @@ def _knapsack_min(
     return f[w], tuple(u)
 
 
+def _reach_sets(ws: Sequence[int]) -> List[int]:
+    """R[mask] for every index subset K (bit i of mask set for i in K): an
+    int whose bit s, 0 <= s <= w, is set when s is a non-negative integer
+    combination of the weights ws_k, k in K.  R[K] is R[K minus its lowest
+    index] closed under that one more coin by O(log w) shift-or steps."""
+    w = sum(ws)
+    full = (1 << (w + 1)) - 1
+    R = [1] * (1 << len(ws))
+    for mask in range(1, len(R)):
+        low = mask & -mask
+        r = R[mask ^ low]
+        step = ws[low.bit_length() - 1]
+        while step <= w:  # steps c, 2c, .., 2^k c add 0..2^(k+1) - 1 coins
+            r |= (r << step) & full
+            step <<= 1
+        R[mask] = r
+    return R
+
+
+def _on_face(ws: Sequence[int], R: Sequence[int], mask: int) -> Tuple[bool, bool]:
+    """Whether the minimum and whether the maximum of sum_{j in J} u_j over
+    the points u >= 0, sum ws_i u_i = w equal |J|, for the proper nonempty
+    index subset J of mask; R is ``_reach_sets(ws)``.
+
+    Both follow from the degrees reachable with t coins from J: L_0 =
+    R[complement of J] and L_(t+1) = OR_(j in J) L_t << ws_j hold those with
+    exactly t of them, and the same rounds from R[all] those with at least
+    t.  z is a point, so the minimum is |J| when bit w is in none of
+    L_0..L_(|J|-1), and the maximum when it is missing after |J| + 1 rounds
+    from R[all]."""
+    w = sum(ws)
+    full = (1 << (w + 1)) - 1
+    J = [ws[j] for j in range(len(ws)) if mask >> j & 1]
+
+    def more(r: int) -> int:
+        out = 0
+        for c in J:
+            out |= r << c
+        return out & full
+
+    r = R[(len(R) - 1) ^ mask]
+    on_min = True
+    for _ in J:
+        if r >> w & 1:
+            on_min = False
+            break
+        r = more(r)
+    r = R[-1]
+    for _ in range(len(J) + 1):
+        r = more(r)
+    return on_min, not r >> w & 1
+
+
 def _eliminate(
     rows: Sequence[Sequence[int]],
 ) -> Tuple[List[List[int]], List[int], int]:
@@ -364,16 +423,18 @@ def ip_property(wv: WeightVector) -> bool:
     polytope: conv{u >= 0 : sum w_i u_i = w} must be d-dimensional with z in
     its relative interior.
 
-    The lattice points are never listed.  Every step after the first
-    reject asks one oracle, ``_knapsack_min``: the minimum of an integer
-    functional c.u over them, by an unbounded-knapsack DP over the degrees
-    0..w.  z is itself a lattice point, so min <= c.z <= max for every c.
+    The lattice points are never listed.  Steps 2 and 3 ask one oracle,
+    ``_knapsack_min``: the minimum of an integer functional c.u over them,
+    by an unbounded-knapsack DP over the degrees 0..w.  z is itself a
+    lattice point, so min <= c.z <= max for every c.
 
     1. Sound rejects, cheapest first.  If 2 w_i > w then u_i <= 1 on every
        point, so z lies on the face u_i = 1.  Otherwise, for each proper
        nonempty index subset J, if the minimum or the maximum of
        sum_{j in J} u_j equals |J|, z lies on a face (a proper one, or the
        polytope is not d-dimensional since 1_J is not parallel to w).
+       ``_on_face`` decides both from the reach sets: whether degree w
+       needs |J| coins of J, and whether it allows no more than |J|.
     2. Affine hull: starting from V = {z}, take a primitive integer c
        orthogonal to w and to every u - z, u in V.  If both the minimum and
        the maximum of c.u equal c.z, the points lie in a hyperplane of the
@@ -398,13 +459,9 @@ def ip_property(wv: WeightVector) -> bool:
     w = wv.w
     if any(2 * wi > w for wi in ws):
         return False
-    for mask in range(1, (1 << n) - 1):
-        ind = [mask >> i & 1 for i in range(n)]
-        size = sum(ind)
-        if _knapsack_min(ws, ind)[0] == size:
-            return False
-        if -_knapsack_min(ws, [-x for x in ind])[0] == size:
-            return False
+    R = _reach_sets(ws)
+    if any(any(_on_face(ws, R, mask)) for mask in range(1, (1 << n) - 1)):
+        return False
     z = (1,) * n
     V: List[Tuple[int, ...]] = [z]
     rows: List[Sequence[int]] = [ws]
@@ -446,25 +503,21 @@ def transverse(wv: WeightVector) -> bool:
     """Monomial-existence criterion for quasi-smoothness of the generic
     degree-w hypersurface: for every nonempty index subset S, either w is a
     non-negative integer combination of the weights in S, or at least |S|
-    distinct indices j outside S have w - w_j representable that way."""
+    distinct indices j outside S have w - w_j representable that way.
+    Both are bits of the reach set R[S] of ``_reach_sets``: bit w, and bit
+    w - w_j."""
     ws = wv.weights
     n = len(ws)
     w = wv.w
+    R = _reach_sets(ws)
     for mask in range(1, 1 << n):
-        coins = sorted({ws[i] for i in range(n) if mask >> i & 1})
-        reach = [False] * (w + 1)
-        reach[0] = True
-        for c in coins:
-            for i in range(c, w + 1):
-                if reach[i - c]:
-                    reach[i] = True
-        if reach[w]:
+        reach = R[mask]
+        if reach >> w & 1:
             continue
-        size = bin(mask).count("1")
         pointers = sum(
-            1 for j in range(n) if not mask >> j & 1 and reach[w - ws[j]]
+            1 for j in range(n) if not mask >> j & 1 and reach >> (w - ws[j]) & 1
         )
-        if pointers < size:
+        if pointers < bin(mask).count("1"):
             return False
     return True
 

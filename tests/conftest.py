@@ -7,7 +7,9 @@ below recompute lattice data straight from the definition so the library's
 reconstruction pipeline is checked against independent code, and
 ``slow_ip_property`` decides the IP property from the full list of lattice
 points, with its own two-phase ``Fraction`` simplex: it shares no LP code
-with the integer revised simplex in ``weights``.
+with the integer revised simplex in ``weights``.  ``slow_transverse`` is the
+transversality criterion with one list-of-booleans reachability DP per index
+subset, the reference for the big-int reach sets ``transverse`` reads.
 """
 
 import random
@@ -302,3 +304,30 @@ def slow_ip_property(weights):
             if u not in Vset:  # dual feasibility guarantees novelty
                 V.append(u)
                 Vset.add(u)
+
+
+def slow_transverse(wv):
+    """Monomial-existence criterion for quasi-smoothness of the generic
+    degree-w hypersurface: for every nonempty index subset S, either w is a
+    non-negative integer combination of the weights in S, or at least |S|
+    distinct indices j outside S have w - w_j representable that way."""
+    ws = wv.weights
+    n = len(ws)
+    w = wv.w
+    for mask in range(1, 1 << n):
+        coins = sorted({ws[i] for i in range(n) if mask >> i & 1})
+        reach = [False] * (w + 1)
+        reach[0] = True
+        for c in coins:
+            for i in range(c, w + 1):
+                if reach[i - c]:
+                    reach[i] = True
+        if reach[w]:
+            continue
+        size = bin(mask).count("1")
+        pointers = sum(
+            1 for j in range(n) if not mask >> j & 1 and reach[w - ws[j]]
+        )
+        if pointers < size:
+            return False
+    return True

@@ -5,11 +5,15 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from stringymirror import cli, face_epoly, stringy, weights
+import stringymirror
+from stringymirror import cli, exact_arith, face_epoly, stringy, weights
 from stringymirror.cli import main
 from stringymirror.errors import InconsistentCensus
 
@@ -254,6 +258,56 @@ def test_census_guard_is_internal_error(capsys, monkeypatch):
         code, _, err = run(["analyze", "1,5,12,18"], capsys)
         assert code == 4
         assert "internal error" in err and "age census" in err
+
+
+_SWAPPED_PER_L = """
+import sys
+if __debug__:
+    sys.exit(99)  # the guard must fire with asserts compiled out
+from stringymirror import cli, mirror_verify
+real = mirror_verify.stringy_e_per_l
+# element 0 answers element 1's term: one per-element identity fails while
+# the global identity still holds
+mirror_verify.stringy_e_per_l = lambda wv, l: real(wv, l or 1)
+sys.exit(cli.main(["mirror-check", "1,1,1,1,1"]))
+"""
+
+
+def test_verify_agreement_guard_fires_under_optimize():
+    src = os.path.dirname(os.path.dirname(stringymirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SWAPPED_PER_L],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "internal error" in proc.stderr and "disagrees" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_internal_value_error_is_internal_error(capsys, monkeypatch):
+    # a ValueError from the arithmetic kernel is a broken internal step,
+    # not invalid input
+    def short(*args):
+        raise ValueError("need at least 9 series coefficients")
+
+    monkeypatch.setattr(exact_arith, "series_to_rational", short)
+    stringy._bracket.cache_clear()
+    stringy._stringy_e.cache_clear()
+    code, out, err = run(["stringy", "1,1,2,2,2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "need at least" in err
+
+
+def test_bad_weight_token_is_input_error(capsys):
+    # non-integer tokens, including one past int()'s digit limit, are turned
+    # into NotWellFormed before any computation
+    for raw in ("1,x,3", "1," + "9" * 5000):
+        code, _, err = run(["analyze", raw], capsys)
+        assert code == 2
+        assert err.startswith("error: weights must be integers")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ and the sector Poincare series."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stringymirror import (
     RationalT,
@@ -32,7 +32,12 @@ from stringymirror.errors import (
 )
 from stringymirror.exact_arith import poly_mul
 
-from conftest import ascending_tuples, enumerated_counts, slow_ip_property
+from conftest import (
+    ascending_tuples,
+    enumerated_counts,
+    slow_ip_property,
+    slow_transverse,
+)
 
 HYP = settings(deadline=None, derandomize=True, max_examples=40)
 
@@ -318,6 +323,56 @@ def test_ip_count_k3_anchor():
     assert count == 95
 
 
+def _well_formed(dim, wmax):
+    for tup in ascending_tuples(dim + 1, wmax):
+        try:
+            yield validate(tup)
+        except NotWellFormed:
+            continue
+
+
+def _check_face_rejects(ws):
+    # the reach-set test against two knapsack DPs per proper subset J
+    R = weights._reach_sets(ws)
+    n = len(ws)
+    for mask in range(1, (1 << n) - 1):
+        ind = [mask >> i & 1 for i in range(n)]
+        size = sum(ind)
+        expected = (
+            weights._knapsack_min(ws, ind)[0] == size,
+            -weights._knapsack_min(ws, [-x for x in ind])[0] == size,
+        )
+        assert weights._on_face(ws, R, mask) == expected, (ws, mask)
+
+
+@HYP
+@given(st.lists(st.integers(1, 60), min_size=2, max_size=7))
+@example([1, 1, 4])  # max u_2 = 1: the face u_2 = 1
+@example([1, 2, 2])  # min u_0 = 1: the degree 5 is odd
+def test_face_rejects_match_knapsack(ws):
+    _check_face_rejects(ws)
+
+
+def test_face_rejects_match_knapsack_high_degree():
+    _check_face_rejects((1, 42, 258, 602, 903))
+
+
+def test_reach_sets_are_subset_sums():
+    ws = (2, 3, 7)
+    R = weights._reach_sets(ws)
+    for mask, coins in enumerate([(), (2,), (3,), (2, 3), (7,), (2, 7), (3, 7), ws]):
+        reachable = {
+            s
+            for s in range(13)
+            if any(
+                s == sum(c * k for c, k in zip(coins, ks))
+                for ks in product(range(13), repeat=len(coins))
+            )
+        }
+        assert {s for s in range(13) if R[mask] >> s & 1} == reachable
+        assert R[mask] >> 13 == 0
+
+
 def _det(M):
     """Leibniz expansion: independent of the elimination under test."""
     total = 0
@@ -376,6 +431,25 @@ def test_transverse_known_examples():
     assert transverse(validate(OCTIC))
     assert not transverse(validate(FERMAT_LIKE))
     assert not transverse(validate((1, 1, 4)))
+
+
+@pytest.mark.parametrize(
+    "dim, wmax, tuples", [(1, 40, 1), (2, 40, 568), (3, 40, 3118), (4, 20, 329)]
+)
+def test_transverse_matches_list_dp(dim, wmax, tuples):
+    checked = 0
+    for wv in _well_formed(dim, wmax):
+        assert transverse(wv) == slow_transverse(wv), wv
+        checked += 1
+    assert checked == tuples
+
+
+def test_k3_ip_systems_all_transverse():
+    # Reid's 95 families: every IP weight system with four weights has a
+    # quasi-smooth (transverse) member
+    ip = [wv for wv in _well_formed(3, 66) if ip_property(wv)]
+    assert len(ip) == 95
+    assert all(transverse(wv) for wv in ip)
 
 
 def test_transverse_implies_ip_small_sweep():
