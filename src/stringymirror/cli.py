@@ -39,6 +39,7 @@ from .weights import (
     census,
     ip_property,
     milnor_number,
+    record_for,
     require_ip,
     transverse,
     validate,
@@ -370,11 +371,15 @@ def _ascending_tuples(k: int, budget: int, start: int = 1) -> Iterator[Tuple[int
 
 
 def _ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
+    """The IP vectors in lexicographic order.  Each candidate's record is
+    dropped before the next one is tested, and with it the row built for
+    the candidate, so a scan holds one record at a time."""
     for tup in _ascending_tuples(dim + 1, wmax):
         try:
             wv = validate(tup)
         except NotWellFormed:
             continue
+        record_for.cache_clear()
         if ip_property(wv):
             yield wv
 

@@ -558,8 +558,8 @@ def reynolds_factor_property(p: FracPoly, q: FracPoly) -> bool:
 def guard_override() -> Optional[int]:
     """The validated MIRROR_STRINGY_GUARD width, or None when it is unset.
 
-    Public entry points read it once and pass it down, so it is part of the
-    key of every cache whose value depends on a reconstruction."""
+    Read at each lookup of a vector's record (``weights.record``), whose key
+    it is part of, so every reconstruction stored there used this width."""
     raw = os.environ.get("MIRROR_STRINGY_GUARD")
     if raw is None:
         return None
@@ -570,11 +570,6 @@ def guard_override() -> Optional[int]:
     if g < 1:
         raise OutOfRange("MIRROR_STRINGY_GUARD must be >= 1")
     return g
-
-
-def reconstruction_guard(default: int) -> int:
-    """Guard-band width; MIRROR_STRINGY_GUARD overrides the default."""
-    return guard_override() or default
 
 
 def series_to_rational(

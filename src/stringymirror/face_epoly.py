@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .errors import DivisionNotExact, InconsistentCensus, SubsetTooSmall
 from .exact_arith import BiPoly
-from .weights import WeightVector, _check_subset, _elements, subgroup
+from .weights import WeightVector, _check_subset, element_classes
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,11 @@ def face_e(wv: WeightVector, J: Iterable[int]) -> FaceEPolynomial:
         terms[(i, i)] = terms.get((i, i), 0) + c
     terms[(0, 0)] = terms.get((0, 0), 0) - (-1) ** (k - 1)
     sign = (-1) ** k
-    els = _elements(wv)
-    for l in subgroup(wv, Jf).members:
-        if l == 0:
-            continue
-        el = els[l]
-        key = (el.age, el.size - el.age)
-        terms[key] = terms.get(key, 0) + sign
+    # G_J is the elements whose support lies in J; l = 0 has empty support
+    for c in element_classes(wv):
+        if c.support and c.support <= Jf:
+            key = (c.age, c.size - c.age)
+            terms[key] = terms.get(key, 0) + sign * c.count
     out: Dict[Tuple[int, int], int] = {}
     for (a, b), c in terms.items():
         if c == 0:
@@ -73,8 +71,8 @@ def psi(wv: WeightVector) -> Tuple[int, ...]:
     """Age census (psi_0, ..., psi_d); psi_0 = 1 (only l = 0 has age 0) and
     the entries sum to w."""
     counts = [0] * (wv.d + 1)
-    for el in _elements(wv):
-        counts[el.age] += 1
+    for c in element_classes(wv):
+        counts[c.age] += c.count
     if counts[0] != 1 or sum(counts) != wv.w:
         raise InconsistentCensus(
             f"age census {counts} of {wv} needs psi_0 = 1 and sum {wv.w}"

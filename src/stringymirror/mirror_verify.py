@@ -17,13 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .errors import InconsistentVerification, OutOfRange
 from .exact_arith import mirror_transform
 from .orbifold import mirror_orbifold_e, vafa_euler
 from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
-from .weights import WeightVector, _elements, require_ip, transverse
+from .weights import (
+    WeightVector,
+    class_index,
+    element_classes,
+    require_ip,
+    transverse,
+)
 
 
 @dataclass(frozen=True)
@@ -57,21 +63,13 @@ def verify(wv: WeightVector) -> VerificationReport:
     require_ip(wv)
     s = stringy_e(wv)
     orb = mirror_orbifold_e(wv)
-    # deduplicate the per-element checks by the data they depend on: the
-    # stringy side sees only (support, age, size), the orbifold side only
-    # (zero set, age, size)
-    seen: Dict[Tuple[frozenset, int, int], bool] = {}
-    failures = []
-    for l in range(wv.w):
-        el = _elements(wv)[l]
-        support = frozenset(i for i, q in enumerate(el.theta_tilde) if q)
-        key = (support, el.age, el.size)
-        ok = seen.get(key)
-        if ok is None:
-            ok = stringy_e_per_l(wv, l) == orb.per_l_terms[l]
-            seen[key] = ok
-        if not ok:
-            failures.append(l)
+    # both sides depend on l only through its element class
+    failed = {
+        i
+        for i, c in enumerate(element_classes(wv))
+        if stringy_e_per_l(wv, c.first) != orb.per_l_terms[c.first]
+    }
+    failures = [l for l, c in enumerate(class_index(wv)) if c in failed]
     global_identity = s == orb.value
     if global_identity == bool(failures):
         raise InconsistentVerification(

@@ -43,8 +43,12 @@ Poincare-style route use the offset sum_{i not in Z} w_i mod w.
 route (fractional exponents over 2w, no signs) times (-1)^size equals the
 per-element term of ``mirror_orbifold_e`` (s^a twist); it is a structural
 self-test of the fractional-exponent algebra, not a mirror statement.
-The guard-band override (MIRROR_STRINGY_GUARD) is read once per public call
-and keys every cached reconstruction.
+
+Every sum over Z/wZ runs over the element classes of ``weights``: a term
+depends on l only through Z(l), age and size.  The sector terms and their
+total are kept in the orbifold half of the vector's record
+(``weights.record``), which is keyed by the guard-band width
+(MIRROR_STRINGY_GUARD) its reconstructions used.
 """
 
 from __future__ import annotations
@@ -52,9 +56,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import InconsistentSector, NonIntegerCoefficient
 from .exact_arith import (
@@ -63,25 +66,23 @@ from .exact_arith import (
     FracPoly,
     RationalT,
     expand_factors,
-    guard_override,
     integral_project,
     poly_div_exact,
     series_quotient,
     series_to_rational,
 )
 from .stringy import EFunction, efunction_from_bipoly
-from .weights import WeightVector, _elements
+from .weights import (
+    VectorRecord,
+    WeightVector,
+    class_index,
+    element,
+    element_classes,
+    record,
+)
 
 # ---------------------------------------------------------------------------
 # sector data
-
-
-@lru_cache(maxsize=None)
-def _zero_sets(wv: WeightVector) -> Tuple[FrozenSet[int], ...]:
-    return tuple(
-        frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
-        for el in _elements(wv)
-    )
 
 
 def vafa_euler(wv: WeightVector) -> Fraction:
@@ -89,7 +90,9 @@ def vafa_euler(wv: WeightVector) -> Fraction:
 
     The pair sum runs over the distinct zero sets (at most 2^(d+1) of them),
     each weighted by how many elements l share it."""
-    mult = Counter(_zero_sets(wv))
+    mult: Counter = Counter()
+    for c in element_classes(wv):
+        mult[frozenset(wv.indices()) - c.support] += c.count
     ws = wv.weights
     w = wv.w
     total = Fraction(0)
@@ -113,28 +116,16 @@ def _sector_factors(wv: WeightVector, zero: FrozenSet[int]) -> Tuple[List[Factor
     return [(wv.w - wi, 1) for wi in ws], [(wi, 1) for wi in ws]
 
 
-@lru_cache(maxsize=None)
-def _sector_polynomial(wv: WeightVector, zero: FrozenSet[int]) -> Optional[Tuple[int, ...]]:
-    """U_l(s) as a dense polynomial, or None when the quotient is not a
-    polynomial (the vector is then not transverse)."""
-    if not zero:
-        return (1,)
-    num, den = _sector_factors(wv, zero)
-    q = poly_div_exact(expand_factors(num), expand_factors(den))
-    return None if q is None else tuple(q)
-
-
-def _multisection(
-    wv: WeightVector, zero: FrozenSet[int], offset: int, guard: Optional[int]
-) -> RationalT:
+def _multisection(rec: VectorRecord, zero: FrozenSet[int], offset: int) -> RationalT:
     """sum_k c_{k w + offset} t^k for the coefficients c_e of U_l in s (zero
     at negative e), by certified reconstruction with denominator
     prod (1 - t^(m_i)), m_i = w_i / gcd(w_i, w), and numerator degree bound
     sum m_i + |Z|."""
+    wv = rec.wv
     w = wv.w
     ms = sorted(wv.weights[i] // gcd(wv.weights[i], w) for i in zero)
     bound = sum(ms) + len(zero)
-    top = (bound + (guard or sum(ms))) * w + offset
+    top = (bound + (rec.guard or sum(ms))) * w + offset
     num, den = _sector_factors(wv, zero)
     series = series_quotient(expand_factors(num), den, top)
     coeffs = tuple(series[e] if e >= 0 else 0 for e in range(offset, top + 1, w))
@@ -144,9 +135,10 @@ def _multisection(
 def _sector_bipoly(wv: WeightVector, l: int) -> Optional[BiPoly]:
     """[ U_l * (t tbar)^{g} (t/tbar)^{beta} ]_int for the polynomial route;
     None when U_l is not a polynomial."""
-    el = _elements(wv)[l]
-    zero = _zero_sets(wv)[l]
-    U = _sector_polynomial(wv, zero)
+    el = element(wv, l)
+    zero = frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
+    num, den = _sector_factors(wv, zero)
+    U = poly_div_exact(expand_factors(num), expand_factors(den))
     if U is None:
         return None
     w = wv.w
@@ -181,14 +173,14 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     polynomial with non-negative integer coefficients (non-transverse
     input)."""
     total = BiPoly.zero()
-    for l in range(wv.w):
-        part = _sector_bipoly(wv, l)
+    for c in element_classes(wv):
+        part = _sector_bipoly(wv, c.first)
         if part is None:
             raise NonIntegerCoefficient(
-                f"sector l={l} of {wv} has a non-polynomial Hilbert series; "
+                f"sector l={c.first} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
             )
-        total = total + part
+        total = total + part * c.count
     if any(c < 0 or c != int(c) for c in total.terms.values()):
         raise NonIntegerCoefficient(f"negative entries in P(t, tbar) for {wv}")
     return total
@@ -198,13 +190,12 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
 # the mirror-side orbifold E-function
 
 
-@lru_cache(maxsize=None)
-def _projected_sector(wv: WeightVector, zero: FrozenSet[int], guard: Optional[int]) -> RationalT:
+def _projected_sector(rec: VectorRecord, zero: FrozenSet[int]) -> RationalT:
     """[ prod_{i in Z} ((uv)^{q_i} - uv) / (1 - (uv)^{q_i}) ]_int as a
     rational function of t = uv: the multisection of U_l at offset -a."""
     if not zero:
         return RationalT.one()
-    return _multisection(wv, zero, -sum(wv.weights[i] for i in zero), guard)
+    return _multisection(rec, zero, -sum(rec.wv.weights[i] for i in zero))
 
 
 @dataclass(frozen=True)
@@ -216,40 +207,54 @@ class OrbifoldEResult:
     per_l_terms: Dict[int, EFunction]
 
 
-@lru_cache(maxsize=None)
-def _mirror_orbifold_e(wv: WeightVector, guard: Optional[int]) -> OrbifoldEResult:
-    per: Dict[int, EFunction] = {}
-    total = EFunction(wv.d - 1, ())
-    zs = _zero_sets(wv)
-    for l in range(wv.w):
-        B = _projected_sector(wv, zs[l], guard)
-        if l == 0:
-            ef = EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])
-        else:
-            el = _elements(wv)[l]
-            sign = -1 if el.size % 2 else 1
-            ef = EFunction(
-                wv.d - 1, [(el.age - 1, el.size - el.age - 1, B * sign)]
-            )
-        per[l] = ef
-        total = total + ef
-    return OrbifoldEResult(total, total.value_at_one(), per)
+class OrbifoldHalf(NamedTuple):
+    """The orbifold pipeline's part of a vector's record."""
+
+    value: EFunction
+    terms: Tuple[EFunction, ...]  # one per element class
+
+
+def _orbifold(wv: WeightVector) -> OrbifoldHalf:
+    """The orbifold half of wv's record, built on first use."""
+    rec = record(wv)
+    if rec.orbifold is None:
+        projected: Dict[FrozenSet[int], RationalT] = {}
+        terms = []
+        entries = []
+        for c in element_classes(wv):
+            zero = frozenset(wv.indices()) - c.support
+            if zero not in projected:
+                projected[zero] = _projected_sector(rec, zero)
+            B = projected[zero]
+            if c.support:
+                sign = -1 if c.size % 2 else 1
+                a, b, r = c.age - 1, c.size - c.age - 1, B * sign
+            else:  # l = 0
+                a, b, r = 0, 0, B.mul_tpower(-1)
+            terms.append(EFunction(wv.d - 1, [(a, b, r)]))
+            entries.append((a, b, r * c.count))
+        rec.orbifold = OrbifoldHalf(EFunction(wv.d - 1, entries), tuple(terms))
+    return rec.orbifold
 
 
 def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
-    """(-u)^(d-1) E_orb(X; 1/u, v), summed over the sectors l in Z/wZ."""
-    return _mirror_orbifold_e(wv, guard_override())
+    """(-u)^(d-1) E_orb(X; 1/u, v), summed over the sectors l in Z/wZ; the
+    per-element terms of one element class are one shared EFunction."""
+    half = _orbifold(wv)
+    per_l = {l: half.terms[c] for l, c in enumerate(class_index(wv))}
+    return OrbifoldEResult(half.value, half.value.value_at_one(), per_l)
 
 
 # ---------------------------------------------------------------------------
 # structural identity between the two sector forms
 
 
-def _sector_efunction_direct(wv: WeightVector, l: int, guard: Optional[int]) -> EFunction:
+def _sector_efunction_direct(rec: VectorRecord, l: int) -> EFunction:
     """Project U_l (or its full rational series) against the twisted
     monomial, fractional exponents carried over 2w."""
-    el = _elements(wv)[l]
-    zero = _zero_sets(wv)[l]
+    wv = rec.wv
+    el = element(wv, l)
+    zero = frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
     w = wv.w
     bp = _sector_bipoly(wv, l)
     if bp is not None:
@@ -257,7 +262,7 @@ def _sector_efunction_direct(wv: WeightVector, l: int, guard: Optional[int]) -> 
     # rational sector: multisection at the offset forced by integrality
     twisted_sum = sum(wv.weights[i] for i in wv.indices() if i not in zero)
     e0 = twisted_sum % w
-    G = _multisection(wv, zero, e0, guard)
+    G = _multisection(rec, zero, e0)
     alpha0 = Fraction(e0, w) + Fraction(el.size, 2) - Fraction(twisted_sum, w) \
         + el.age - Fraction(el.size, 2)
     beta0 = alpha0 - (2 * el.age - el.size)
@@ -271,13 +276,13 @@ def _sector_efunction_direct(wv: WeightVector, l: int, guard: Optional[int]) -> 
 def q_identity_check(wv: WeightVector) -> bool:
     """Element-by-element agreement of the two displayed forms of the
     orbifold sector sum: the direct projection, signed by (-1)^size, equals
-    the s^a-twisted term of ``mirror_orbifold_e``."""
-    guard = guard_override()
-    per_l = _mirror_orbifold_e(wv, guard).per_l_terms
-    for l, el in enumerate(_elements(wv)):
-        direct = _sector_efunction_direct(wv, l, guard)
-        # per_l[l] - (-1)^size * direct
-        diff = per_l[l] + direct if el.size % 2 else per_l[l] - direct
+    the s^a-twisted term of ``mirror_orbifold_e``.  Both depend on l only
+    through its element class, so one l per class is checked."""
+    rec = record(wv)
+    for c, term in zip(element_classes(wv), _orbifold(wv).terms):
+        direct = _sector_efunction_direct(rec, c.first)
+        # term - (-1)^size * direct
+        diff = term + direct if c.size % 2 else term - direct
         if not diff.is_zero():
             return False
     return True

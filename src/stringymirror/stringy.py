@@ -11,7 +11,8 @@ factor at t = infinity and keeping integer exponents gives
 sum_{k>=1} N_J(k) t**-k.  The implementation counts N_J(k) directly, builds
 the rational form in x = 1/t by certified reconstruction
 (denominator prod (1 - x**m_j), m_j = w_j / gcd(w_j, w)), and substitutes
-x = 1/t; in debug builds the substitution is verified to invert exactly.
+x = 1/t; the substitution is checked to invert exactly, and a mismatch
+raises InconsistentExpansion.
 
 Because every term is a polynomial in u/v times a rational function of
 t = uv, an ``EFunction`` stores a map (a, b) -> R(t) with min(a, b) = 0:
@@ -25,16 +26,18 @@ The same object supports the per-element decomposition
     E^(l)   = u^(age-1) v^(size-age-1) *
               sum_{J containing the support of l} (-1)^|J| (uv-1)^(d+1-|J|) bracket_J
 
-for l != 0, with support(l) = { i : theta~_i(l) != 0 }.
+for l != 0, with support(l) = { i : theta~_i(l) != 0 }.  E^(l) depends on l
+only through its element class.  The weighted brackets, E_str, E^(0) and
+the sum over J per support are kept in the stringy half of the vector's
+record (``weights.record``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import (
     DivisionNotExact,
@@ -43,19 +46,15 @@ from .errors import (
     OutOfRange,
     SignPatternViolation,
 )
-from .exact_arith import (
-    BiPoly,
-    RationalT,
-    guard_override,
-    limit_at_one,
-    rational_from_counts,
-)
+from .exact_arith import BiPoly, RationalT, limit_at_one, rational_from_counts
 from .face_epoly import face_e
 from .weights import (
     WeightVector,
     _check_subset,
-    _elements,
+    class_index,
+    element_classes,
     lattice_counts,
+    record,
     require_ip,
 )
 
@@ -152,15 +151,17 @@ def _denominator_orders(wv: WeightVector, comp: List[int]) -> List[int]:
     return sorted(wv.weights[j] // gcd(wv.weights[j], wv.w) for j in comp)
 
 
-@lru_cache(maxsize=None)
-def _bracket(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> RationalT:
+def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
+    """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
+    t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
+    Jf = _check_subset(wv, J)
     comp = [j for j in wv.indices() if j not in Jf]
     if not comp:
         return RationalT.one()
     ms = _denominator_orders(wv, comp)
     bound = sum(ms)
     # guard: the MIRROR_STRINGY_GUARD width, None for one full period
-    counts = lattice_counts(wv, Jf, bound + (guard or bound))
+    counts = lattice_counts(wv, Jf, bound + (record(wv).guard or bound))
     fx = rational_from_counts(counts, [(m, 1) for m in ms])
     bt = fx.inverse_substitution()
     if bt.inverse_substitution() != fx:
@@ -171,20 +172,9 @@ def _bracket(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> Rati
     return bt
 
 
-def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
-    """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
-    t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
-    return _bracket(wv, _check_subset(wv, J), guard_override())
-
-
 def _uv_minus_one_pow(n: int) -> List[int]:
     """(t - 1)^n as dense coefficients."""
     return [comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
-
-
-def _weighted_bracket(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> RationalT:
-    """(uv - 1)^(d+1-|J|) * bracket_J, the factor every assembly shares."""
-    return _bracket(wv, Jf, guard).mul_poly(_uv_minus_one_pow(wv.d + 1 - len(Jf)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,56 +193,76 @@ def _subsets(wv: WeightVector, min_size: int = 2) -> List[FrozenSet[int]]:
     return out
 
 
-def _term(wv: WeightVector, Jf: FrozenSet[int], guard: Optional[int]) -> EFunction:
+def _term(wv: WeightVector, Jf: FrozenSet[int], base: RationalT) -> EFunction:
+    """The face term of J from its weighted bracket ``base``."""
     fe = face_e(wv, Jf).value
-    base = _weighted_bracket(wv, Jf, guard)
     return EFunction(
         wv.d - 1, ((a, b, base * c) for (a, b), c in fe.terms.items())
     )
 
 
+class StringyHalf(NamedTuple):
+    """The stringy pipeline's part of a vector's record."""
+
+    # (uv - 1)^(d+1-|J|) * bracket_J for every |J| >= 2, the factor every
+    # assembly shares
+    weighted: Dict[FrozenSet[int], RationalT]
+    total: EFunction
+    untwisted: EFunction
+    # the twisted component per support, filled on first use
+    twisted: Dict[FrozenSet[int], RationalT]
+
+
+def _stringy(wv: WeightVector) -> StringyHalf:
+    """The stringy half of wv's record, built on first use."""
+    rec = record(wv)
+    if rec.stringy is None:
+        weighted = {
+            Jf: bracket(wv, Jf).mul_poly(_uv_minus_one_pow(wv.d + 1 - len(Jf)))
+            for Jf in _subsets(wv)
+        }
+        total = EFunction(wv.d - 1, ())
+        for Jf, base in weighted.items():
+            total = total + _term(wv, Jf, base)
+        rec.stringy = StringyHalf(
+            weighted, total, _untwisted_component(wv, weighted), {}
+        )
+    return rec.stringy
+
+
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
     require_ip(wv)
-    guard = guard_override()
-    return {Jf: _term(wv, Jf, guard) for Jf in _subsets(wv)}
-
-
-@lru_cache(maxsize=None)
-def _stringy_e(wv: WeightVector, guard: Optional[int]) -> EFunction:
-    total = EFunction(wv.d - 1, ())
-    for Jf in _subsets(wv):
-        total = total + _term(wv, Jf, guard)
-    return total
+    return {Jf: _term(wv, Jf, base) for Jf, base in _stringy(wv).weighted.items()}
 
 
 def stringy_e(wv: WeightVector) -> EFunction:
     """Stringy E-function of the mirror hypersurface."""
     require_ip(wv)
-    return _stringy_e(wv, guard_override())
+    return _stringy(wv).total
 
 
 # ---------------------------------------------------------------------------
 # per-element decomposition
 
 
-@lru_cache(maxsize=None)
-def _untwisted_component(wv: WeightVector, guard: Optional[int]) -> EFunction:
+def _untwisted_component(
+    wv: WeightVector, weighted: Dict[FrozenSet[int], RationalT]
+) -> EFunction:
     entries = []
-    for Jf in _subsets(wv):
+    for Jf, base in weighted.items():
         k = len(Jf)
         # ((t-1)^(k-1) - (-1)^(k-1)) / t is a polynomial of degree k - 2
         num = _uv_minus_one_pow(k - 1)
         num[0] -= (-1) ** (k - 1)
         if num[0]:
             raise DivisionNotExact(f"(t - 1)^{k - 1} - (-1)^{k - 1} is not divisible by t")
-        entries.append((0, 0, _weighted_bracket(wv, Jf, guard).mul_poly(num[1:])))
+        entries.append((0, 0, base.mul_poly(num[1:])))
     return EFunction(wv.d - 1, entries)
 
 
-@lru_cache(maxsize=None)
 def _twisted_component(
-    wv: WeightVector, support: FrozenSet[int], guard: Optional[int]
+    wv: WeightVector, weighted: Dict[FrozenSet[int], RationalT], support: FrozenSet[int]
 ) -> RationalT:
     """sum over J containing the support of (-1)^|J| (uv-1)^(d+1-|J|) bracket_J."""
     rest = [j for j in wv.indices() if j not in support]
@@ -260,23 +270,25 @@ def _twisted_component(
     for mask in range(1 << len(rest)):
         Jf = frozenset(support | {rest[i] for i in range(len(rest)) if mask >> i & 1})
         sign = -1 if len(Jf) % 2 else 1
-        total = total + _weighted_bracket(wv, Jf, guard) * sign
+        total = total + weighted[Jf] * sign
     return total
 
 
 def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     """The contribution E^(l) of a single group element to E_str; summing
-    over all l in Z/wZ recovers ``stringy_e``."""
+    over all l in Z/wZ recovers ``stringy_e``.  It depends on l only
+    through l's element class."""
     require_ip(wv)
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
-    guard = guard_override()
+    half = _stringy(wv)
     if l == 0:
-        return _untwisted_component(wv, guard)
-    el = _elements(wv)[l]
-    support = frozenset(i for i, q in enumerate(el.theta_tilde) if q)
-    r = _twisted_component(wv, support, guard)
-    return EFunction(wv.d - 1, [(el.age - 1, el.size - el.age - 1, r)])
+        return half.untwisted
+    c = element_classes(wv)[class_index(wv)[l]]
+    r = half.twisted.get(c.support)
+    if r is None:
+        r = half.twisted[c.support] = _twisted_component(wv, half.weighted, c.support)
+    return EFunction(wv.d - 1, [(c.age - 1, c.size - c.age - 1, r)])
 
 
 # ---------------------------------------------------------------------------

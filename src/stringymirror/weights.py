@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
@@ -57,7 +57,7 @@ from .errors import (
     NotWellFormed,
     OutOfRange,
 )
-from .exact_arith import RationalT, expand_factors
+from .exact_arith import RationalT, expand_factors, guard_override
 
 # ---------------------------------------------------------------------------
 # the weight vector itself
@@ -114,6 +114,46 @@ def validate(weights: Sequence[int]) -> WeightVector:
 
 
 # ---------------------------------------------------------------------------
+# the per-vector record
+
+# Records kept by ``record_for``.  A record with both halves built holds
+# about 25 KiB for five weights (tracemalloc, mean over the 353 IP vectors
+# with w <= 24).  A request reuses its vector's record as long as fewer than
+# this many other vectors were asked for in between.
+RECORD_CACHE_SIZE = 1024
+
+
+@dataclass(eq=False)
+class VectorRecord:
+    """Everything computed for one weight vector under one guard width, each
+    part filled on first use.  The fields up to ``class_of`` are this
+    module's; ``stringy`` and ``orbifold`` hold the halves those modules
+    build, each from its own pipeline: neither half reads the other."""
+
+    wv: WeightVector
+    guard: Optional[int]
+    reach: Optional[List[int]] = None
+    ip: Optional[bool] = None
+    transverse: Optional[bool] = None
+    classes: Optional[Tuple[ElementClass, ...]] = None
+    class_of: Optional[Tuple[int, ...]] = None
+    stringy: Optional[object] = None
+    orbifold: Optional[object] = None
+
+
+@lru_cache(maxsize=RECORD_CACHE_SIZE)
+def record_for(wv: WeightVector, guard: Optional[int]) -> VectorRecord:
+    """The record cache: the least recently used record goes first."""
+    return VectorRecord(wv, guard)
+
+
+def record(wv: WeightVector) -> VectorRecord:
+    """wv's record under the current MIRROR_STRINGY_GUARD width: the width
+    is read here, once per lookup, and is part of the record's key."""
+    return record_for(wv, guard_override())
+
+
+# ---------------------------------------------------------------------------
 # group elements, census, face subgroups
 
 
@@ -137,14 +177,55 @@ def element(wv: WeightVector, l: int) -> OrbifoldElement:
     return OrbifoldElement(l, theta, int(age), sum(1 for q in theta if q))
 
 
-@lru_cache(maxsize=None)
-def _elements(wv: WeightVector) -> Tuple[OrbifoldElement, ...]:
-    return tuple(element(wv, l) for l in range(wv.w))
+class ElementClass(NamedTuple):
+    """The elements l of Z/wZ that share support (the i with theta~_i(l) !=
+    0), age and size: every per-element formula depends on l only through
+    these.  ``count`` is their number and ``first`` the smallest of them."""
+
+    support: FrozenSet[int]
+    age: int
+    size: int
+    count: int
+    first: int
+
+
+def _classify(wv: WeightVector) -> VectorRecord:
+    """wv's record with its element classes and the class of each l."""
+    rec = record(wv)
+    if rec.classes is None:
+        first: Dict[Tuple[FrozenSet[int], int, int], int] = {}
+        keys = []
+        for l in range(wv.w):
+            el = element(wv, l)
+            support = frozenset(i for i, q in enumerate(el.theta_tilde) if q)
+            keys.append((support, el.age, el.size))
+            first.setdefault(keys[-1], l)
+        count = Counter(keys)
+        index = {key: c for c, key in enumerate(first)}
+        rec.classes = tuple(
+            ElementClass(*key, count[key], l) for key, l in first.items()
+        )
+        rec.class_of = tuple(index[key] for key in keys)
+    return rec
+
+
+def element_classes(wv: WeightVector) -> Tuple[ElementClass, ...]:
+    """Z/wZ grouped by (support, age, size), in the order of each class's
+    smallest element; the first class is {0}."""
+    return _classify(wv).classes
+
+
+def class_index(wv: WeightVector) -> Tuple[int, ...]:
+    """The class of each l in Z/wZ, as an index into ``element_classes``."""
+    return _classify(wv).class_of
 
 
 def census(wv: WeightVector) -> Counter:
     """Multiset {(size, age): multiplicity} over all of Z/wZ."""
-    return Counter((el.size, el.age) for el in _elements(wv))
+    out: Counter = Counter()
+    for c in element_classes(wv):
+        out[(c.size, c.age)] += c.count
+    return out
 
 
 @dataclass(frozen=True)
@@ -255,6 +336,13 @@ def _reach_sets(ws: Sequence[int]) -> List[int]:
             step <<= 1
         R[mask] = r
     return R
+
+
+def _reach(rec: VectorRecord) -> List[int]:
+    """``_reach_sets`` of rec's weights, computed once for both verdicts."""
+    if rec.reach is None:
+        rec.reach = _reach_sets(rec.wv.weights)
+    return rec.reach
 
 
 def _on_face(ws: Sequence[int], R: Sequence[int], mask: int) -> Tuple[bool, bool]:
@@ -417,7 +505,6 @@ def _add_column(V: List[Tuple[int, ...]], u: Tuple[int, ...]):
     V.append(u)
 
 
-@lru_cache(maxsize=None)
 def ip_property(wv: WeightVector) -> bool:
     """Whether the all-ones vector z is interior to the degree-w monomial
     polytope: conv{u >= 0 : sum w_i u_i = w} must be d-dimensional with z in
@@ -454,12 +541,20 @@ def ip_property(wv: WeightVector) -> bool:
        independent points) is a basis, and since z is one of them x = e_0
        is feasible.  Every run starts there.
     """
-    ws = wv.weights
+    rec = record(wv)
+    if rec.ip is None:
+        rec.ip = _interior(rec)
+    return rec.ip
+
+
+def _interior(rec: VectorRecord) -> bool:
+    """The IP verdict of ``ip_property`` for rec's vector, computed."""
+    ws = rec.wv.weights
     n = len(ws)
-    w = wv.w
+    w = rec.wv.w
     if any(2 * wi > w for wi in ws):
         return False
-    R = _reach_sets(ws)
+    R = _reach(rec)
     if any(any(_on_face(ws, R, mask)) for mask in range(1, (1 << n) - 1)):
         return False
     z = (1,) * n
@@ -498,7 +593,6 @@ def require_ip(wv: WeightVector) -> None:
 # transversality, Milnor number, sector Poincare series
 
 
-@lru_cache(maxsize=None)
 def transverse(wv: WeightVector) -> bool:
     """Monomial-existence criterion for quasi-smoothness of the generic
     degree-w hypersurface: for every nonempty index subset S, either w is a
@@ -506,10 +600,16 @@ def transverse(wv: WeightVector) -> bool:
     distinct indices j outside S have w - w_j representable that way.
     Both are bits of the reach set R[S] of ``_reach_sets``: bit w, and bit
     w - w_j."""
-    ws = wv.weights
+    rec = record(wv)
+    if rec.transverse is None:
+        rec.transverse = _quasi_smooth(wv.weights, _reach(rec))
+    return rec.transverse
+
+
+def _quasi_smooth(ws: Sequence[int], R: Sequence[int]) -> bool:
+    """The ``transverse`` criterion for the weights ws with reach sets R."""
     n = len(ws)
-    w = wv.w
-    R = _reach_sets(ws)
+    w = sum(ws)
     for mask in range(1, 1 << n):
         reach = R[mask]
         if reach >> w & 1:

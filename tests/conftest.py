@@ -10,16 +10,36 @@ points, with its own two-phase ``Fraction`` simplex: it shares no LP code
 with the integer revised simplex in ``weights``.  ``slow_transverse`` is the
 transversality criterion with one list-of-booleans reachability DP per index
 subset, the reference for the big-int reach sets ``transverse`` reads.
+``slow_face_e``, ``slow_psi``, ``slow_census``, ``slow_vafa_euler`` and
+``slow_mirror_orbifold_e`` loop over every group element l, one at a time,
+the references for the sums over element classes.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import List, Sequence
+from math import comb
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
-from stringymirror import ip_property, validate
-from stringymirror.errors import InconsistentLP, NotWellFormed
+from stringymirror import (
+    BiPoly,
+    EFunction,
+    FaceEPolynomial,
+    element,
+    ip_property,
+    orbifold,
+    subgroup,
+    validate,
+    weights,
+)
+from stringymirror.errors import (
+    DivisionNotExact,
+    InconsistentCensus,
+    InconsistentLP,
+    NotWellFormed,
+)
 
 D3_BUDGET = 40
 D4_BUDGET = 60
@@ -331,3 +351,109 @@ def slow_transverse(wv):
         if pointers < size:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# per-element oracles: one group element l at a time
+
+
+def _elements(wv):
+    return tuple(element(wv, l) for l in range(wv.w))
+
+
+def _zero_sets(wv):
+    return tuple(
+        frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
+        for el in _elements(wv)
+    )
+
+
+def slow_face_e(wv, J) -> FaceEPolynomial:
+    """E-polynomial of the face piece for J (|J| >= 2), summed over the
+    members of the face subgroup G_J."""
+    Jf = frozenset(J)
+    k = len(Jf)
+    terms: Dict[Tuple[int, int], int] = {}
+    # (uv - 1)^(k-1) - (-1)^(k-1), along the diagonal
+    for i in range(k):
+        c = comb(k - 1, i) * (-1) ** (k - 1 - i)
+        terms[(i, i)] = terms.get((i, i), 0) + c
+    terms[(0, 0)] = terms.get((0, 0), 0) - (-1) ** (k - 1)
+    sign = (-1) ** k
+    els = _elements(wv)
+    for l in subgroup(wv, Jf).members:
+        if l == 0:
+            continue
+        el = els[l]
+        key = (el.age, el.size - el.age)
+        terms[key] = terms.get(key, 0) + sign
+    out: Dict[Tuple[int, int], int] = {}
+    for (a, b), c in terms.items():
+        if c == 0:
+            continue
+        if a < 1 or b < 1:
+            raise DivisionNotExact(
+                f"face numerator for J={sorted(Jf)} has a u^{a} v^{b} term; "
+                "division by uv is not exact"
+            )
+        out[(a - 1, b - 1)] = c
+    return FaceEPolynomial(Jf, BiPoly(out))
+
+
+def slow_psi(wv) -> Tuple[int, ...]:
+    """Age census (psi_0, ..., psi_d), element by element."""
+    counts = [0] * (wv.d + 1)
+    for el in _elements(wv):
+        counts[el.age] += 1
+    if counts[0] != 1 or sum(counts) != wv.w:
+        raise InconsistentCensus(
+            f"age census {counts} of {wv} needs psi_0 = 1 and sum {wv.w}"
+        )
+    return tuple(counts)
+
+
+def slow_census(wv) -> Counter:
+    """Multiset {(size, age): multiplicity}, element by element."""
+    return Counter((el.size, el.age) for el in _elements(wv))
+
+
+def slow_vafa_euler(wv) -> Fraction:
+    """Orbifold Euler number, with the multiplicity of each zero set
+    counted element by element."""
+    mult = Counter(_zero_sets(wv))
+    ws = wv.weights
+    w = wv.w
+    total = Fraction(0)
+    for zl, ml in mult.items():
+        for zr, mr in mult.items():
+            val = Fraction(ml * mr)
+            for i in zl & zr:
+                val *= Fraction(ws[i] - w, ws[i])
+            total += val
+    return total / w
+
+
+def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
+    """(total, per-l terms) of (-u)^(d-1) E_orb(X; 1/u, v), adding the
+    sector term of every l in turn; each zero set is projected once."""
+    rec = weights.record(wv)
+    projected = {}
+    per: Dict[int, EFunction] = {}
+    total = EFunction(wv.d - 1, ())
+    els = _elements(wv)
+    zs = _zero_sets(wv)
+    for l in range(wv.w):
+        if zs[l] not in projected:
+            projected[zs[l]] = orbifold._projected_sector(rec, zs[l])
+        B = projected[zs[l]]
+        if l == 0:
+            ef = EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])
+        else:
+            el = els[l]
+            sign = -1 if el.size % 2 else 1
+            ef = EFunction(
+                wv.d - 1, [(el.age - 1, el.size - el.age - 1, B * sign)]
+            )
+        per[l] = ef
+        total = total + ef
+    return total, per

@@ -222,7 +222,7 @@ def test_ip_oracle_inconsistency_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(
         weights, "_knapsack_min", lambda ws, cost: (sum(cost) - 1, (1,) * len(ws))
     )
-    weights.ip_property.cache_clear()
+    weights.record_for.cache_clear()
     code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
     assert code == 4
     assert "internal error" in err and "already a column" in err
@@ -240,7 +240,7 @@ def test_ip_singular_start_basis_is_internal_error(capsys, monkeypatch):
         return sum(cost) - 1, plane[next(calls) // 2 % len(plane)]
 
     monkeypatch.setattr(weights, "_knapsack_min", oracle)
-    weights.ip_property.cache_clear()
+    weights.record_for.cache_clear()
     code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
     assert code == 4
     assert "internal error" in err and "singular basis" in err
@@ -250,9 +250,9 @@ def test_census_guard_is_internal_error(capsys, monkeypatch):
     # a census missing one element, or counting l = 0 twice: psi must raise
     # InconsistentCensus (exit 4), also under -O
     wv = weights.validate((1, 5, 12, 18))
-    real = face_epoly._elements(wv)
+    real = face_epoly.element_classes(wv)
     for bad in (real[:-1], real + real[:1]):
-        monkeypatch.setattr(face_epoly, "_elements", lambda wv, bad=bad: bad)
+        monkeypatch.setattr(face_epoly, "element_classes", lambda wv, bad=bad: bad)
         with pytest.raises(InconsistentCensus):
             face_epoly.psi(wv)
         code, _, err = run(["analyze", "1,5,12,18"], capsys)
@@ -293,8 +293,7 @@ def test_internal_value_error_is_internal_error(capsys, monkeypatch):
         raise ValueError("need at least 9 series coefficients")
 
     monkeypatch.setattr(exact_arith, "series_to_rational", short)
-    stringy._bracket.cache_clear()
-    stringy._stringy_e.cache_clear()
+    weights.record_for.cache_clear()
     code, out, err = run(["stringy", "1,1,2,2,2"], capsys)
     assert code == 4
     assert out == ""
@@ -413,6 +412,14 @@ def test_scan_skip_resumes(capsys, monkeypatch):
         assert code == 0
         assert out.splitlines() == [",".join(cli._ROW_FIELDS)]
         assert seen == []
+
+
+def test_scan_holds_one_record(capsys):
+    # each candidate's record, and the row built from it, is dropped before
+    # the next candidate is tested
+    code, out, _ = run(["scan", "--dim", "4", "--wmax", "16", "--format", "json"], capsys)
+    assert code == 0 and out
+    assert weights.record_for.cache_info().currsize <= 1
 
 
 def test_scan_empty_range(capsys):

@@ -19,9 +19,9 @@ from stringymirror import (
 )
 from stringymirror.exact_arith import (
     expand_factors,
+    guard_override,
     poly_div_exact,
     poly_mul,
-    reconstruction_guard,
     series_to_rational,
 )
 from stringymirror.errors import (
@@ -245,15 +245,15 @@ def test_series_to_rational_roundtrip():
 
 def test_guard_env_override(monkeypatch):
     monkeypatch.delenv("MIRROR_STRINGY_GUARD", raising=False)
-    assert reconstruction_guard(7) == 7
+    assert guard_override() is None
     monkeypatch.setenv("MIRROR_STRINGY_GUARD", "12")
-    assert reconstruction_guard(7) == 12
+    assert guard_override() == 12
     monkeypatch.setenv("MIRROR_STRINGY_GUARD", "0")
     with pytest.raises(OutOfRange):
-        reconstruction_guard(7)
+        guard_override()
     monkeypatch.setenv("MIRROR_STRINGY_GUARD", "wide")
     with pytest.raises(OutOfRange):
-        reconstruction_guard(7)
+        guard_override()
 
 
 # ---------------------------------------------------------------------------
