@@ -229,15 +229,15 @@ _ROW_FIELDS = (
 )
 
 
-def _print_csv_rows(rows: Iterable[Dict]) -> None:
+def _print_csv_rows(rows: Iterable[Dict], fields: Tuple[str, ...] = _ROW_FIELDS) -> None:
     writer = csv.writer(sys.stdout)
-    writer.writerow(_ROW_FIELDS)
+    writer.writerow(fields)
     sys.stdout.flush()
     for row in rows:
         flat = dict(row)
-        if not row["stringy_polynomial"]:
+        if "e_str" in fields and not row["stringy_polynomial"]:
             flat["e_str"] = "non-polynomial"
-        writer.writerow([_csv_scalar(flat[f]) for f in _ROW_FIELDS])
+        writer.writerow([_csv_scalar(flat[f]) for f in fields])
         sys.stdout.flush()
 
 
@@ -274,10 +274,7 @@ def _cmd_analyze(args) -> int:
     if args.format == "json":
         _print_json(payload)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        keys = sorted(payload)
-        writer.writerow(keys)
-        writer.writerow([_csv_scalar(payload[k]) for k in keys])
+        _print_csv_rows([payload], tuple(sorted(payload)))
     else:
         _print_text_kv(
             payload,
@@ -431,11 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="combinatorial data of a weight vector")
     add_common(p, with_per_l=False)
-    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("stringy", help="stringy E-function of the mirror")
     add_common(p)
-    p.set_defaults(func=_cmd_stringy)
 
     p = sub.add_parser("orbifold", help="orbifold E-function of the hypersurface")
     add_common(p)
@@ -444,11 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
         const=True, default=None,
         help="treat the vector as transverse even if the built-in criterion says no",
     )
-    p.set_defaults(func=_cmd_orbifold)
 
     p = sub.add_parser("mirror-check", help="verify the mirror-duality identity")
     add_common(p)
-    p.set_defaults(func=_cmd_mirror_check)
 
     p = sub.add_parser("scan", help="sweep IP weight vectors by dimension")
     p.add_argument("--dim", type=int, required=True, help="projective dimension d")
@@ -456,19 +449,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip", type=int, default=0, help="rows to skip (resume)")
     p.add_argument("--limit", type=int, default=None, help="stop after this many rows")
     p.add_argument("--format", choices=("text", "json", "csv"), default="csv")
-    p.set_defaults(func=_cmd_scan)
 
     return parser
 
 
+# built by the first ``main`` call and reused by the later ones
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the handler is looked up here, not stored in the parser, so a rebound
+    # module global is seen by the next call
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except NotIP as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NO_MIRROR

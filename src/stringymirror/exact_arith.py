@@ -10,9 +10,18 @@ functions, all exact (int / fractions.Fraction, never floats):
 * ``RationalT``: a one-variable rational function in the factored shape
   ``t**shift * num(t) / prod (1 - t**m)**e``.  Keeping the denominator as a
   multiset of ``(1 - t**m)`` factors keeps degrees small and makes the order
-  of the pole at t = 1 readable;
+  of the pole at t = 1 readable.  Values are kept in a greedy-peel normal
+  form ``(shift, num, den)``, which the CLI prints for non-polynomial terms;
 * ``BiPoly``: a two-variable polynomial ``sum c * u**a * v**b`` as a map
   ``(a, b) -> c``.
+
+The normal form divides out each denominator factor (1 - t**m) that
+divides the numerator, smallest m first.  Division by 1 - t**m is a
+stride-m running sum (``div_one_minus_tm``), O(deg) with a one-``sum``
+reject when num(1) != 0.  Shifts, negation, multiplication by a nonzero
+int and t -> 1/t keep the form normal and skip the peeling; a sum of many
+terms (``rational_sum``) adds integer lists and peels the running sum, in
+the form the left fold of ``+`` gives.
 
 The averaging projector ``[.]_int`` keeps exactly the monomials of a FracPoly
 whose exponent is an integer; it equals the mean over the w-th roots of unity
@@ -30,6 +39,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import add, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -54,30 +65,6 @@ def poly_strip(coeffs: List) -> List:
     return coeffs
 
 
-def poly_add(a: Sequence, b: Sequence) -> List:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_strip(out)
-
-
-def poly_neg(a: Sequence) -> List:
-    return [-c for c in a]
-
-
-def poly_sub(a: Sequence, b: Sequence) -> List:
-    return poly_add(a, poly_neg(b))
-
-
-def poly_scale(a: Sequence, k) -> List:
-    if k == 0:
-        return []
-    return [c * k for c in a]
-
-
 def poly_mul(a: Sequence, b: Sequence) -> List:
     if not a or not b:
         return []
@@ -88,21 +75,6 @@ def poly_mul(a: Sequence, b: Sequence) -> List:
                 if cb:
                     out[i + j] += ca * cb
     return poly_strip(out)
-
-
-def poly_shift(a: Sequence, k: int) -> List:
-    """Multiply by t**k, k >= 0."""
-    if not a:
-        return []
-    return [0] * k + list(a)
-
-
-def one_minus_tm(m: int) -> List[int]:
-    """Coefficients of 1 - t**m."""
-    out = [0] * (m + 1)
-    out[0] = 1
-    out[m] = -1
-    return out
 
 
 def poly_div_exact(a: Sequence, b: Sequence):
@@ -136,13 +108,40 @@ def poly_div_exact(a: Sequence, b: Sequence):
     return quot
 
 
+def mul_one_minus_tm(a: Sequence[int], m: int) -> List[int]:
+    """a * (1 - t**m): one subtraction per coefficient."""
+    return list(map(sub, chain(a, repeat(0, m)), chain(repeat(0, m), a)))
+
+
+def div_one_minus_tm(a: Sequence[int], m: int) -> Optional[List[int]]:
+    """Quotient of a by (1 - t**m), or None when a remainder is left.
+
+    ``a`` must be stripped (no trailing zeros).  From a = (1 - t**m) q,
+    q[i] = a[i] + q[i - m]: along each residue class mod m the quotient is
+    a running sum of a, and the division is exact iff every class sums to
+    zero (a vanishes at each m-th root of unity).  Those class sums are the
+    running sums at the top m positions, so one pass of O(len(a)) additions
+    gives both the quotient and the remainder check.  When len(a) <= m the
+    checked positions include the top coefficient, which is nonzero.
+    """
+    if sum(a):  # a(1) != 0: the root t = 1 of 1 - t**m is missing
+        return None
+    n = len(a) - m
+    q = [0] * len(a)
+    for r in range(m):
+        q[r::m] = accumulate(a[r::m])
+    if any(q[n:]):
+        return None
+    del q[n:]
+    return q
+
+
 def expand_factors(factors: Iterable[Factor]) -> List[int]:
     """Dense coefficients of prod (1 - t**m)**e."""
     out = [1]
     for m, e in factors:
-        f = one_minus_tm(m)
         for _ in range(e):
-            out = poly_mul(out, f)
+            out = mul_one_minus_tm(out, m)
     return out
 
 
@@ -180,6 +179,33 @@ def truncated_product(series: Sequence, dense: Sequence, n: int) -> List:
     return out
 
 
+def _peel(coeffs: List[int], shift: int, facs: Dict[int, int]):
+    """The normal form (see ``RationalT``) of
+    t**shift * coeffs / prod (1 - t**m)**facs[m], as (shift, num, den) with
+    num a list and den a dict in increasing m; consumes ``coeffs``."""
+    poly_strip(coeffs)
+    if not coeffs:
+        return 0, coeffs, {}
+    lead_zero = 0
+    while coeffs[lead_zero] == 0:
+        lead_zero += 1
+    if lead_zero:
+        shift += lead_zero
+        del coeffs[:lead_zero]
+    den = {}
+    for m in sorted(facs):
+        e = facs[m]
+        while e > 0:
+            q = div_one_minus_tm(coeffs, m)
+            if q is None:
+                break
+            coeffs = q
+            e -= 1
+        if e:
+            den[m] = e
+    return shift, coeffs, den
+
+
 # ---------------------------------------------------------------------------
 # RationalT
 
@@ -187,12 +213,26 @@ def truncated_product(series: Sequence, dense: Sequence, n: int) -> List:
 class RationalT:
     """t**shift * num(t) / prod (1 - t**m)**e with integer coefficients.
 
-    Values are immutable.  Construction normalises: trailing zeros are
-    stripped, leading zeros of the numerator are folded into the shift, and
-    denominator factors that divide the numerator exactly are cancelled
-    (greedy peeling).  Peeling is sound for polynomiality detection: if the
-    value is a polynomial then every remaining factor divides the remaining
-    numerator, so the factored denominator empties out.
+    Values are immutable and kept in the greedy-peel normal form: no
+    trailing zeros in num, num[0] != 0 (leading zeros fold into the shift),
+    den sorted by m, and for each m in ascending order every factor
+    (1 - t**m) that divides the numerator has been cancelled, by exact
+    stride-m division (``div_one_minus_tm``).  After peeling no remaining
+    factor divides the numerator.  Peeling is sound for polynomiality
+    detection: if the value is a polynomial then every remaining factor
+    divides the remaining numerator, so the factored denominator empties
+    out.
+
+    The constructor normalises.  Operations that provably keep the normal
+    form build their result directly, without peeling again:
+
+    * ``mul_tpower`` only moves the shift;
+    * ``-r`` and ``r * k`` for a nonzero int k: 1 - t**m is primitive, so
+      by Gauss's lemma it divides k * num iff it divides num;
+    * ``inverse_substitution``: the reversed numerator vanishes at the same
+      roots of unity as num.
+
+    Sums go through ``rational_sum``, and ``a + b`` is its two-term case.
 
     Equality is semantic, decided by cross-multiplication of the expanded
     denominators with shifts aligned; two structurally different forms of the
@@ -202,34 +242,27 @@ class RationalT:
     __slots__ = ("shift", "num", "den")
 
     def __init__(self, num: Sequence[int], shift: int = 0, den: Iterable[Factor] = ()):
-        coeffs = poly_strip(list(num))
         facs = dict(_merge_factors(den))
-        if not coeffs:
-            self.shift = 0
-            self.num: Tuple[int, ...] = ()
-            self.den: Tuple[Factor, ...] = ()
-            return
+        coeffs = poly_strip(list(num))
         lead_zero = 0
-        while coeffs[lead_zero] == 0:
+        while lead_zero < len(coeffs) and coeffs[lead_zero] == 0:
             lead_zero += 1
-        shift += lead_zero
-        coeffs = coeffs[lead_zero:]
-        for c in coeffs:
+        for c in coeffs[lead_zero:]:
             if not isinstance(c, int):
                 raise TypeError("RationalT numerators must have int coefficients")
-        for m in sorted(facs):
-            e = facs[m]
-            factor = one_minus_tm(m)
-            while e > 0:
-                q = poly_div_exact(coeffs, factor)
-                if q is None:
-                    break
-                coeffs = q
-                e -= 1
-            facs[m] = e
+        shift, coeffs, facs = _peel(coeffs, shift, facs)
         self.shift = shift
-        self.num = tuple(coeffs)
-        self.den = tuple(sorted((m, e) for m, e in facs.items() if e))
+        self.num: Tuple[int, ...] = tuple(coeffs)
+        self.den: Tuple[Factor, ...] = tuple(facs.items())
+
+    @classmethod
+    def _normal(cls, num: Tuple[int, ...], shift: int, den: Tuple[Factor, ...]) -> "RationalT":
+        """A value whose (shift, num, den) is already in normal form."""
+        out = object.__new__(cls)
+        out.shift = shift
+        out.num = num
+        out.den = den
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -280,26 +313,12 @@ class RationalT:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.is_zero():
-            return rhs
-        if rhs.is_zero():
-            return self
-        d1 = dict(self.den)
-        d2 = dict(rhs.den)
-        union = {m: max(d1.get(m, 0), d2.get(m, 0)) for m in set(d1) | set(d2)}
-        pad1 = [(m, union[m] - d1.get(m, 0)) for m in union if union[m] > d1.get(m, 0)]
-        pad2 = [(m, union[m] - d2.get(m, 0)) for m in union if union[m] > d2.get(m, 0)]
-        n1 = poly_mul(self.num, expand_factors(pad1)) if pad1 else list(self.num)
-        n2 = poly_mul(rhs.num, expand_factors(pad2)) if pad2 else list(rhs.num)
-        s = min(self.shift, rhs.shift)
-        n1 = poly_shift(n1, self.shift - s)
-        n2 = poly_shift(n2, rhs.shift - s)
-        return RationalT(poly_add(n1, n2), s, union.items())
+        return rational_sum((self, rhs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalT(poly_neg(self.num), self.shift, self.den)
+        return RationalT._normal(tuple(-c for c in self.num), self.shift, self.den)
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -314,6 +333,12 @@ class RationalT:
         return rhs + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            if not other or not self.num:
+                return RationalT.zero()
+            return RationalT._normal(
+                tuple(c * other for c in self.num), self.shift, self.den
+            )
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -329,9 +354,9 @@ class RationalT:
 
     def mul_tpower(self, k: int) -> "RationalT":
         """Multiply by t**k (k may be negative: Laurent shift)."""
-        if self.is_zero():
+        if self.is_zero() or not k:
             return self
-        return RationalT(self.num, self.shift + k, self.den)
+        return RationalT._normal(self.num, self.shift + k, self.den)
 
     def mul_poly(self, coeffs: Sequence[int]) -> "RationalT":
         return RationalT(poly_mul(self.num, coeffs), self.shift, self.den)
@@ -340,10 +365,11 @@ class RationalT:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if self.num == rhs.num and self.shift == rhs.shift and self.den == rhs.den:
+            return True
         n1 = poly_mul(self.num, rhs.expanded_den())
         n2 = poly_mul(rhs.num, self.expanded_den())
-        s = min(self.shift, rhs.shift)
-        return poly_shift(n1, self.shift - s) == poly_shift(n2, rhs.shift - s)
+        return [0] * (self.shift - rhs.shift) + n1 == [0] * (rhs.shift - self.shift) + n2
 
     __hash__ = None  # semantic equality; not hashable
 
@@ -376,9 +402,8 @@ class RationalT:
         total_m = sum(m * e for m, e in self.den)
         total_e = sum(e for _, e in self.den)
         sign = -1 if total_e % 2 else 1
-        new_num = poly_scale(list(reversed(self.num)), sign)
-        new_shift = -self.shift - deg + total_m
-        return RationalT(new_num, new_shift, self.den)
+        new_num = tuple(sign * c for c in reversed(self.num))
+        return RationalT._normal(new_num, -self.shift - deg + total_m, self.den)
 
     def __repr__(self):
         if self.is_zero():
@@ -396,6 +421,51 @@ class RationalT:
             )
             return "RationalT(" + "*".join(parts) + "/" + den + ")"
         return "RationalT(" + "*".join(parts) + ")"
+
+
+def rational_sum(terms: Iterable[RationalT]) -> RationalT:
+    """The sum of RationalTs, in the form the left fold of ``+`` gives.
+
+    Each step brings the running sum and the next term onto their
+    union-max denominator (for each m the larger exponent of 1 - t**m),
+    adds the numerators as plain integer lists aligned at the smaller shift
+    and peels.  The running sum stays a (shift, list, dict) triple, so no
+    RationalT is built, validated or re-peeled between steps.  Zero terms
+    are skipped, as ``+`` skips them, and a single nonzero term comes back
+    as it is.
+
+    The fold order is kept on purpose: the greedy-peel form depends on the
+    denominator it is peeled over, so peeling once over the union of all
+    the terms' denominators can give another form of the same value.
+    """
+    rs = [r for r in terms if r.num]
+    if len(rs) < 2:
+        return rs[0] if rs else RationalT.zero()
+    shift, num, den = 0, [], {}
+    for r in rs:
+        if not num:  # the start, or a running sum that cancelled: 0 + r is r
+            shift, num, den = r.shift, list(r.num), dict(r.den)
+            continue
+        term = r.num
+        own = dict(r.den)
+        for m, e in own.items():
+            have = den.get(m, 0)
+            for _ in range(e - have):
+                num = mul_one_minus_tm(num, m)
+            den[m] = max(e, have)
+        for m, e in den.items():
+            for _ in range(e - own.get(m, 0)):
+                term = mul_one_minus_tm(term, m)
+        if r.shift < shift:
+            num[:0] = [0] * (shift - r.shift)
+            shift = r.shift
+        start = r.shift - shift
+        end = start + len(term)
+        if end > len(num):
+            num.extend([0] * (end - len(num)))
+        num[start:end] = map(add, num[start:end], term)
+        shift, num, den = _peel(num, shift, den)
+    return RationalT._normal(tuple(num), shift, tuple(den.items()))
 
 
 # ---------------------------------------------------------------------------

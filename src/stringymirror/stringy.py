@@ -46,7 +46,13 @@ from .errors import (
     OutOfRange,
     SignPatternViolation,
 )
-from .exact_arith import BiPoly, RationalT, limit_at_one, rational_from_counts
+from .exact_arith import (
+    BiPoly,
+    RationalT,
+    limit_at_one,
+    rational_from_counts,
+    rational_sum,
+)
 from .face_epoly import face_e
 from .weights import (
     WeightVector,
@@ -66,24 +72,26 @@ class EFunction:
     """Finite sum of u^a v^b * R_{a,b}(uv) with min(a, b) = 0.
 
     Construction folds min(a, b) into the rational part as a power of
-    t = uv and drops vanishing parts, so the key set is canonical.  Equality
+    t = uv, sums the parts of each key in one ``rational_sum`` and drops
+    vanishing parts, so the key set is canonical.  Equality
     compares the canonical maps; the rational parts compare semantically.
     """
 
     __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, entries: Iterable[Tuple[int, int, RationalT]]):
-        acc: Dict[Tuple[int, int], RationalT] = {}
+        acc: Dict[Tuple[int, int], List[RationalT]] = {}
         for a, b, r in entries:
             if a < 0 or b < 0:
                 raise ValueError(f"EFunction exponents must be >= 0, got ({a}, {b})")
             m = min(a, b)
-            key = (a - m, b - m)
-            shifted = r.mul_tpower(m)
-            prev = acc.get(key)
-            acc[key] = shifted if prev is None else prev + shifted
+            acc.setdefault((a - m, b - m), []).append(r.mul_tpower(m))
         self.dimension = dimension
-        self.terms = {k: v for k, v in acc.items() if not v.is_zero()}
+        self.terms = {}
+        for key, parts in acc.items():
+            total = rational_sum(parts)
+            if not total.is_zero():
+                self.terms[key] = total
 
     def iter_entries(self) -> Iterator[Tuple[int, int, RationalT]]:
         for (a, b), r in self.terms.items():
@@ -181,36 +189,36 @@ def _uv_minus_one_pow(n: int) -> List[int]:
 # assembly
 
 
-def _subsets(wv: WeightVector, min_size: int = 2) -> List[FrozenSet[int]]:
-    idx = list(wv.indices())
-    n = len(idx)
-    out = [
-        frozenset(i for i in idx if mask >> i & 1)
-        for mask in range(1 << n)
-        if bin(mask).count("1") >= min_size
-    ]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+def _face_masks(wv: WeightVector) -> List[int]:
+    """The index bitmasks of the subsets J with |J| >= 2, ordered by size and
+    then by their sorted members."""
+    n = len(wv.weights)
+    masks = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
+    masks.sort(key=lambda mask: (mask.bit_count(), _members(mask)))
+    return masks
 
 
-def _term(wv: WeightVector, Jf: FrozenSet[int], base: RationalT) -> EFunction:
+def _members(mask: int) -> Tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _term(wv: WeightVector, mask: int, base: RationalT) -> EFunction:
     """The face term of J from its weighted bracket ``base``."""
-    fe = face_e(wv, Jf).value
-    return EFunction(
-        wv.d - 1, ((a, b, base * c) for (a, b), c in fe.terms.items())
-    )
+    fe = face_e(wv, _members(mask)).value
+    return EFunction(wv.d - 1, ((a, b, base * c) for (a, b), c in fe.terms.items()))
 
 
 class StringyHalf(NamedTuple):
-    """The stringy pipeline's part of a vector's record."""
+    """The stringy pipeline's part of a vector's record; subsets of the
+    indices are keyed by bitmask."""
 
     # (uv - 1)^(d+1-|J|) * bracket_J for every |J| >= 2, the factor every
     # assembly shares
-    weighted: Dict[FrozenSet[int], RationalT]
+    weighted: Dict[int, RationalT]
     total: EFunction
     untwisted: EFunction
     # the twisted component per support, filled on first use
-    twisted: Dict[FrozenSet[int], RationalT]
+    twisted: Dict[int, RationalT]
 
 
 def _stringy(wv: WeightVector) -> StringyHalf:
@@ -218,12 +226,17 @@ def _stringy(wv: WeightVector) -> StringyHalf:
     rec = record(wv)
     if rec.stringy is None:
         weighted = {
-            Jf: bracket(wv, Jf).mul_poly(_uv_minus_one_pow(wv.d + 1 - len(Jf)))
-            for Jf in _subsets(wv)
+            mask: bracket(wv, _members(mask)).mul_poly(
+                _uv_minus_one_pow(wv.d + 1 - mask.bit_count())
+            )
+            for mask in _face_masks(wv)
         }
-        total = EFunction(wv.d - 1, ())
-        for Jf, base in weighted.items():
-            total = total + _term(wv, Jf, base)
+        # one entry per face term and key, in the order of J: the printed
+        # form of each key's sum follows this grouping and order
+        total = EFunction(
+            wv.d - 1,
+            (e for mask, base in weighted.items() for e in _term(wv, mask, base).iter_entries()),
+        )
         rec.stringy = StringyHalf(
             weighted, total, _untwisted_component(wv, weighted), {}
         )
@@ -233,7 +246,10 @@ def _stringy(wv: WeightVector) -> StringyHalf:
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
     require_ip(wv)
-    return {Jf: _term(wv, Jf, base) for Jf, base in _stringy(wv).weighted.items()}
+    return {
+        frozenset(_members(mask)): _term(wv, mask, base)
+        for mask, base in _stringy(wv).weighted.items()
+    }
 
 
 def stringy_e(wv: WeightVector) -> EFunction:
@@ -246,12 +262,10 @@ def stringy_e(wv: WeightVector) -> EFunction:
 # per-element decomposition
 
 
-def _untwisted_component(
-    wv: WeightVector, weighted: Dict[FrozenSet[int], RationalT]
-) -> EFunction:
+def _untwisted_component(wv: WeightVector, weighted: Dict[int, RationalT]) -> EFunction:
     entries = []
-    for Jf, base in weighted.items():
-        k = len(Jf)
+    for mask, base in weighted.items():
+        k = mask.bit_count()
         # ((t-1)^(k-1) - (-1)^(k-1)) / t is a polynomial of degree k - 2
         num = _uv_minus_one_pow(k - 1)
         num[0] -= (-1) ** (k - 1)
@@ -262,16 +276,16 @@ def _untwisted_component(
 
 
 def _twisted_component(
-    wv: WeightVector, weighted: Dict[FrozenSet[int], RationalT], support: FrozenSet[int]
+    wv: WeightVector, weighted: Dict[int, RationalT], support: int
 ) -> RationalT:
-    """sum over J containing the support of (-1)^|J| (uv-1)^(d+1-|J|) bracket_J."""
-    rest = [j for j in wv.indices() if j not in support]
-    total = RationalT.zero()
-    for mask in range(1 << len(rest)):
-        Jf = frozenset(support | {rest[i] for i in range(len(rest)) if mask >> i & 1})
-        sign = -1 if len(Jf) % 2 else 1
-        total = total + weighted[Jf] * sign
-    return total
+    """sum over J containing the support of (-1)^|J| (uv-1)^(d+1-|J|) bracket_J,
+    with J and the support as index bitmasks, summed in increasing order of
+    J's mask (the printed form of a sum follows its order)."""
+    return rational_sum(
+        weighted[mask] * (-1 if mask.bit_count() % 2 else 1)
+        for mask in range(support, 1 << len(wv.weights))
+        if mask & support == support
+    )
 
 
 def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
@@ -285,9 +299,10 @@ def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     if l == 0:
         return half.untwisted
     c = element_classes(wv)[class_index(wv)[l]]
-    r = half.twisted.get(c.support)
+    support = sum(1 << i for i in c.support)
+    r = half.twisted.get(support)
     if r is None:
-        r = half.twisted[c.support] = _twisted_component(wv, half.weighted, c.support)
+        r = half.twisted[support] = _twisted_component(wv, half.weighted, support)
     return EFunction(wv.d - 1, [(c.age - 1, c.size - c.age - 1, r)])
 
 

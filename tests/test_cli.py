@@ -351,6 +351,19 @@ def test_mirror_check_verifies_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_parser_reused_and_handlers_looked_up_per_call(capsys, monkeypatch):
+    assert run(["analyze", "1,1,1,1,1"], capsys)[0] == 0
+    parser = cli._parser
+    assert parser is not None
+    monkeypatch.setattr(cli, "_cmd_analyze", lambda args: print("patched") or 0)
+    code, out, _ = run(["analyze", "1,1,1,1,1"], capsys)
+    assert (code, out) == (0, "patched\n")
+    assert cli._parser is parser
+    # a parse error leaves the parser usable
+    assert run(["analyze"], capsys)[0] == 2
+    assert run(["stringy", "1,1,1,1,1", "--format", "json"], capsys)[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # scan
 

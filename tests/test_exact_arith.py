@@ -5,7 +5,7 @@ substitution on bivariate polynomials."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stringymirror import (
     BiPoly,
@@ -18,10 +18,14 @@ from stringymirror import (
     reynolds_factor_property,
 )
 from stringymirror.exact_arith import (
+    div_one_minus_tm,
     expand_factors,
     guard_override,
+    mul_one_minus_tm,
     poly_div_exact,
     poly_mul,
+    poly_strip,
+    rational_sum,
     series_to_rational,
 )
 from stringymirror.errors import (
@@ -51,6 +55,30 @@ def test_poly_div_exact_remainder_is_none():
 def test_expand_factors():
     assert expand_factors([(1, 2)]) == [1, -2, 1]
     assert expand_factors([(2, 1), (3, 1)]) == poly_mul([1, 0, -1], [1, 0, 0, -1])
+
+
+def _dense_one_minus_tm(m):
+    return [1] + [0] * (m - 1) + [-1]
+
+
+@HYP
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+    st.integers(1, 8),
+    st.booleans(),
+)
+@example([3], 1, False)  # len(a) <= m
+@example([1, 2, 3], 5, False)
+@example([1, 0, 1], 2, True)  # m < len(a) < 2m
+@example([1, -1], 1, False)
+def test_stride_division_matches_dense(coeffs, m, multiply):
+    # half the draws are multiples of 1 - t^m, so both outcomes are covered
+    a = poly_strip(mul_one_minus_tm(coeffs, m) if multiply else list(coeffs))
+    dense = _dense_one_minus_tm(m)
+    assert div_one_minus_tm(a, m) == poly_div_exact(a, dense)
+    assert poly_strip(mul_one_minus_tm(coeffs, m)) == poly_mul(coeffs, dense)
+    if multiply and any(coeffs):
+        assert div_one_minus_tm(a, m) == poly_strip(list(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +164,99 @@ def test_rational_ring_laws(a, b):
 @given(rationals())
 def test_inverse_substitution_is_involutive(r):
     assert r.inverse_substitution().inverse_substitution() == r
+
+
+@st.composite
+def peelable_rationals(draw):
+    """RationalTs built from a numerator that carries some denominator
+    factors, so the constructor peels."""
+    num = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    den = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 2)), max_size=3))
+    shared = draw(st.lists(st.sampled_from(den), max_size=2)) if den else []
+    return RationalT(poly_mul(num, expand_factors(shared)), draw(st.integers(-3, 6)), den)
+
+
+def _form(r):
+    return r.shift, r.num, r.den
+
+
+@HYP
+@given(peelable_rationals(), st.integers(-4, 4), st.integers(-5, 5).filter(bool))
+def test_form_preserving_ops_match_the_constructor(r, k, c):
+    sign = -1 if sum(e for _, e in r.den) % 2 else 1
+    deg = len(r.num) - 1
+    total_m = sum(m * e for m, e in r.den)
+    cases = [
+        (r.mul_tpower(k), RationalT(r.num, r.shift + k, r.den)),
+        (-r, RationalT([-x for x in r.num], r.shift, r.den)),
+        (r * c, RationalT([c * x for x in r.num], r.shift, r.den)),
+        (c * r, RationalT([c * x for x in r.num], r.shift, r.den)),
+        (
+            r.inverse_substitution(),
+            RationalT([sign * x for x in reversed(r.num)], total_m - r.shift - deg, r.den),
+        ),
+    ]
+    for fast, normalised in cases:
+        assert _form(fast) == _form(normalised)
+    assert _form(r * 0) == _form(RationalT.zero())
+
+
+@st.composite
+def summands(draw):
+    terms = draw(st.lists(peelable_rationals(), max_size=5))
+    # negated copies make partial sums cancel poles or vanish
+    for i in draw(st.lists(st.integers(0, 4), max_size=2)):
+        if i < len(terms):
+            terms.append(-terms[i] + draw(peelable_rationals()) * draw(st.integers(0, 1)))
+    return terms
+
+
+def _reference_add(a, b):
+    """a + b by dense arithmetic: both numerators over the union-max
+    denominator, added, then one pass of the normalising constructor."""
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() else a
+    union = dict(a.den)
+    for m, e in b.den:
+        union[m] = max(union.get(m, 0), e)
+    low = min(a.shift, b.shift)
+    total = []
+    for r in (a, b):
+        missing = [(m, e - dict(r.den).get(m, 0)) for m, e in union.items()]
+        num = [0] * (r.shift - low) + poly_mul(
+            r.num, expand_factors((m, e) for m, e in missing if e)
+        )
+        total = [x + y for x, y in zip(total + [0] * len(num), num + [0] * len(total))]
+    return RationalT(total, low, union.items())
+
+
+# enough draws to reach a partial sum that loses a factor
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(summands())
+def test_rational_sum_matches_fold(terms):
+    folded = RationalT.zero()
+    for r in terms:
+        folded = _reference_add(folded, r)
+    total = rational_sum(terms)
+    assert total == folded
+    assert _form(total) == _form(folded)
+    if len(terms) == 2:
+        assert _form(terms[0] + terms[1]) == _form(folded)
+
+
+def test_rational_sum_keeps_the_fold_form():
+    # 1/(1-t^2) - t^2/(1-t^2) = 1, then + 1/(1-t) gives (2 - t)/(1 - t); one
+    # peel over (1-t)(1-t^2) would give (1 + t)(2 - t)/(1 - t^2) instead
+    terms = [
+        RationalT([1], 0, [(2, 1)]),
+        RationalT([-1], 2, [(2, 1)]),
+        RationalT([1], 0, [(1, 1)]),
+    ]
+    one_peel = RationalT([2, 1, -1], 0, [(2, 1)])
+    assert _form(one_peel) == (0, (2, 1, -1), ((2, 1),))
+    assert _form(rational_sum(terms)) == (0, (2, -1), ((1, 1),))
+    assert rational_sum(terms) == one_peel
+    assert _form(rational_sum([])) == _form(RationalT.zero())
 
 
 # ---------------------------------------------------------------------------
