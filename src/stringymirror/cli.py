@@ -37,6 +37,8 @@ from .stringy import EFunction, hodge_table, stringy_e, stringy_e_per_l, stringy
 from .weights import (
     WeightVector,
     census,
+    class_index,
+    element_classes,
     ip_property,
     milnor_number,
     record_for,
@@ -291,9 +293,10 @@ def _cmd_stringy(args) -> int:
     require_ip(wv)
     payload = _row_payload(wv)
     if args.per_l:
-        payload["per_l"] = {
-            str(l): render_efunction(stringy_e_per_l(wv, l)) for l in range(wv.w)
-        }
+        # E^(l) depends on l only through its class: one rendering per class
+        classes = element_classes(wv)
+        rendered = [render_efunction(stringy_e_per_l(wv, c.first)) for c in classes]
+        payload["per_l"] = {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
     _emit_single(args, payload)
     return 0
 
@@ -310,9 +313,8 @@ def _cmd_orbifold(args) -> int:
     if tr:
         payload["vafa_poincare"] = render_bipoly(vafa_poincare(wv))
     if args.per_l:
-        payload["per_l"] = {
-            str(l): render_efunction(term) for l, term in orb.per_l_terms.items()
-        }
+        rendered = [render_efunction(orb.per_l_terms[c.first]) for c in element_classes(wv)]
+        payload["per_l"] = {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
     _emit_single(args, payload)
     return 0
 
@@ -326,13 +328,17 @@ def _cmd_mirror_check(args) -> int:
     payload["hodge_pairs_match"] = report.hodge_pairs_match
     if args.per_l:
         orb_terms = mirror_orbifold_e(wv).per_l_terms
+        failures = set(report.per_l_failures)
+        classes = element_classes(wv)
+        stringy_side = [render_efunction(stringy_e_per_l(wv, c.first)) for c in classes]
+        orbifold_side = [render_efunction(orb_terms[c.first]) for c in classes]
         payload["per_l"] = {
             str(l): {
-                "stringy": render_efunction(stringy_e_per_l(wv, l)),
-                "orbifold": render_efunction(orb_terms[l]),
-                "equal": l not in report.per_l_failures,
+                "stringy": stringy_side[c],
+                "orbifold": orbifold_side[c],
+                "equal": l not in failures,
             }
-            for l in range(wv.w)
+            for l, c in enumerate(class_index(wv))
         }
     _emit_single(args, payload)
     return 0

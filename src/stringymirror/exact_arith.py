@@ -15,13 +15,18 @@ functions, all exact (int / fractions.Fraction, never floats):
 * ``BiPoly``: a two-variable polynomial ``sum c * u**a * v**b`` as a map
   ``(a, b) -> c``.
 
+Every division by 1 - t**m is a stride-m running sum, ``accumulate`` over
+each residue class mod m: ``series_quotient`` for series (the orbifold
+sectors, and the stringy brackets through ``weights.lattice_counts``) and
+``div_one_minus_tm`` for exact polynomial division.  Multiplication by
+1 - t**m (``mul_one_minus_tm``) is one subtraction per coefficient.
+
 The normal form divides out each denominator factor (1 - t**m) that
-divides the numerator, smallest m first.  Division by 1 - t**m is a
-stride-m running sum (``div_one_minus_tm``), O(deg) with a one-``sum``
-reject when num(1) != 0.  Shifts, negation, multiplication by a nonzero
-int and t -> 1/t keep the form normal and skip the peeling; a sum of many
-terms (``rational_sum``) adds integer lists and peels the running sum, in
-the form the left fold of ``+`` gives.
+divides the numerator, smallest m first, by ``div_one_minus_tm``: O(deg),
+with a one-``sum`` reject when num(1) != 0.  Shifts, negation,
+multiplication by a nonzero int and t -> 1/t keep the form normal and skip
+the peeling; a sum of many terms (``rational_sum``) adds integer lists and
+peels the running sum, in the form the left fold of ``+`` gives.
 
 The averaging projector ``[.]_int`` keeps exactly the monomials of a FracPoly
 whose exponent is an integer; it equals the mean over the w-th roots of unity
@@ -147,12 +152,14 @@ def expand_factors(factors: Iterable[Factor]) -> List[int]:
 
 def series_quotient(num: Sequence[int], den: Iterable[Factor], n: int) -> List[int]:
     """First n+1 coefficients of num(t) / prod (1 - t**m)**e expanded at
-    t = 0: one prefix-sum pass with stride m per denominator factor."""
+    t = 0.  The one stride-m kernel for 1/(1 - t**m) series: h = g / (1 -
+    t**m) has h[i] = g[i] + h[i - m], a running sum ``accumulate`` over the
+    slice g[r::m] for each residue r < min(m, n + 1)."""
     g = list(num[: n + 1]) + [0] * max(0, n + 1 - len(num))
     for m, e in den:
         for _ in range(e):
-            for i in range(m, n + 1):
-                g[i] += g[i - m]
+            for r in range(min(m, n + 1)):
+                g[r::m] = accumulate(g[r::m])
     return g
 
 
@@ -163,20 +170,6 @@ def _merge_factors(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
             raise ValueError("denominator factors need m >= 1 and e >= 1")
         acc[m] = acc.get(m, 0) + e
     return tuple(sorted(acc.items()))
-
-
-def truncated_product(series: Sequence, dense: Sequence, n: int) -> List:
-    """First n+1 coefficients of series * dense."""
-    out = [0] * (n + 1)
-    support = [(j, c) for j, c in enumerate(dense) if c]
-    for i, s in enumerate(series):
-        if i > n:
-            break
-        if s:
-            for j, c in support:
-                if i + j <= n:
-                    out[i + j] += s * c
-    return out
 
 
 def _peel(coeffs: List[int], shift: int, facs: Dict[int, int]):
@@ -647,7 +640,8 @@ def series_to_rational(
 ) -> RationalT:
     """Certified reconstruction of sum series[k] t**k as P(t)/prod(1-t**m)**e.
 
-    P := series * denominator, truncated to the series length; every
+    P := series * denominator, one factor 1 - t**m at a time
+    (``mul_one_minus_tm``), truncated to the series length; every
     coefficient of P beyond num_bound acts as a guard residual and must be
     zero, else ReconstructionFailure.  The caller guarantees that the true
     numerator degree is at most num_bound and supplies enough terms.
@@ -659,8 +653,10 @@ def series_to_rational(
             f"need at least {num_bound + 2} series coefficients "
             f"(numerator bound {num_bound} plus a guard), got {n + 1}"
         )
-    dense = expand_factors(facs)
-    prod = truncated_product(series, dense, n)
+    prod = list(series)
+    for m, e in facs:
+        for _ in range(e):
+            prod = mul_one_minus_tm(prod, m)[: n + 1]
     bad = [k for k in range(num_bound + 1, n + 1) if prod[k]]
     if bad:
         raise ReconstructionFailure(

@@ -55,13 +55,13 @@ from .exact_arith import (
 )
 from .face_epoly import face_e
 from .weights import (
+    VectorRecord,
     WeightVector,
     _check_subset,
-    class_index,
-    element_classes,
+    _classified,
+    ip_record,
     lattice_counts,
     record,
-    require_ip,
 )
 
 # ---------------------------------------------------------------------------
@@ -221,9 +221,9 @@ class StringyHalf(NamedTuple):
     twisted: Dict[int, RationalT]
 
 
-def _stringy(wv: WeightVector) -> StringyHalf:
-    """The stringy half of wv's record, built on first use."""
-    rec = record(wv)
+def _stringy(rec: VectorRecord) -> StringyHalf:
+    """The stringy half of a vector's record, built on first use."""
+    wv = rec.wv
     if rec.stringy is None:
         weighted = {
             mask: bracket(wv, _members(mask)).mul_poly(
@@ -245,17 +245,15 @@ def _stringy(wv: WeightVector) -> StringyHalf:
 
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
-    require_ip(wv)
     return {
         frozenset(_members(mask)): _term(wv, mask, base)
-        for mask, base in _stringy(wv).weighted.items()
+        for mask, base in _stringy(ip_record(wv)).weighted.items()
     }
 
 
 def stringy_e(wv: WeightVector) -> EFunction:
     """Stringy E-function of the mirror hypersurface."""
-    require_ip(wv)
-    return _stringy(wv).total
+    return _stringy(ip_record(wv)).total
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +289,15 @@ def _twisted_component(
 def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     """The contribution E^(l) of a single group element to E_str; summing
     over all l in Z/wZ recovers ``stringy_e``.  It depends on l only
-    through l's element class."""
-    require_ip(wv)
+    through l's element class.  The verdict, the classes and the stringy
+    half come from one lookup of wv's record."""
+    rec = ip_record(wv)
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
-    half = _stringy(wv)
+    half = _stringy(rec)
     if l == 0:
         return half.untwisted
-    c = element_classes(wv)[class_index(wv)[l]]
+    c = _classified(rec).classes[rec.class_of[l]]
     support = sum(1 << i for i in c.support)
     r = half.twisted.get(support)
     if r is None:

@@ -11,7 +11,11 @@ element we record
     size(l) = #{ i : theta~_i(l) != 0 }  = age(l) + age(w - l)  for l != 0.
 
 Well-formedness forces size(l) >= 2 and 1 <= age(l) <= size(l) - 1 for all
-l != 0.
+l != 0.  Every per-element formula depends on l only through its support
+{i : theta~_i(l) != 0}, age and size, so the elements are grouped into
+classes (``element_classes``), computed in integers: the phase w theta~_i(l)
+is l w_i mod w and the age is the phase sum divided by w.  ``element`` keeps
+the ``Fraction`` phases for single elements.
 
 ``lattice_counts`` counts monomials of degree k*w supported exactly off a
 given index subset; ``transverse`` is the standard monomial-existence
@@ -34,9 +38,10 @@ serves a search for an affinely spanning set of points along integer
 directions orthogonal to the span so far, and the exact separation step of
 a column generation over the points found.  Its LP is a revised simplex in
 plain integers: it starts from the feasible basis the spanning search
-already found, so there is no phase 1, and one fraction-free Gauss-Jordan
-elimination gives both its scaled basis inverses and the orthogonal
-directions.  The IP test uses neither floats nor fractions.
+already found, so there is no phase 1.  Fraction-free Gauss-Jordan
+elimination gives both its first scaled basis inverse and the orthogonal
+directions, and each pivot updates that inverse by one exact step.  The
+IP test uses neither floats nor fractions.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
@@ -57,7 +62,7 @@ from .errors import (
     NotWellFormed,
     OutOfRange,
 )
-from .exact_arith import RationalT, expand_factors, guard_override
+from .exact_arith import RationalT, expand_factors, guard_override, series_quotient
 
 # ---------------------------------------------------------------------------
 # the weight vector itself
@@ -189,35 +194,48 @@ class ElementClass(NamedTuple):
     first: int
 
 
-def _classify(wv: WeightVector) -> VectorRecord:
-    """wv's record with its element classes and the class of each l."""
-    rec = record(wv)
+def _classified(rec: VectorRecord) -> VectorRecord:
+    """rec with its element classes and the class of each l, in integers:
+    the phase l * w_i % w is w theta~_i(l), and the class key is (support
+    bitmask, age = phase sum // w), built a weight at a time."""
     if rec.classes is None:
-        first: Dict[Tuple[FrozenSet[int], int, int], int] = {}
-        keys = []
-        for l in range(wv.w):
-            el = element(wv, l)
-            support = frozenset(i for i, q in enumerate(el.theta_tilde) if q)
-            keys.append((support, el.age, el.size))
-            first.setdefault(keys[-1], l)
+        ws = rec.wv.weights
+        w = rec.wv.w
+        phases = [[l * wi % w for l in range(w)] for wi in ws]
+        bits = [[1 << i if p else 0 for p in col] for i, col in enumerate(phases)]
+        totals = list(map(sum, zip(*phases)))
+        bad = next((l for l, t in enumerate(totals) if t % w), None)
+        if bad is not None:
+            age = Fraction(totals[bad], w)
+            raise InconsistentCensus(
+                f"element {bad} of {rec.wv} has a non-integral age {age}"
+            )
+        keys = list(zip(map(sum, zip(*bits)), (t // w for t in totals)))
+        index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
         count = Counter(keys)
-        index = {key: c for c, key in enumerate(first)}
         rec.classes = tuple(
-            ElementClass(*key, count[key], l) for key, l in first.items()
+            ElementClass(
+                _bit_set(mask), age, mask.bit_count(), count[mask, age], keys.index((mask, age))
+            )
+            for mask, age in index
         )
-        rec.class_of = tuple(index[key] for key in keys)
+        rec.class_of = tuple(map(index.__getitem__, keys))
     return rec
+
+
+def _bit_set(mask: int) -> FrozenSet[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def element_classes(wv: WeightVector) -> Tuple[ElementClass, ...]:
     """Z/wZ grouped by (support, age, size), in the order of each class's
     smallest element; the first class is {0}."""
-    return _classify(wv).classes
+    return _classified(record(wv)).classes
 
 
 def class_index(wv: WeightVector) -> Tuple[int, ...]:
     """The class of each l in Z/wZ, as an index into ``element_classes``."""
-    return _classify(wv).class_of
+    return _classified(record(wv)).class_of
 
 
 def census(wv: WeightVector) -> Counter:
@@ -263,7 +281,9 @@ def subgroup(wv: WeightVector, J: Iterable[int]) -> FaceSubgroup:
 
 def lattice_counts(wv: WeightVector, J: Iterable[int], K: int) -> Tuple[int, ...]:
     """N_J(k) for k = 1..K: solutions of sum w_i u_i = k*w with u_j = 0
-    exactly for j in J (all other coordinates strictly positive)."""
+    exactly for j in J (all other coordinates strictly positive): the
+    coefficients of 1 / prod_{i not in J} (1 - t**w_i) at k*w - sum of those
+    w_i, by one ``series_quotient`` call."""
     if K < 1:
         raise OutOfRange("K must be >= 1")
     Jf = _check_subset(wv, J)
@@ -276,11 +296,7 @@ def lattice_counts(wv: WeightVector, J: Iterable[int], K: int) -> Tuple[int, ...
     top = K * w - base
     if top < 0:
         return (0,) * K
-    dp = [0] * (top + 1)
-    dp[0] = 1
-    for c in coins:
-        for i in range(c, top + 1):
-            dp[i] += dp[i - c]
+    dp = series_quotient([1], [(c, 1) for c in coins], top)
     return tuple(
         dp[k * w - base] if k * w >= base else 0 for k in range(1, K + 1)
     )
@@ -456,17 +472,18 @@ def _simplex_max(
     from the basis of the first len(b) columns, whose basic solution must be
     feasible (there is no phase 1).
 
-    Each iteration rebuilds A = D B^-1 (D > 0) with ``_scaled_inverse``, so
-    D x_B = A b, the dual D y = c_B A and the entering direction D B^-1 a_j
-    are integer vectors, and the ratio test compares cross products.
+    It keeps A = D B^-1 with D = |det B| > 0, so D x_B = A b, the dual
+    D y = c_B A and the entering direction D B^-1 a_j are integer vectors,
+    and the ratio test compares cross products.  ``_scaled_inverse`` gives
+    the first (A, D); each pivot updates it (``_pivot_inverse``).
     Returns (D * value, D * y) for the final D: y is an exact optimal dual,
     y.cols[j] >= obj[j] for all j.  A singular basis or an unbounded LP
     raises InconsistentLP.
     """
     m = len(b)
     basis = list(range(m))
+    A, D = _scaled_inverse([[cols[j][r] for j in basis] for r in range(m)])
     while True:
-        A, D = _scaled_inverse([[cols[j][r] for j in basis] for r in range(m)])
         x = [_dot(row, b) for row in A]
         cb = [obj[j] for j in basis]
         y = [_dot(cb, col) for col in zip(*A)]
@@ -494,7 +511,23 @@ def _simplex_max(
                 leave = i
         if leave < 0:
             raise InconsistentLP("LP unbounded")
+        A, D = _pivot_inverse(A, D, a, leave)
         basis[leave] = enter
+
+
+def _pivot_inverse(
+    A: List[List[int]], D: int, a: Sequence[int], leave: int
+) -> Tuple[List[List[int]], int]:
+    """(A', D') = D' B'^-1 after column ``leave`` of B is replaced by c,
+    given A = D B^-1, a = A c and p = a[leave] > 0.  By Cramer's rule
+    D' = p = |det B'|, the leaving row stays and every other row is
+    (p A[i] - a[i] A[leave]) / D, exact since A' is an adjugate up to sign."""
+    p = a[leave]
+    top = A[leave]
+    return [
+        row if i == leave else [(p * u - a[i] * v) // D for u, v in zip(row, top)]
+        for i, row in enumerate(A)
+    ], p
 
 
 def _add_column(V: List[Tuple[int, ...]], u: Tuple[int, ...]):
@@ -541,7 +574,10 @@ def ip_property(wv: WeightVector) -> bool:
        independent points) is a basis, and since z is one of them x = e_0
        is feasible.  Every run starts there.
     """
-    rec = record(wv)
+    return _ip_verdict(record(wv))
+
+
+def _ip_verdict(rec: VectorRecord) -> bool:
     if rec.ip is None:
         rec.ip = _interior(rec)
     return rec.ip
@@ -587,6 +623,15 @@ def require_ip(wv: WeightVector) -> None:
     """Raise NotIP unless wv has the IP property (no mirror otherwise)."""
     if not ip_property(wv):
         raise NotIP(f"{wv} fails the IP property; no mirror construction")
+
+
+def ip_record(wv: WeightVector) -> VectorRecord:
+    """wv's record after the check of ``require_ip``: one lookup serves the
+    verdict and whatever the caller reads from the record next."""
+    rec = record(wv)
+    if not _ip_verdict(rec):
+        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+    return rec
 
 
 # ---------------------------------------------------------------------------

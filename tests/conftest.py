@@ -12,7 +12,9 @@ transversality criterion with one list-of-booleans reachability DP per index
 subset, the reference for the big-int reach sets ``transverse`` reads.
 ``slow_face_e``, ``slow_psi``, ``slow_census``, ``slow_vafa_euler`` and
 ``slow_mirror_orbifold_e`` loop over every group element l, one at a time,
-the references for the sums over element classes.
+the references for the sums over element classes.  ``slow_series_quotient``
+and ``slow_lattice_counts`` are the per-coefficient loops that the
+stride-m kernel ``exact_arith.series_quotient`` replaced.
 """
 
 import random
@@ -457,3 +459,39 @@ def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
         per[l] = ef
         total = total + ef
     return total, per
+
+
+# ---------------------------------------------------------------------------
+# per-coefficient loops: the references for the stride-m kernel
+
+
+def slow_series_quotient(num, den, n):
+    """First n+1 coefficients of num(t) / prod (1 - t**m)**e expanded at
+    t = 0: one prefix-sum pass with stride m per denominator factor."""
+    g = list(num[: n + 1]) + [0] * max(0, n + 1 - len(num))
+    for m, e in den:
+        for _ in range(e):
+            for i in range(m, n + 1):
+                g[i] += g[i - m]
+    return g
+
+
+def slow_lattice_counts(wv, J, K):
+    """N_J(k) for k = 1..K by a knapsack DP with one pass per coin."""
+    Jf = frozenset(J)
+    w = wv.w
+    coins = [wv.weights[j] for j in wv.indices() if j not in Jf]
+    if not coins:
+        return (0,) * K
+    base = sum(coins)
+    top = K * w - base
+    if top < 0:
+        return (0,) * K
+    dp = [0] * (top + 1)
+    dp[0] = 1
+    for c in coins:
+        for i in range(c, top + 1):
+            dp[i] += dp[i - c]
+    return tuple(
+        dp[k * w - base] if k * w >= base else 0 for k in range(1, K + 1)
+    )

@@ -2,6 +2,8 @@
 strings, exit codes, the scan stream, and the guard-band override."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -9,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +352,47 @@ def test_mirror_check_verifies_once(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify", lambda wv: calls.append(wv) or real(wv))
     assert run(["mirror-check", "1,1,1,1,1", "--per-l"], capsys)[0] == 0
     assert len(calls) == 1
+
+
+HIGH_DEGREE = "1,42,258,602,903"  # w = 1806, 33 element classes
+
+
+def test_per_l_renders_once_per_element_class(capsys, monkeypatch):
+    calls = []
+    real = cli.render_efunction
+    monkeypatch.setattr(cli, "render_efunction", lambda e: calls.append(e) or real(e))
+    assert run(["mirror-check", "--per-l", HIGH_DEGREE], capsys)[0] == 0
+    classes = weights.element_classes(weights.validate(map(int, HIGH_DEGREE.split(","))))
+    assert len(classes) == 33
+    # E_str once, then the stringy and orbifold sides once per class
+    assert len(calls) <= 2 * len(classes) + 1
+
+
+def test_per_l_equal_follows_the_failures_of_a_whole_class(capsys, monkeypatch):
+    wv = weights.validate((1, 5, 12, 18))
+    real = cli.verify
+    members = [l for l, c in enumerate(weights.class_index(wv)) if c == 3]
+    assert len(members) > 1
+
+    def failing(wv):
+        return dataclasses.replace(real(wv), per_l_failures=tuple(members))
+
+    monkeypatch.setattr(cli, "verify", failing)
+    code, out, _ = run(["mirror-check", "1,5,12,18", "--per-l", "--format", "json"], capsys)
+    assert code == 0
+    per_l = json.loads(out)["per_l"]
+    assert sorted(int(l) for l, entry in per_l.items() if not entry["equal"]) == members
+    assert len(per_l) == wv.w
+
+
+def test_high_degree_stdout_matches_the_benchmark_reference(capsys):
+    # the high_degree workload's stdout, byte for byte, against its digest
+    # in the benchmark's output reference
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["scans"]["high_degree"]
+    code, out, _ = run(["mirror-check", "--per-l", "--format", "json", HIGH_DEGREE], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
 def test_parser_reused_and_handlers_looked_up_per_call(capsys, monkeypatch):

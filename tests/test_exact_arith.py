@@ -26,6 +26,7 @@ from stringymirror.exact_arith import (
     poly_mul,
     poly_strip,
     rational_sum,
+    series_quotient,
     series_to_rational,
 )
 from stringymirror.errors import (
@@ -34,6 +35,8 @@ from stringymirror.errors import (
     PoleAtOne,
     ReconstructionFailure,
 )
+
+from conftest import slow_series_quotient
 
 HYP = settings(deadline=None, derandomize=True, max_examples=60)
 
@@ -79,6 +82,20 @@ def test_stride_division_matches_dense(coeffs, m, multiply):
     assert poly_strip(mul_one_minus_tm(coeffs, m)) == poly_mul(coeffs, dense)
     if multiply and any(coeffs):
         assert div_one_minus_tm(a, m) == poly_strip(list(coeffs))
+
+
+@HYP
+@given(
+    st.lists(st.integers(-5, 5), max_size=14),
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), max_size=4),
+    st.integers(0, 10),
+)
+@example([1], [(12, 1)], 4)  # m > n: the factor leaves the series alone
+@example([2, -1], [(3, 3), (1, 2)], 9)  # e > 1
+@example(list(range(1, 15)), [(2, 1)], 5)  # len(num) > n + 1
+@example([], [(1, 1)], 0)
+def test_series_quotient_matches_per_coefficient_loop(num, den, n):
+    assert series_quotient(num, den, n) == slow_series_quotient(num, den, n)
 
 
 # ---------------------------------------------------------------------------

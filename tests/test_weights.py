@@ -36,6 +36,7 @@ from conftest import (
     ascending_tuples,
     enumerated_counts,
     slow_ip_property,
+    slow_lattice_counts,
     slow_transverse,
 )
 
@@ -239,6 +240,13 @@ def test_lattice_counts_against_enumeration(ws, J):
     )
 
 
+@pytest.mark.parametrize("J", [(), (0,), (1, 3), (2, 3, 4), (0, 1, 2, 3)])
+def test_lattice_counts_high_degree_matches_per_coin_dp(J):
+    # w = 1806: the stride kernel against the per-coin DP it replaced
+    wv = validate((1, 42, 258, 602, 903))
+    assert lattice_counts(wv, J, 6) == slow_lattice_counts(wv, J, 6)
+
+
 # ---------------------------------------------------------------------------
 # interior point property
 
@@ -405,6 +413,30 @@ def test_scaled_inverse_is_exact(B):
     assert D == abs(det)  # the integers are minors of B: no growth past det
     assert _matmul(B, A) == identity
     assert _matmul(A, B) == identity
+
+
+@HYP
+@given(
+    st.integers(1, 5).flatmap(lambda m: st.tuples(_int_rows(m, m, m), _int_rows(m, 1, 4))),
+    st.lists(st.integers(0, 4), min_size=4, max_size=4),
+)
+def test_pivot_update_keeps_the_scaled_inverse(case, picks):
+    # a chain of pivots: after each, the (A, D) kept by one-pivot updates
+    # equals _scaled_inverse of the new basis, entry for entry
+    B, entering = case
+    assume(_det(B))
+    A, D = weights._scaled_inverse(B)
+    B = [list(row) for row in B]
+    for col, pick in zip(entering, picks):
+        a = [sum(x * c for x, c in zip(row, col)) for row in A]
+        positive = [i for i, ai in enumerate(a) if ai > 0]
+        if not positive:  # the ratio test picks a positive entry only
+            continue
+        leave = positive[pick % len(positive)]
+        A, D = weights._pivot_inverse(A, D, a, leave)
+        for r, c in enumerate(col):
+            B[r][leave] = c
+        assert (A, D) == weights._scaled_inverse(B)
 
 
 @HYP
