@@ -41,7 +41,7 @@ from .weights import (
     element_classes,
     ip_property,
     milnor_number,
-    record_for,
+    record,
     require_ip,
     transverse,
     validate,
@@ -179,9 +179,12 @@ def _row_payload(wv: WeightVector, report: Optional[VerificationReport] = None) 
     dim = wv.d - 1
     s = stringy_e(wv)
     poly = s.is_polynomial()
-    mirror_check = "n/a"
-    if report is not None:
+    if report is None:
+        mirror_check = "n/a"
+        euler_str, euler_orb = stringy_euler(wv), vafa_euler(wv)
+    else:
         mirror_check = "pass" if report.passed else "fail"
+        euler_str, euler_orb = report.euler_stringy, report.euler_orbifold
     payload = {
         "weights": list(wv.weights),
         "w": wv.w,
@@ -190,8 +193,8 @@ def _row_payload(wv: WeightVector, report: Optional[VerificationReport] = None) 
         "stringy_polynomial": poly,
         "e_str": render_efunction(s),
         "hodge": _hodge_grid(s, dim),
-        "euler_str": str(stringy_euler(wv)),
-        "euler_orb": str(vafa_euler(wv)),
+        "euler_str": str(euler_str),
+        "euler_orb": str(euler_orb),
         "mirror_check": mirror_check,
         "untwisted_limit": str(stringy_e_per_l(wv, 0).value_at_one()),
     }
@@ -382,7 +385,7 @@ def _ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
             wv = validate(tup)
         except NotWellFormed:
             continue
-        record_for.cache_clear()
+        record.cache_clear()
         if ip_property(wv):
             yield wv
 

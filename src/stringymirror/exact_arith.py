@@ -16,8 +16,7 @@ functions, all exact (int / fractions.Fraction, never floats):
   ``(a, b) -> c``.
 
 Every division by 1 - t**m is a stride-m running sum, ``accumulate`` over
-each residue class mod m: ``series_quotient`` for series (the orbifold
-sectors, and the stringy brackets through ``weights.lattice_counts``) and
+each residue class mod m: ``series_quotient`` for series and
 ``div_one_minus_tm`` for exact polynomial division.  Multiplication by
 1 - t**m (``mul_one_minus_tm``) is one subtraction per coefficient.
 
@@ -33,25 +32,30 @@ whose exponent is an integer; it equals the mean over the w-th roots of unity
 substituted for t**(1/w), which is what makes it commute with multiplication
 by integral polynomials (``reynolds_factor_property``).
 
-``rational_from_counts`` turns a finite run of series coefficients with a
-known denominator into a certified RationalT: the numerator must terminate
-within the denominator degree bound and every guard-band coefficient past it
-must vanish, otherwise ReconstructionFailure is raised.  The guard band can
-be overridden through the MIRROR_STRINGY_GUARD environment variable.
+``multisection`` is the one route from a rational function of s = t**(1/w)
+to the rational function of t made of every w-th coefficient: both the
+stringy brackets and the orbifold sectors are such projections.  It is
+exact: each denominator factor 1 - s**c divides some 1 - t**m, so clearing
+them leaves a polynomial numerator to split by residue mod w.
+
+``rational_from_counts`` and ``series_to_rational`` turn a finite run of
+series coefficients with a known denominator into a certified RationalT:
+the numerator must terminate within the degree bound and every guard-band
+coefficient past it must vanish, otherwise ReconstructionFailure is raised.
+The pipelines do not use them; they are the reference for ``multisection``.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
+from math import gcd
 from operator import add, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     NegativeExponent,
     NotPolynomial,
-    OutOfRange,
     PoleAtOne,
     ReconstructionFailure,
 )
@@ -615,24 +619,27 @@ def reynolds_factor_property(p: FracPoly, q: FracPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# certified reconstruction and limits
+# multisection, certified reconstruction and limits
 
 
-def guard_override() -> Optional[int]:
-    """The validated MIRROR_STRINGY_GUARD width, or None when it is unset.
+def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) -> RationalT:
+    """sum over k of c[k w + offset] t**k, where c[e] is the coefficient of
+    s**e in num(s) / prod (1 - s**c) over the coins c (zero for e < 0), as
+    a rational function of t = s**w.
 
-    Read at each lookup of a vector's record (``weights.record``), whose key
-    it is part of, so every reconstruction stored there used this width."""
-    raw = os.environ.get("MIRROR_STRINGY_GUARD")
-    if raw is None:
-        return None
-    try:
-        g = int(raw)
-    except ValueError:
-        raise OutOfRange(f"MIRROR_STRINGY_GUARD must be an integer, got {raw!r}")
-    if g < 1:
-        raise OutOfRange("MIRROR_STRINGY_GUARD must be >= 1")
-    return g
+    With m = c / gcd(c, w), 1 - s**c divides 1 - s**(m w) = 1 - t**m, so
+    P = num * prod (1 - s**(m w)) / prod (1 - s**c) is a polynomial and the
+    series is P / prod (1 - t**m).  With r = offset mod w, the coefficients
+    at e = r + j w are those of P[r::w](t) / prod (1 - t**m), and e = r + j w
+    is k = j + (r - offset) / w.
+    """
+    ms = [c // gcd(c, w) for c in coins]
+    P = num
+    for m in ms:
+        P = mul_one_minus_tm(P, m * w)
+    P = series_quotient(P, [(c, 1) for c in coins], len(P) - 1 - sum(coins))
+    r = offset % w
+    return RationalT(P[r::w], (r - offset) // w, [(m, 1) for m in ms])
 
 
 def series_to_rational(
@@ -683,8 +690,8 @@ def limit_at_one(r: RationalT) -> Fraction:
     """Exact limit of r at t = 1; PoleAtOne when the limit is infinite.
 
     Each denominator factor is (1 - t**m) = (1 - t)(1 + ... + t**(m-1)); the
-    numerator is divided by (1 - t) once per factor (prefix sums, exact iff
-    num(1) = 0) and what remains is evaluated at 1.
+    numerator is divided by (1 - t) once per factor (``div_one_minus_tm``)
+    and what remains is evaluated at 1.
     """
     if r.is_zero():
         return Fraction(0)
@@ -693,14 +700,9 @@ def limit_at_one(r: RationalT) -> Fraction:
     for m, e in r.den:
         scale /= Fraction(m) ** e
     for _ in range(r.pole_order_at_one()):
-        if sum(num) != 0:
+        num = div_one_minus_tm(num, 1)
+        if num is None:
             raise PoleAtOne(f"{r!r} has a pole at t = 1")
-        acc = 0
-        quot = []
-        for c in num[:-1]:
-            acc += c
-            quot.append(acc)
-        num = quot or [0]
     return Fraction(sum(num)) * scale
 
 

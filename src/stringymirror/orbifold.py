@@ -30,14 +30,11 @@ fixed by l.  Three related objects are computed:
   The projected product depends only on Z(l).  With s = t^(1/w) it equals
   [ s^a U_l(s) ]_int, a = sum_{i in Z} w_i.
 
-Both rational projections go through one multisection helper: it expands
-U_l as a series in s (``exact_arith.series_quotient``), keeps the
-coefficients at the exponents k w + offset, and recovers sum_k c t^k by
-certified reconstruction with denominator prod (1 - t^(m_i)),
-m_i = w_i / gcd(w_i, w), and numerator degree bound sum m_i + |Z| (the
-multisection can raise the degree past the naive bound by one per factor).
-``mirror_orbifold_e`` uses the offset -a; the non-polynomial sectors of the
-Poincare-style route use the offset sum_{i not in Z} w_i mod w.
+Both rational projections are multisections of U_l: sum_k c_{k w + offset}
+t^k over the coefficients c_e of U_l in s, an exact rational function of t
+(``exact_arith.multisection``).  ``mirror_orbifold_e`` uses the offset -a;
+the non-polynomial sectors of the Poincare-style route use the offset
+sum_{i not in Z} w_i mod w.
 
 ``q_identity_check`` verifies, element by element, that the Poincare-style
 route (fractional exponents over 2w, no signs) times (-1)^size equals the
@@ -47,8 +44,7 @@ self-test of the fractional-exponent algebra, not a mirror statement.
 Every sum over Z/wZ runs over the element classes of ``weights``: a term
 depends on l only through Z(l), age and size.  The sector terms and their
 total are kept in the orbifold half of the vector's record
-(``weights.record``), which is keyed by the guard-band width
-(MIRROR_STRINGY_GUARD) its reconstructions used.
+(``weights.record``).
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import InconsistentSector, NonIntegerCoefficient
@@ -67,13 +62,11 @@ from .exact_arith import (
     RationalT,
     expand_factors,
     integral_project,
+    multisection,
     poly_div_exact,
-    series_quotient,
-    series_to_rational,
 )
 from .stringy import EFunction, efunction_from_bipoly
 from .weights import (
-    VectorRecord,
     WeightVector,
     class_index,
     element,
@@ -116,20 +109,11 @@ def _sector_factors(wv: WeightVector, zero: FrozenSet[int]) -> Tuple[List[Factor
     return [(wv.w - wi, 1) for wi in ws], [(wi, 1) for wi in ws]
 
 
-def _multisection(rec: VectorRecord, zero: FrozenSet[int], offset: int) -> RationalT:
+def _multisection(wv: WeightVector, zero: FrozenSet[int], offset: int) -> RationalT:
     """sum_k c_{k w + offset} t^k for the coefficients c_e of U_l in s (zero
-    at negative e), by certified reconstruction with denominator
-    prod (1 - t^(m_i)), m_i = w_i / gcd(w_i, w), and numerator degree bound
-    sum m_i + |Z|."""
-    wv = rec.wv
-    w = wv.w
-    ms = sorted(wv.weights[i] // gcd(wv.weights[i], w) for i in zero)
-    bound = sum(ms) + len(zero)
-    top = (bound + (rec.guard or sum(ms))) * w + offset
+    at negative e)."""
     num, den = _sector_factors(wv, zero)
-    series = series_quotient(expand_factors(num), den, top)
-    coeffs = tuple(series[e] if e >= 0 else 0 for e in range(offset, top + 1, w))
-    return series_to_rational(coeffs, [(m, 1) for m in ms], bound)
+    return multisection(expand_factors(num), [c for c, _ in den], wv.w, offset)
 
 
 def _sector_bipoly(wv: WeightVector, l: int) -> Optional[BiPoly]:
@@ -190,12 +174,10 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
 # the mirror-side orbifold E-function
 
 
-def _projected_sector(rec: VectorRecord, zero: FrozenSet[int]) -> RationalT:
+def _projected_sector(wv: WeightVector, zero: FrozenSet[int]) -> RationalT:
     """[ prod_{i in Z} ((uv)^{q_i} - uv) / (1 - (uv)^{q_i}) ]_int as a
     rational function of t = uv: the multisection of U_l at offset -a."""
-    if not zero:
-        return RationalT.one()
-    return _multisection(rec, zero, -sum(rec.wv.weights[i] for i in zero))
+    return _multisection(wv, zero, -sum(wv.weights[i] for i in zero))
 
 
 @dataclass(frozen=True)
@@ -224,7 +206,7 @@ def _orbifold(wv: WeightVector) -> OrbifoldHalf:
         for c in element_classes(wv):
             zero = frozenset(wv.indices()) - c.support
             if zero not in projected:
-                projected[zero] = _projected_sector(rec, zero)
+                projected[zero] = _projected_sector(wv, zero)
             B = projected[zero]
             if c.support:
                 sign = -1 if c.size % 2 else 1
@@ -249,10 +231,9 @@ def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
 # structural identity between the two sector forms
 
 
-def _sector_efunction_direct(rec: VectorRecord, l: int) -> EFunction:
+def _sector_efunction_direct(wv: WeightVector, l: int) -> EFunction:
     """Project U_l (or its full rational series) against the twisted
     monomial, fractional exponents carried over 2w."""
-    wv = rec.wv
     el = element(wv, l)
     zero = frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
     w = wv.w
@@ -262,7 +243,7 @@ def _sector_efunction_direct(rec: VectorRecord, l: int) -> EFunction:
     # rational sector: multisection at the offset forced by integrality
     twisted_sum = sum(wv.weights[i] for i in wv.indices() if i not in zero)
     e0 = twisted_sum % w
-    G = _multisection(rec, zero, e0)
+    G = _multisection(wv, zero, e0)
     alpha0 = Fraction(e0, w) + Fraction(el.size, 2) - Fraction(twisted_sum, w) \
         + el.age - Fraction(el.size, 2)
     beta0 = alpha0 - (2 * el.age - el.size)
@@ -278,9 +259,8 @@ def q_identity_check(wv: WeightVector) -> bool:
     orbifold sector sum: the direct projection, signed by (-1)^size, equals
     the s^a-twisted term of ``mirror_orbifold_e``.  Both depend on l only
     through its element class, so one l per class is checked."""
-    rec = record(wv)
     for c, term in zip(element_classes(wv), _orbifold(wv).terms):
-        direct = _sector_efunction_direct(rec, c.first)
+        direct = _sector_efunction_direct(wv, c.first)
         # term - (-1)^size * direct
         diff = term + direct if c.size % 2 else term - direct
         if not diff.is_zero():

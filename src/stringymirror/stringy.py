@@ -6,13 +6,13 @@ The mirror's stringy E-function is assembled face by face:
         E_J(u, v) * (uv - 1)^(d+1-|J|) * [ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int
 
 The projected product (the "bracket") is the generating function of the
-lattice counts N_J(k) in the variable t**-1 where t = uv: expanding each
-factor at t = infinity and keeping integer exponents gives
-sum_{k>=1} N_J(k) t**-k.  The implementation counts N_J(k) directly, builds
-the rational form in x = 1/t by certified reconstruction
-(denominator prod (1 - x**m_j), m_j = w_j / gcd(w_j, w)), and substitutes
-x = 1/t; the substitution is checked to invert exactly, and a mismatch
-raises InconsistentExpansion.
+lattice counts N_J(k) in the variable x = t**-1 where t = uv: expanding
+each factor at t = infinity and keeping integer exponents gives
+sum_{k>=1} N_J(k) x**k, the multisection of 1 / prod_{j not in J}
+(1 - s**w_j), s = x**(1/w), at the offset -sum_{j not in J} w_j.  It is
+computed exactly as a rational function of x (``exact_arith.multisection``)
+and x = 1/t substituted; the substitution is checked to invert exactly, and
+a mismatch raises InconsistentExpansion.
 
 Because every term is a polynomial in u/v times a rational function of
 t = uv, an ``EFunction`` stores a map (a, b) -> R(t) with min(a, b) = 0:
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import (
@@ -50,7 +50,7 @@ from .exact_arith import (
     BiPoly,
     RationalT,
     limit_at_one,
-    rational_from_counts,
+    multisection,
     rational_sum,
 )
 from .face_epoly import face_e
@@ -60,8 +60,6 @@ from .weights import (
     _check_subset,
     _classified,
     ip_record,
-    lattice_counts,
-    record,
 )
 
 # ---------------------------------------------------------------------------
@@ -153,24 +151,12 @@ def efunction_from_bipoly(dimension: int, p: BiPoly) -> EFunction:
 # brackets
 
 
-def _denominator_orders(wv: WeightVector, comp: List[int]) -> List[int]:
-    # (uv)^{q_j} has order m_j = w_j / gcd(w_j, w) as a root-of-unity twist:
-    # the projected series in x = t^{-1} repeats with period m_j per factor
-    return sorted(wv.weights[j] // gcd(wv.weights[j], wv.w) for j in comp)
-
-
 def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
     t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
     Jf = _check_subset(wv, J)
-    comp = [j for j in wv.indices() if j not in Jf]
-    if not comp:
-        return RationalT.one()
-    ms = _denominator_orders(wv, comp)
-    bound = sum(ms)
-    # guard: the MIRROR_STRINGY_GUARD width, None for one full period
-    counts = lattice_counts(wv, Jf, bound + (record(wv).guard or bound))
-    fx = rational_from_counts(counts, [(m, 1) for m in ms])
+    coins = [wv.weights[j] for j in wv.indices() if j not in Jf]
+    fx = multisection([1], coins, wv.w, -sum(coins))
     bt = fx.inverse_substitution()
     if bt.inverse_substitution() != fx:
         raise InconsistentExpansion(

@@ -62,7 +62,7 @@ from .errors import (
     NotWellFormed,
     OutOfRange,
 )
-from .exact_arith import RationalT, expand_factors, guard_override, series_quotient
+from .exact_arith import RationalT, expand_factors, series_quotient
 
 # ---------------------------------------------------------------------------
 # the weight vector itself
@@ -121,22 +121,21 @@ def validate(weights: Sequence[int]) -> WeightVector:
 # ---------------------------------------------------------------------------
 # the per-vector record
 
-# Records kept by ``record_for``.  A record with both halves built holds
-# about 25 KiB for five weights (tracemalloc, mean over the 353 IP vectors
-# with w <= 24).  A request reuses its vector's record as long as fewer than
-# this many other vectors were asked for in between.
+# Records kept by ``record``.  A record with both halves built holds about
+# 25 KiB for five weights (tracemalloc, mean over the 353 IP vectors with
+# w <= 24).  A request reuses its vector's record as long as fewer than this
+# many other vectors were asked for in between.
 RECORD_CACHE_SIZE = 1024
 
 
 @dataclass(eq=False)
 class VectorRecord:
-    """Everything computed for one weight vector under one guard width, each
-    part filled on first use.  The fields up to ``class_of`` are this
-    module's; ``stringy`` and ``orbifold`` hold the halves those modules
-    build, each from its own pipeline: neither half reads the other."""
+    """Everything computed for one weight vector, each part filled on first
+    use.  The fields up to ``class_of`` are this module's; ``stringy`` and
+    ``orbifold`` hold the halves those modules build, each from its own
+    pipeline: neither half reads the other."""
 
     wv: WeightVector
-    guard: Optional[int]
     reach: Optional[List[int]] = None
     ip: Optional[bool] = None
     transverse: Optional[bool] = None
@@ -147,15 +146,9 @@ class VectorRecord:
 
 
 @lru_cache(maxsize=RECORD_CACHE_SIZE)
-def record_for(wv: WeightVector, guard: Optional[int]) -> VectorRecord:
-    """The record cache: the least recently used record goes first."""
-    return VectorRecord(wv, guard)
-
-
 def record(wv: WeightVector) -> VectorRecord:
-    """wv's record under the current MIRROR_STRINGY_GUARD width: the width
-    is read here, once per lookup, and is part of the record's key."""
-    return record_for(wv, guard_override())
+    """wv's record; the least recently used record leaves the cache first."""
+    return VectorRecord(wv)
 
 
 # ---------------------------------------------------------------------------
@@ -621,13 +614,12 @@ def _interior(rec: VectorRecord) -> bool:
 
 def require_ip(wv: WeightVector) -> None:
     """Raise NotIP unless wv has the IP property (no mirror otherwise)."""
-    if not ip_property(wv):
-        raise NotIP(f"{wv} fails the IP property; no mirror construction")
+    ip_record(wv)
 
 
 def ip_record(wv: WeightVector) -> VectorRecord:
-    """wv's record after the check of ``require_ip``: one lookup serves the
-    verdict and whatever the caller reads from the record next."""
+    """wv's record, or NotIP unless wv has the IP property: one lookup
+    serves the verdict and whatever the caller reads from the record next."""
     rec = record(wv)
     if not _ip_verdict(rec):
         raise NotIP(f"{wv} fails the IP property; no mirror construction")

@@ -34,7 +34,6 @@ from stringymirror import (
     orbifold,
     subgroup,
     validate,
-    weights,
 )
 from stringymirror.errors import (
     DivisionNotExact,
@@ -438,7 +437,6 @@ def slow_vafa_euler(wv) -> Fraction:
 def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
     """(total, per-l terms) of (-u)^(d-1) E_orb(X; 1/u, v), adding the
     sector term of every l in turn; each zero set is projected once."""
-    rec = weights.record(wv)
     projected = {}
     per: Dict[int, EFunction] = {}
     total = EFunction(wv.d - 1, ())
@@ -446,7 +444,7 @@ def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
     zs = _zero_sets(wv)
     for l in range(wv.w):
         if zs[l] not in projected:
-            projected[zs[l]] = orbifold._projected_sector(rec, zs[l])
+            projected[zs[l]] = orbifold._projected_sector(wv, zs[l])
         B = projected[zs[l]]
         if l == 0:
             ef = EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])

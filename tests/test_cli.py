@@ -1,5 +1,5 @@
 """Command-line interface: payload correctness across formats, golden
-strings, exit codes, the scan stream, and the guard-band override."""
+strings, exit codes, the scan stream, and argument plumbing."""
 
 import csv
 import dataclasses
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import stringymirror
-from stringymirror import cli, exact_arith, face_epoly, stringy, weights
+from stringymirror import cli, exact_arith, face_epoly, weights
 from stringymirror.cli import main
 from stringymirror.errors import InconsistentCensus
 
@@ -225,7 +225,7 @@ def test_ip_oracle_inconsistency_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(
         weights, "_knapsack_min", lambda ws, cost: (sum(cost) - 1, (1,) * len(ws))
     )
-    weights.record_for.cache_clear()
+    weights.record.cache_clear()
     code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
     assert code == 4
     assert "internal error" in err and "already a column" in err
@@ -243,7 +243,7 @@ def test_ip_singular_start_basis_is_internal_error(capsys, monkeypatch):
         return sum(cost) - 1, plane[next(calls) // 2 % len(plane)]
 
     monkeypatch.setattr(weights, "_knapsack_min", oracle)
-    weights.record_for.cache_clear()
+    weights.record.cache_clear()
     code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
     assert code == 4
     assert "internal error" in err and "singular basis" in err
@@ -295,8 +295,8 @@ def test_internal_value_error_is_internal_error(capsys, monkeypatch):
     def short(*args):
         raise ValueError("need at least 9 series coefficients")
 
-    monkeypatch.setattr(exact_arith, "series_to_rational", short)
-    weights.record_for.cache_clear()
+    monkeypatch.setattr(exact_arith, "series_quotient", short)
+    weights.record.cache_clear()
     code, out, err = run(["stringy", "1,1,2,2,2"], capsys)
     assert code == 4
     assert out == ""
@@ -476,7 +476,7 @@ def test_scan_holds_one_record(capsys):
     # the next candidate is tested
     code, out, _ = run(["scan", "--dim", "4", "--wmax", "16", "--format", "json"], capsys)
     assert code == 0 and out
-    assert weights.record_for.cache_info().currsize <= 1
+    assert weights.record.cache_info().currsize <= 1
 
 
 def test_scan_empty_range(capsys):
@@ -505,47 +505,16 @@ def test_scan_bounds_checked(capsys):
 
 
 # ---------------------------------------------------------------------------
-# guard-band override and argument plumbing
+# argument plumbing
 
 
-def test_guard_override_still_exact(capsys, monkeypatch):
-    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "3")
+def test_guard_override_still_exact(capsys):
+    # the brackets are exact multisections, with no guard band to set
     code, out, _ = run(["stringy", "1,2,3", "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["e_str"] == "1 - u - v + u*v"
     assert payload["euler_str"] == "0"
-
-
-def test_guard_invalid_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "wide")
-    code, _, err = run(["stringy", "1,1,2", "--format", "json"], capsys)
-    assert code == 2
-    assert "MIRROR_STRINGY_GUARD" in err
-    # still rejected once the vector's results are cached
-    monkeypatch.delenv("MIRROR_STRINGY_GUARD")
-    assert run(["stringy", "1,1,2"], capsys)[0] == 0
-    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "wide")
-    assert run(["stringy", "1,1,2"], capsys)[0] == 2
-
-
-def test_guard_change_applies_to_cached_vector(capsys, monkeypatch):
-    # J = {0, 1} of (1,2,3): one coin of order 1, so K = 1 + guard counts
-    widths = []
-    real = stringy.lattice_counts
-
-    def spy(wv, J, K):
-        if wv.weights == (1, 2, 3) and set(J) == {0, 1}:
-            widths.append(K)
-        return real(wv, J, K)
-
-    monkeypatch.setattr(stringy, "lattice_counts", spy)
-    for guard in ("5", "6"):
-        monkeypatch.setenv("MIRROR_STRINGY_GUARD", guard)
-        code, out, _ = run(["stringy", "1,2,3", "--format", "json"], capsys)
-        assert code == 0
-        assert json.loads(out)["e_str"] == "1 - u - v + u*v"
-    assert widths == [6, 7]
 
 
 def test_missing_subcommand_is_usage_error(capsys):

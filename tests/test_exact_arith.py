@@ -3,6 +3,7 @@ integrality projector, certified reconstruction, limits, and the mirror
 substitution on bivariate polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,8 +21,8 @@ from stringymirror import (
 from stringymirror.exact_arith import (
     div_one_minus_tm,
     expand_factors,
-    guard_override,
     mul_one_minus_tm,
+    multisection,
     poly_div_exact,
     poly_mul,
     poly_strip,
@@ -31,7 +32,6 @@ from stringymirror.exact_arith import (
 )
 from stringymirror.errors import (
     NegativeExponent,
-    OutOfRange,
     PoleAtOne,
     ReconstructionFailure,
 )
@@ -381,17 +381,54 @@ def test_series_to_rational_roundtrip():
     assert rebuilt == r
 
 
-def test_guard_env_override(monkeypatch):
-    monkeypatch.delenv("MIRROR_STRINGY_GUARD", raising=False)
-    assert guard_override() is None
-    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "12")
-    assert guard_override() == 12
-    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "0")
-    with pytest.raises(OutOfRange):
-        guard_override()
-    monkeypatch.setenv("MIRROR_STRINGY_GUARD", "wide")
-    with pytest.raises(OutOfRange):
-        guard_override()
+# ---------------------------------------------------------------------------
+# the exact multisection kernel
+
+
+def reference_multisection(num, coins, w, offset):
+    """The truncated route: expand num(s) / prod (1 - s^c) by
+    ``series_quotient``, keep every w-th coefficient from e = offset mod w
+    and reconstruct over prod (1 - t^m), m = c / gcd(c, w), with a guard of
+    one full denominator period."""
+    ms = [c // gcd(c, w) for c in coins]
+    bound = sum(ms) + len(num)  # the numerator in t has degree <= deg(num)/w + sum(ms)
+    r = offset % w
+    top = r + (bound + max(1, sum(ms))) * w
+    series = series_quotient(num, [(c, 1) for c in coins], top)
+    rebuilt = series_to_rational(series[r::w], [(m, 1) for m in ms], bound)
+    return rebuilt.mul_tpower((r - offset) // w)
+
+
+@st.composite
+def multisection_cases(draw):
+    w = draw(st.integers(1, 12))
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    coins = draw(st.lists(st.integers(1, 2 * w), min_size=1, max_size=5))
+    offset = draw(st.integers(-w, 2 * w - 1))
+    return num, coins, w, offset
+
+
+@HYP
+@given(multisection_cases())
+# gcd(c, w) > 1 for every coin, with a nonzero shift either way of [0, w)
+@example(([2, -1, 3], [4, 6, 9], 12, -7))
+@example(([1, 0, -2], [2, 4], 8, 13))
+# coprime coins, offset at each end of the range
+@example(([1], [5, 7], 12, -12))
+@example(([3, 1], [1, 5, 7, 11, 13], 12, 23))
+def test_multisection_matches_truncated_reconstruction(case):
+    num, coins, w, offset = case
+    got = multisection(num, coins, w, offset)
+    want = reference_multisection(num, coins, w, offset)
+    assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den)
+
+
+def test_multisection_of_counts():
+    # 1 / (1 - s^2)(1 - s^3) at w = 6, offset -5: the multisection counts
+    # the solutions of 2a + 3b = 6k with a, b >= 1: k - 1 of them, so the
+    # sum is t^2 / (1 - t)^2
+    r = multisection([1], [2, 3], 6, -5)
+    assert (r.shift, r.num, r.den) == (2, (1,), ((1, 2),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+module reads the environment.
 
-A stdlib ``ast`` check, since the package has no linter.  ``__init__.py`` is
-exempt: its imports are the public re-exports.
+Stdlib ``ast`` checks, since the package has no linter.  ``__init__.py`` is
+exempt from the first: its imports are the public re-exports.  The second
+keeps the output a function of the CLI arguments alone: a setting read from
+``os.environ`` or ``os.getenv`` would be a knob that no flag shows.
 """
 
 import ast
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stringymirror"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 
 
 def _annotation_names(node):
@@ -51,3 +55,42 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(module):
     source = (PACKAGE / module).read_text()
     assert unused_imports(source) == []
+
+
+def environment_reads(source: str):
+    """(line, name) of every read of os.environ / os.getenv, also through
+    ``from os import ...`` or an alias of os."""
+    tree = ast.parse(source)
+    os_names = {"os"}
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            os_names |= {a.asname for a in node.names if a.name == "os" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            hits += [
+                (node.lineno, a.name) for a in node.names if a.name in ("environ", "getenv")
+            ]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+        ):
+            hits.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(hits)
+
+
+def test_checker_flags_environment_reads():
+    source = (
+        "import os\nimport os as system\nfrom os import getenv\n"
+        "a = os.environ.get('X')\nb = system.getenv('Y')\nc = os.path.sep\n"
+    )
+    assert environment_reads(source) == [
+        (3, "getenv"), (4, "os.environ"), (5, "system.getenv")
+    ]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_environment_reads(module):
+    assert environment_reads((PACKAGE / module).read_text()) == []

@@ -3,6 +3,7 @@ sum, the per-element decomposition, polynomiality, Hodge tables, and the
 stringy Euler number."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,9 @@ from stringymirror import (
     bracket,
     hodge_table,
     is_polynomial,
+    lattice_counts,
     limit_at_one,
+    rational_from_counts,
     stringy_e,
     stringy_e_per_l,
     stringy_euler,
@@ -34,6 +37,7 @@ QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
 OCTIC = (1, 1, 2, 2, 2)
 FERMAT_LIKE = (1, 1, 2, 4, 5)
+DEGREE_1806 = (1, 42, 258, 602, 903)
 
 K3_POLY = BiPoly({(0, 0): 1, (2, 0): 1, (1, 1): 20, (0, 2): 1, (2, 2): 1})
 OCTIC_POLY = BiPoly(
@@ -81,6 +85,23 @@ def test_bracket_reexpansion_matches_counts(ws):
         comp = [i for i in range(n) if not mask >> i & 1]
         back = bracket(wv, J).inverse_substitution()
         assert back.series(12)[1:] == series_counts(ws, comp, 12), J
+
+
+@pytest.mark.parametrize("ws", [DEGREE_1806, FERMAT_LIKE, K3])
+def test_bracket_matches_certified_counts(ws):
+    # every bracket with a nonempty complement, against the counts route:
+    # N_J(1..K) by ``lattice_counts``, reconstructed in x = 1/t over
+    # prod (1 - x^m_j), m_j = w_j / gcd(w_j, w), with a full-period guard,
+    # then x = 1/t; the normal forms must agree, not only the values
+    wv = validate(ws)
+    n = wv.d + 1
+    for mask in range((1 << n) - 1):
+        J = [i for i in range(n) if mask >> i & 1]
+        ms = [ws[i] // gcd(ws[i], wv.w) for i in range(n) if not mask >> i & 1]
+        counts = lattice_counts(wv, J, 2 * sum(ms))
+        want = rational_from_counts(counts, [(m, 1) for m in ms]).inverse_substitution()
+        got = bracket(wv, J)
+        assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), J
 
 
 # ---------------------------------------------------------------------------
