@@ -364,15 +364,20 @@ def _emit_single(args, payload: Dict) -> None:
                 print(f"  l={l}: {payload['per_l'][l]}")
 
 
-def _ascending_tuples(k: int, budget: int, start: int = 1) -> Iterator[Tuple[int, ...]]:
-    """Non-decreasing k-tuples with entries >= start and sum <= budget, in
-    lexicographic order."""
-    if k == 0:
-        yield ()
+def _ascending_tuples(
+    k: int, budget: int, start: int = 1, before: int = 0
+) -> Iterator[Tuple[int, ...]]:
+    """Non-decreasing k-tuples (k >= 1) with entries >= start and sum <=
+    budget whose last, largest entry is at most the sum of the others
+    (``before`` is the sum of the entries already placed in front), in
+    lexicographic order.  A larger last entry w_i has 2 w_i > w, which
+    ``ip_property`` rejects at its first step."""
+    if k == 1:
+        for v in range(start, min(budget, before) + 1):
+            yield (v,)
         return
-    top = budget // k
-    for v in range(start, top + 1):
-        for rest in _ascending_tuples(k - 1, budget - v, v):
+    for v in range(start, budget // k + 1):
+        for rest in _ascending_tuples(k - 1, budget - v, v, before + v):
             yield (v,) + rest
 
 

@@ -22,7 +22,8 @@ each residue class mod m: ``series_quotient`` for series and
 
 The normal form divides out each denominator factor (1 - t**m) that
 divides the numerator, smallest m first, by ``div_one_minus_tm``: O(deg),
-with a one-``sum`` reject when num(1) != 0.  Shifts, negation,
+with a one-``sum`` reject when num(1) != 0 and a reject at the first
+residue class mod m whose coefficients do not sum to zero.  Shifts, negation,
 multiplication by a nonzero int and t -> 1/t keep the form normal and skip
 the peeling; a sum of many terms (``rational_sum``) adds integer lists and
 peels the running sum, in the form the left fold of ``+`` gives.
@@ -36,7 +37,11 @@ by integral polynomials (``reynolds_factor_property``).
 to the rational function of t made of every w-th coefficient: both the
 stringy brackets and the orbifold sectors are such projections.  It is
 exact: each denominator factor 1 - s**c divides some 1 - t**m, so clearing
-them leaves a polynomial numerator to split by residue mod w.
+them leaves a polynomial numerator to split by residue mod w.  Clearing
+goes one coin at a time (``extend_cleared``) and the split is
+``cleared_section``, so a caller that needs the projections of many
+products sharing factors (the stringy brackets over the subset lattice)
+extends one cleared product per subset instead of rebuilding each.
 
 ``rational_from_counts`` and ``series_to_rational`` turn a finite run of
 series coefficients with a known denominator into a certified RationalT:
@@ -128,20 +133,22 @@ def div_one_minus_tm(a: Sequence[int], m: int) -> Optional[List[int]]:
     ``a`` must be stripped (no trailing zeros).  From a = (1 - t**m) q,
     q[i] = a[i] + q[i - m]: along each residue class mod m the quotient is
     a running sum of a, and the division is exact iff every class sums to
-    zero (a vanishes at each m-th root of unity).  Those class sums are the
-    running sums at the top m positions, so one pass of O(len(a)) additions
-    gives both the quotient and the remainder check.  When len(a) <= m the
-    checked positions include the top coefficient, which is nonzero.
+    zero (a vanishes at each m-th root of unity).  Those sums are tested
+    first, one class at a time, so a failing division stops at the first
+    nonzero class without building the quotient; the running sums at the
+    top m positions are then the (zero) class sums and are dropped.  When
+    len(a) <= m every class holds at most one coefficient, and the top one
+    is nonzero.
     """
     if sum(a):  # a(1) != 0: the root t = 1 of 1 - t**m is missing
         return None
-    n = len(a) - m
+    for r in range(1, m):  # with a(1) = 0, class 0 sums to zero with these
+        if sum(a[r::m]):
+            return None
     q = [0] * len(a)
     for r in range(m):
         q[r::m] = accumulate(a[r::m])
-    if any(q[n:]):
-        return None
-    del q[n:]
+    del q[len(a) - m :]  # the class sums, all zero
     return q
 
 
@@ -356,7 +363,12 @@ class RationalT:
         return RationalT._normal(self.num, self.shift + k, self.den)
 
     def mul_poly(self, coeffs: Sequence[int]) -> "RationalT":
-        return RationalT(poly_mul(self.num, coeffs), self.shift, self.den)
+        """self * coeffs(t), peeled over self's denominator: the normal form
+        leaves den merged and sorted, so only the product is checked."""
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError("RationalT numerators must have int coefficients")
+        shift, num, den = _peel(poly_mul(self.num, coeffs), self.shift, dict(self.den))
+        return RationalT._normal(tuple(num), shift, tuple(den.items()))
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -622,24 +634,45 @@ def reynolds_factor_property(p: FracPoly, q: FracPoly) -> bool:
 # multisection, certified reconstruction and limits
 
 
+def clearing_order(c: int, w: int) -> int:
+    """m = c / gcd(c, w), the least m for which 1 - s**c divides
+    1 - s**(m w) = 1 - t**m, t = s**w."""
+    return c // gcd(c, w)
+
+
+def extend_cleared(P: Sequence[int], c: int, w: int) -> Tuple[List[int], int]:
+    """(P * (1 - s**(m w)) / (1 - s**c), m) with m = ``clearing_order(c, w)``:
+    one more coin c cleared into a factor 1 - t**m of t = s**w.  The
+    quotient is a polynomial: one ``mul_one_minus_tm`` and one
+    ``series_quotient`` up to its degree."""
+    m = clearing_order(c, w)
+    Q = mul_one_minus_tm(P, m * w)
+    return series_quotient(Q, [(c, 1)], len(Q) - 1 - c), m
+
+
+def cleared_section(P: Sequence[int], ms: Sequence[int], w: int, offset: int) -> RationalT:
+    """sum over k of c[k w + offset] t**k, where c[e] is the coefficient of
+    s**e in P(s) / prod (1 - t**m) over ms, t = s**w: with r = offset mod
+    w, the coefficients at e = r + j w are those of P[r::w](t) / prod
+    (1 - t**m), and e = r + j w is k = j + (r - offset) / w."""
+    r = offset % w
+    return RationalT(P[r::w], (r - offset) // w, [(m, 1) for m in ms])
+
+
 def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) -> RationalT:
     """sum over k of c[k w + offset] t**k, where c[e] is the coefficient of
     s**e in num(s) / prod (1 - s**c) over the coins c (zero for e < 0), as
     a rational function of t = s**w.
 
-    With m = c / gcd(c, w), 1 - s**c divides 1 - s**(m w) = 1 - t**m, so
-    P = num * prod (1 - s**(m w)) / prod (1 - s**c) is a polynomial and the
-    series is P / prod (1 - t**m).  With r = offset mod w, the coefficients
-    at e = r + j w are those of P[r::w](t) / prod (1 - t**m), and e = r + j w
-    is k = j + (r - offset) / w.
+    Each coin is cleared in turn (``extend_cleared``), so the series is
+    P / prod (1 - t**m) with P a polynomial in s, and ``cleared_section``
+    keeps every w-th coefficient of P.
     """
-    ms = [c // gcd(c, w) for c in coins]
-    P = num
-    for m in ms:
-        P = mul_one_minus_tm(P, m * w)
-    P = series_quotient(P, [(c, 1) for c in coins], len(P) - 1 - sum(coins))
-    r = offset % w
-    return RationalT(P[r::w], (r - offset) // w, [(m, 1) for m in ms])
+    P, ms = list(num), []
+    for c in coins:
+        P, m = extend_cleared(P, c, w)
+        ms.append(m)
+    return cleared_section(P, ms, w, offset)
 
 
 def series_to_rational(

@@ -11,7 +11,10 @@ G_J = { l : theta~_j(l) = 0 for all j outside J }:
 
 The division by uv is exact because every nonzero l has age >= 1 and
 size - age >= 1; a remainder would mean the weight vector escaped the
-well-formedness checks, reported as DivisionNotExact.
+well-formedness checks, reported as DivisionNotExact.  The formula is
+written once, ``face_terms``, over the element classes with their supports
+as index bitmasks; ``face_e`` reads it for one J and the stringy half for
+every J.
 
 ``psi`` is the age census of the full group: psi_i = #{ l : age(l) = i }.
 Specialising E_I at v = 1 reproduces the psi-weighted form
@@ -23,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
 from .errors import DivisionNotExact, InconsistentCensus, SubsetTooSmall
 from .exact_arith import BiPoly
-from .weights import WeightVector, _check_subset, element_classes
+from .weights import ElementClass, WeightVector, _check_subset, element_classes
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,29 @@ class FaceEPolynomial:
 def face_e(wv: WeightVector, J: Iterable[int]) -> FaceEPolynomial:
     """E-polynomial of the face piece for J (|J| >= 2)."""
     Jf = _check_subset(wv, J)
-    k = len(Jf)
-    if k < 2:
+    if len(Jf) < 2:
         raise SubsetTooSmall(f"face subsets need at least two indices, got {sorted(Jf)}")
+    mask = sum(1 << j for j in Jf)
+    classes = class_masks(element_classes(wv))
+    return FaceEPolynomial(Jf, BiPoly(face_terms(classes, mask)))
+
+
+def class_masks(classes: Iterable[ElementClass]) -> Tuple[Tuple[int, int, int, int], ...]:
+    """(support bitmask, age, size, count) of every element class but {0}."""
+    return tuple(
+        (sum(1 << i for i in c.support), c.age, c.size, c.count)
+        for c in classes
+        if c.support
+    )
+
+
+def face_terms(
+    classes: Sequence[Tuple[int, int, int, int]], mask: int
+) -> Dict[Tuple[int, int], int]:
+    """The nonzero coefficients {(a, b): c} of E_J for the index bitmask J
+    (|J| >= 2), from ``class_masks``: G_J is the elements whose support
+    lies in J."""
+    k = mask.bit_count()
     terms: Dict[Tuple[int, int], int] = {}
     # (uv - 1)^(k-1) - (-1)^(k-1), along the diagonal
     for i in range(k):
@@ -49,22 +72,22 @@ def face_e(wv: WeightVector, J: Iterable[int]) -> FaceEPolynomial:
         terms[(i, i)] = terms.get((i, i), 0) + c
     terms[(0, 0)] = terms.get((0, 0), 0) - (-1) ** (k - 1)
     sign = (-1) ** k
-    # G_J is the elements whose support lies in J; l = 0 has empty support
-    for c in element_classes(wv):
-        if c.support and c.support <= Jf:
-            key = (c.age, c.size - c.age)
-            terms[key] = terms.get(key, 0) + sign * c.count
+    for support, age, size, count in classes:
+        if support & mask == support:
+            key = (age, size - age)
+            terms[key] = terms.get(key, 0) + sign * count
     out: Dict[Tuple[int, int], int] = {}
     for (a, b), c in terms.items():
         if c == 0:
             continue
         if a < 1 or b < 1:
+            members = [i for i in range(mask.bit_length()) if mask >> i & 1]
             raise DivisionNotExact(
-                f"face numerator for J={sorted(Jf)} has a u^{a} v^{b} term; "
+                f"face numerator for J={members} has a u^{a} v^{b} term; "
                 "division by uv is not exact"
             )
         out[(a - 1, b - 1)] = c
-    return FaceEPolynomial(Jf, BiPoly(out))
+    return out
 
 
 def psi(wv: WeightVector) -> Tuple[int, ...]:

@@ -11,8 +11,21 @@ each factor at t = infinity and keeping integer exponents gives
 sum_{k>=1} N_J(k) x**k, the multisection of 1 / prod_{j not in J}
 (1 - s**w_j), s = x**(1/w), at the offset -sum_{j not in J} w_j.  It is
 computed exactly as a rational function of x (``exact_arith.multisection``)
-and x = 1/t substituted; the substitution is checked to invert exactly, and
-a mismatch raises InconsistentExpansion.
+and x = 1/t substituted.  The result is checked at t = infinity, where it
+must start as N_J(1) t^-1 + ...: it has to vanish there, and its t^-1
+coefficient has to be nonzero exactly when w - sum_{j not in J} w_j is a
+sum of those weights, a bit of the vector's reach sets
+(``weights._reach_sets``).  A failure raises InconsistentExpansion.
+
+The stringy half needs the brackets of all 2^n - n - 1 faces.  It walks
+their complements K depth first over the subset lattice, K after K minus
+one coin, and extends the parent's cleared product by that coin
+(``exact_arith.extend_cleared``) instead of clearing every coin of K
+again.  Each face term E_J * weighted_J is one ``mul_poly`` per key: the
+coefficients of E_J folding onto one key make one polynomial in t, which
+gives the form that summing the parts one by one gives, as they share
+weighted_J's denominator.  The sums across faces keep their order and
+grouping, since the printed form of a sum depends on both.
 
 Because every term is a polynomial in u/v times a rational function of
 t = uv, an ``EFunction`` stores a map (a, b) -> R(t) with min(a, b) = 0:
@@ -49,17 +62,23 @@ from .errors import (
 from .exact_arith import (
     BiPoly,
     RationalT,
+    cleared_section,
+    clearing_order,
+    extend_cleared,
     limit_at_one,
     multisection,
+    poly_strip,
     rational_sum,
 )
-from .face_epoly import face_e
+from .face_epoly import class_masks, face_terms
 from .weights import (
     VectorRecord,
     WeightVector,
     _check_subset,
     _classified,
+    _reach,
     ip_record,
+    record,
 )
 
 # ---------------------------------------------------------------------------
@@ -155,15 +174,62 @@ def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
     t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
     Jf = _check_subset(wv, J)
-    coins = [wv.weights[j] for j in wv.indices() if j not in Jf]
+    K = sum(1 << j for j in wv.indices() if j not in Jf)
+    coins = [wv.weights[j] for j in _members(K)]
     fx = multisection([1], coins, wv.w, -sum(coins))
+    return _finish(wv, _reach(record(wv)), K, fx)
+
+
+def _finish(wv: WeightVector, R: List[int], K: int, fx: RationalT) -> RationalT:
+    """The bracket of the J whose complement has the bitmask K, from
+    fx = sum_k N_J(k) x^k: x = 1/t, then two checks on the expansion at
+    t = infinity when K is nonempty.  It must vanish there, and its t^-1
+    coefficient N_J(1) must be nonzero exactly when w - sum_{k in K} w_k is
+    reachable by the coins of K, bit of the reach set R[K] (R is
+    ``weights._reach_sets``).  Either failing raises InconsistentExpansion."""
     bt = fx.inverse_substitution()
-    if bt.inverse_substitution() != fx:
-        raise InconsistentExpansion(
-            f"bracket of {wv} for J = {sorted(Jf)}: its expansions at t = 0 and"
-            " at infinity name different rational functions"
-        )
+    if K:
+        reached = R[K] >> (wv.w - sum(wv.weights[k] for k in _members(K))) & 1
+        top = bt.shift + len(bt.num) - 1 - sum(m * e for m, e in bt.den)
+        first = bt.num[-1] * (-1) ** bt.pole_order_at_one() if bt.num and top == -1 else 0
+        if not bt.num or top >= 0 or bool(first) != bool(reached):
+            J = [j for j in wv.indices() if not K >> j & 1]
+            raise InconsistentExpansion(
+                f"bracket of {wv} for J = {J}: its expansion at t = infinity"
+                f" should be sum_k N_J(k) t^-k, but it has degree {top} and t^-1"
+                f" coefficient {first} while N_J(1) {'!=' if reached else '='} 0"
+            )
     return bt
+
+
+def _lattice_brackets(rec: VectorRecord) -> Dict[int, RationalT]:
+    """bracket_J for every J with |J| >= 2, keyed by J's bitmask.
+
+    The complements K are walked depth first over the subset lattice with
+    the parent rule of ``weights._reach_sets`` on ranked coins: K extends
+    the cleared product of K minus its coin of lowest rank by that one coin
+    (``extend_cleared``), so each bracket costs one coin instead of |K|,
+    and only the products along the current chain are alive.  Rank 0 is
+    the coin that lengthens a product most (by m w - c), so the longest
+    products are leaves of the walk, never parents."""
+    wv = rec.wv
+    R = _reach(rec)
+    ws, w, n = wv.weights, wv.w, len(wv.weights)
+    full = (1 << n) - 1
+    growth = [clearing_order(c, w) * w - c for c in ws]
+    rank = sorted(range(n), key=growth.__getitem__, reverse=True)
+    out: Dict[int, RationalT] = {}
+
+    def walk(K: int, low: int, P: List[int], ms: List[int], coins: int) -> None:
+        out[full ^ K] = _finish(wv, R, K, cleared_section(P, ms, w, -coins))
+        if K.bit_count() < n - 2:
+            for p in range(low):
+                i = rank[p]
+                Q, m = extend_cleared(P, ws[i], w)
+                walk(K | 1 << i, p, Q, ms + [m], coins + ws[i])
+
+    walk(0, n, [1], [], 0)
+    return out
 
 
 def _uv_minus_one_pow(n: int) -> List[int]:
@@ -188,10 +254,34 @@ def _members(mask: int) -> Tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _term(wv: WeightVector, mask: int, base: RationalT) -> EFunction:
-    """The face term of J from its weighted bracket ``base``."""
-    fe = face_e(wv, _members(mask)).value
-    return EFunction(wv.d - 1, ((a, b, base * c) for (a, b), c in fe.terms.items()))
+def _face_entries(
+    face: Dict[Tuple[int, int], int], base: RationalT
+) -> List[Tuple[int, int, RationalT]]:
+    """The face term E_J * base of J, one entry per key u^a v^b with
+    min(a, b) = 0, from E_J's coefficients ``face`` and J's weighted
+    bracket ``base``.
+
+    The coefficients of E_J whose keys fold onto one key (a - m, b - m),
+    m = min(a, b), make one integer polynomial in t, and the entry is
+    base times it: one peel over base's denominator.  That is the form the
+    fold of the parts c t^m base gives as well, since they all share
+    base's denominator: the fold's last pre-peel state is the whole sum
+    over it."""
+    polys: Dict[Tuple[int, int], List[int]] = {}
+    for (a, b), c in face.items():
+        m = min(a, b)
+        poly = polys.setdefault((a - m, b - m), [])
+        poly.extend([0] * (m + 1 - len(poly)))
+        poly[m] += c
+    entries = []
+    for (a, b), poly in polys.items():
+        low = next((i for i, c in enumerate(poly) if c), None)
+        if low is None:
+            continue
+        poly = poly_strip(poly[low:])
+        r = base * poly[0] if len(poly) == 1 else base.mul_poly(poly)
+        entries.append((a, b, r.mul_tpower(low)))
+    return entries
 
 
 class StringyHalf(NamedTuple):
@@ -211,17 +301,21 @@ def _stringy(rec: VectorRecord) -> StringyHalf:
     """The stringy half of a vector's record, built on first use."""
     wv = rec.wv
     if rec.stringy is None:
+        brackets = _lattice_brackets(rec)
         weighted = {
-            mask: bracket(wv, _members(mask)).mul_poly(
-                _uv_minus_one_pow(wv.d + 1 - mask.bit_count())
-            )
+            mask: brackets[mask].mul_poly(_uv_minus_one_pow(wv.d + 1 - mask.bit_count()))
             for mask in _face_masks(wv)
         }
+        classes = class_masks(_classified(rec).classes)
         # one entry per face term and key, in the order of J: the printed
         # form of each key's sum follows this grouping and order
         total = EFunction(
             wv.d - 1,
-            (e for mask, base in weighted.items() for e in _term(wv, mask, base).iter_entries()),
+            (
+                e
+                for mask, base in weighted.items()
+                for e in _face_entries(face_terms(classes, mask), base)
+            ),
         )
         rec.stringy = StringyHalf(
             weighted, total, _untwisted_component(wv, weighted), {}
@@ -231,9 +325,13 @@ def _stringy(rec: VectorRecord) -> StringyHalf:
 
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
+    rec = ip_record(wv)
+    classes = class_masks(_classified(rec).classes)
     return {
-        frozenset(_members(mask)): _term(wv, mask, base)
-        for mask, base in _stringy(ip_record(wv)).weighted.items()
+        frozenset(_members(mask)): EFunction(
+            wv.d - 1, _face_entries(face_terms(classes, mask), base)
+        )
+        for mask, base in _stringy(rec).weighted.items()
     }
 
 

@@ -15,6 +15,9 @@ subset, the reference for the big-int reach sets ``transverse`` reads.
 the references for the sums over element classes.  ``slow_series_quotient``
 and ``slow_lattice_counts`` are the per-coefficient loops that the
 stride-m kernel ``exact_arith.series_quotient`` replaced.
+``slow_stringy_half`` assembles E_str and every E^(l) face by face, with one
+``bracket`` call and one ``EFunction`` per face term, the reference for the
+printed forms of the subset-lattice walk and its one peel per face term.
 """
 
 import random
@@ -29,12 +32,16 @@ from stringymirror import (
     BiPoly,
     EFunction,
     FaceEPolynomial,
+    bracket,
     element,
+    face_e,
     ip_property,
     orbifold,
     subgroup,
     validate,
 )
+from stringymirror.exact_arith import rational_sum
+from stringymirror.weights import element_classes
 from stringymirror.errors import (
     DivisionNotExact,
     InconsistentCensus,
@@ -493,3 +500,60 @@ def slow_lattice_counts(wv, J, K):
     return tuple(
         dp[k * w - base] if k * w >= base else 0 for k in range(1, K + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# the stringy half face by face: the reference for the subset-lattice walk
+
+
+def _bits(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _t_minus_one_pow(n):
+    return [comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
+
+
+def slow_stringy_half(wv) -> Tuple[EFunction, List[EFunction]]:
+    """(E_str, [E^(l) for one l per element class]) with one ``bracket``
+    call per face subset J and one ``EFunction`` per face term, summed over
+    J in order of size and then members; each twisted sum runs over the J
+    containing the support in increasing order of J's bitmask."""
+    n = len(wv.weights)
+    masks = sorted(
+        (mask for mask in range(1 << n) if bin(mask).count("1") >= 2),
+        key=lambda mask: (bin(mask).count("1"), _bits(mask)),
+    )
+    weighted = {
+        mask: bracket(wv, _bits(mask)).mul_poly(
+            _t_minus_one_pow(wv.d + 1 - bin(mask).count("1"))
+        )
+        for mask in masks
+    }
+    terms = [
+        EFunction(
+            wv.d - 1,
+            ((a, b, base * c) for (a, b), c in face_e(wv, _bits(mask)).value.terms.items()),
+        )
+        for mask, base in weighted.items()
+    ]
+    total = EFunction(wv.d - 1, (e for term in terms for e in term.iter_entries()))
+    untwisted = []
+    for mask, base in weighted.items():
+        k = bin(mask).count("1")
+        num = _t_minus_one_pow(k - 1)
+        num[0] -= (-1) ** (k - 1)
+        untwisted.append((0, 0, base.mul_poly(num[1:])))
+    per_class = []
+    for c in element_classes(wv):
+        if not c.support:
+            per_class.append(EFunction(wv.d - 1, untwisted))
+            continue
+        support = sum(1 << i for i in c.support)
+        r = rational_sum(
+            weighted[mask] * (-1 if bin(mask).count("1") % 2 else 1)
+            for mask in range(support, 1 << n)
+            if mask & support == support
+        )
+        per_class.append(EFunction(wv.d - 1, [(c.age - 1, c.size - c.age - 1, r)]))
+    return total, per_class

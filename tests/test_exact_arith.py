@@ -68,19 +68,25 @@ def _dense_one_minus_tm(m):
 @given(
     st.lists(st.integers(-5, 5), min_size=1, max_size=12),
     st.integers(1, 8),
-    st.booleans(),
+    st.sampled_from(["", "1 - t", "1 - t^m"]),
 )
-@example([3], 1, False)  # len(a) <= m
-@example([1, 2, 3], 5, False)
-@example([1, 0, 1], 2, True)  # m < len(a) < 2m
-@example([1, -1], 1, False)
-def test_stride_division_matches_dense(coeffs, m, multiply):
-    # half the draws are multiples of 1 - t^m, so both outcomes are covered
-    a = poly_strip(mul_one_minus_tm(coeffs, m) if multiply else list(coeffs))
+@example([3], 1, "")  # len(a) <= m
+@example([1, 2, 3], 5, "")
+@example([1, 0, 1], 2, "1 - t^m")  # m < len(a) < 2m
+@example([1, -1], 1, "")
+@example([1, 2], 3, "1 - t")  # a(1) = 0 and len(a) <= m
+@example([2, 1], 4, "1 - t")
+@example([1, 0, 1], 2, "1 - t")  # a(1) = 0, class 1 of 2 sums to -2
+@example([1, 2, 0, 3, 1], 3, "1 - t")
+def test_stride_division_matches_dense(coeffs, m, factor):
+    # a third of the draws are multiples of 1 - t^m and a third multiples
+    # of 1 - t only (a(1) = 0), which the class-sum reject has to catch
+    k = {"": 0, "1 - t": 1, "1 - t^m": m}[factor]
+    a = poly_strip(mul_one_minus_tm(coeffs, k) if k else list(coeffs))
     dense = _dense_one_minus_tm(m)
     assert div_one_minus_tm(a, m) == poly_div_exact(a, dense)
     assert poly_strip(mul_one_minus_tm(coeffs, m)) == poly_mul(coeffs, dense)
-    if multiply and any(coeffs):
+    if k == m and any(coeffs):
         assert div_one_minus_tm(a, m) == poly_strip(list(coeffs))
 
 
@@ -213,9 +219,14 @@ def test_form_preserving_ops_match_the_constructor(r, k, c):
             RationalT([sign * x for x in reversed(r.num)], total_m - r.shift - deg, r.den),
         ),
     ]
+    # mul_poly peels over r's own denominator without re-merging it
+    for poly in ([c, k], expand_factors(r.den)):
+        cases.append((r.mul_poly(poly), RationalT(poly_mul(r.num, poly), r.shift, r.den)))
     for fast, normalised in cases:
         assert _form(fast) == _form(normalised)
     assert _form(r * 0) == _form(RationalT.zero())
+    with pytest.raises(TypeError):
+        r.mul_poly([Fraction(1, 2)])
 
 
 @st.composite

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stringymirror import (
     BiPoly,
@@ -13,6 +14,7 @@ from stringymirror import (
     RationalT,
     bracket,
     hodge_table,
+    ip_property,
     is_polynomial,
     lattice_counts,
     limit_at_one,
@@ -24,14 +26,17 @@ from stringymirror import (
     to_polynomial,
     validate,
 )
+from stringymirror import cli, exact_arith, stringy, weights
 from stringymirror.errors import (
+    InconsistentExpansion,
     NotIP,
     NotPolynomial,
+    NotWellFormed,
     OutOfRange,
     SignPatternViolation,
 )
 
-from conftest import series_counts
+from conftest import series_counts, slow_stringy_half
 
 QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
@@ -104,6 +109,66 @@ def test_bracket_matches_certified_counts(ws):
         assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den), J
 
 
+def _form(r):
+    return r.shift, r.num, r.den
+
+
+def _first_coefficient_at_infinity(r):
+    """The t^-1 coefficient of r's expansion at t = infinity, for r
+    vanishing there."""
+    top = r.shift + len(r.num) - 1 - sum(m * e for m, e in r.den)
+    return r.num[-1] * (-1) ** sum(e for _, e in r.den) if top == -1 else 0
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=6))
+@example([1, 1])
+@example([1, 2, 3])
+@example([1, 1, 1, 1, 1, 1])
+@example(list(DEGREE_1806))
+def test_lattice_brackets_match_per_subset_brackets(ws):
+    # the depth-first walk over the complements gives every face subset's
+    # bracket in the form of a bracket built from scratch, and the t^-1
+    # coefficient its check reads is N_J(1)
+    try:
+        wv = validate(sorted(ws))
+    except NotWellFormed:
+        assume(False)
+    assume(ip_property(wv))
+    n = len(ws)
+    got = stringy._lattice_brackets(weights.record(wv))
+    assert sorted(got) == [mask for mask in range(1 << n) if bin(mask).count("1") >= 2]
+    for mask, r in got.items():
+        J = [i for i in range(n) if mask >> i & 1]
+        assert _form(r) == _form(bracket(wv, J)), J
+        if len(J) < n:
+            assert _first_coefficient_at_infinity(r) == lattice_counts(wv, J, 1)[0], J
+
+
+_section = exact_arith.cleared_section
+
+
+def _shifted_section(P, ms, w, offset):
+    return _section(P, ms, w, offset + 1)
+
+
+def test_bracket_checks_catch_a_shifted_kernel(monkeypatch, capsys):
+    # a multisection one coefficient off: the expansion at t = infinity no
+    # longer starts with N_J(1) t^-1, and every route to a bracket says so
+    weights.record.cache_clear()
+    monkeypatch.setattr(stringy, "cleared_section", _shifted_section)
+    monkeypatch.setattr(exact_arith, "cleared_section", _shifted_section)
+    try:
+        with pytest.raises(InconsistentExpansion):
+            bracket(validate(K3), (1, 2, 3))
+        with pytest.raises(InconsistentExpansion):
+            stringy_e(validate(K3))
+        assert cli.main(["stringy", "1,1,1,1,1"]) == 4
+        assert "expansion at t = infinity" in capsys.readouterr().err
+    finally:
+        weights.record.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # the assembled sum
 
@@ -144,6 +209,34 @@ def test_k3_subtotal_with_order_five_pole():
     for _, term in picked[1:]:
         total = total + term
     assert total == EFunction(2, [(0, 0, RationalT([1, 7]))])
+
+
+def _forms(e):
+    return {key: _form(r) for key, r in e.terms.items()}
+
+
+# E_str of these prints a form that depends on how the face terms are
+# grouped and in which order they are summed
+FOLD_ORDER_SENSITIVE = [
+    (1, 2, 3, 10, 15),
+    (1, 4, 7, 10, 15),
+    (1, 2, 5, 12, 18),
+    (1, 3, 5, 12, 18),
+    (1, 2, 3, 8, 12),
+    (1, 3, 8, 10, 12),
+    (1, 3, 8, 12, 14),
+]
+
+
+@pytest.mark.parametrize("ws", FOLD_ORDER_SENSITIVE)
+def test_printed_forms_match_face_by_face_assembly(ws):
+    wv = validate(ws)
+    total, per_class = slow_stringy_half(wv)
+    assert _forms(stringy_e(wv)) == _forms(total)
+    classes = weights.element_classes(wv)
+    assert len(classes) == len(per_class)
+    for c, want in zip(classes, per_class):
+        assert _forms(stringy_e_per_l(wv, c.first)) == _forms(want), c
 
 
 @pytest.mark.parametrize("ws", [K3, OCTIC, FERMAT_LIKE])
