@@ -8,6 +8,7 @@ diamond on the mirror side, whether or not a quasi-smooth member exists.
 This script sweeps all of them with w <= 24 and verifies the claim.
 """
 
+import sys
 from itertools import combinations_with_replacement
 
 from stringymirror import (
@@ -42,7 +43,8 @@ print(f"{'weights':>16}  {'w':>3}  {'transverse':>10}  {'euler':>5}  h^{{1,1}}")
 all_k3 = True
 for wv in rows:
     report = verify(wv)
-    assert report.passed, wv
+    if not report.passed:
+        sys.exit(f"mirror check failed for {wv.weights}")
     poly = to_polynomial(stringy_e(wv))
     h11 = hodge_table(poly, 2).h(1, 1)
     if report.euler_stringy != 24 or h11 != 20:

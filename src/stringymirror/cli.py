@@ -26,15 +26,16 @@ import csv
 import json
 import sys
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
-from .exact_arith import BiPoly, RationalT
+from .exact_arith import BiPoly, EFunction, RationalT
 from .face_epoly import psi
 from .mirror_verify import VerificationReport, verify
 from .orbifold import mirror_orbifold_e, vafa_euler, vafa_poincare
-from .stringy import EFunction, hodge_table, stringy_e, stringy_e_per_l, stringy_euler
+from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
 from .weights import (
+    ElementClass,
     WeightVector,
     census,
     class_index,
@@ -296,10 +297,7 @@ def _cmd_stringy(args) -> int:
     require_ip(wv)
     payload = _row_payload(wv)
     if args.per_l:
-        # E^(l) depends on l only through its class: one rendering per class
-        classes = element_classes(wv)
-        rendered = [render_efunction(stringy_e_per_l(wv, c.first)) for c in classes]
-        payload["per_l"] = {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
+        payload["per_l"] = _per_l(wv, lambda c: render_efunction(stringy_e_per_l(wv, c.first)))
     _emit_single(args, payload)
     return 0
 
@@ -316,8 +314,7 @@ def _cmd_orbifold(args) -> int:
     if tr:
         payload["vafa_poincare"] = render_bipoly(vafa_poincare(wv))
     if args.per_l:
-        rendered = [render_efunction(orb.per_l_terms[c.first]) for c in element_classes(wv)]
-        payload["per_l"] = {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
+        payload["per_l"] = _per_l(wv, lambda c: render_efunction(orb.per_l_terms[c.first]))
     _emit_single(args, payload)
     return 0
 
@@ -331,20 +328,26 @@ def _cmd_mirror_check(args) -> int:
     payload["hodge_pairs_match"] = report.hodge_pairs_match
     if args.per_l:
         orb_terms = mirror_orbifold_e(wv).per_l_terms
-        failures = set(report.per_l_failures)
-        classes = element_classes(wv)
-        stringy_side = [render_efunction(stringy_e_per_l(wv, c.first)) for c in classes]
-        orbifold_side = [render_efunction(orb_terms[c.first]) for c in classes]
-        payload["per_l"] = {
-            str(l): {
-                "stringy": stringy_side[c],
-                "orbifold": orbifold_side[c],
-                "equal": l not in failures,
+        failures = set(report.per_l_failures)  # whole element classes
+
+        def both_sides(c: ElementClass) -> Dict:
+            return {
+                "stringy": render_efunction(stringy_e_per_l(wv, c.first)),
+                "orbifold": render_efunction(orb_terms[c.first]),
+                "equal": c.first not in failures,
             }
-            for l, c in enumerate(class_index(wv))
-        }
+
+        payload["per_l"] = _per_l(wv, both_sides)
     _emit_single(args, payload)
     return 0
+
+
+def _per_l(wv: WeightVector, render: Callable[[ElementClass], object]) -> Dict[str, object]:
+    """The ``--per-l`` payload: a term depends on l only through its element
+    class, so ``render`` runs once per class and its result is keyed by
+    every l of the class."""
+    rendered = [render(c) for c in element_classes(wv)]
+    return {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
 
 
 def _emit_single(args, payload: Dict) -> None:

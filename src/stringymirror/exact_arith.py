@@ -1,19 +1,26 @@
 """Exact arithmetic kernel.
 
-Everything downstream is built from four value types plus a handful of free
+Everything downstream is built from five value types plus a handful of free
 functions, all exact (int / fractions.Fraction, never floats):
 
 * dense polynomials: plain lists/tuples of integer coefficients indexed by
-  exponent (helpers ``poly_*`` below);
+  exponent (``poly_strip``, ``poly_mul`` and the (1 - t**m) helpers below);
 * ``FracPoly``: a polynomial whose exponents live in (1/w)Z, stored as a map
-  ``e -> c`` meaning ``c * t**(e/w)``;
+  ``e -> c`` meaning ``c * t**(e/w)`` (public API; both pipelines project
+  through ``multisection`` instead);
 * ``RationalT``: a one-variable rational function in the factored shape
   ``t**shift * num(t) / prod (1 - t**m)**e``.  Keeping the denominator as a
   multiset of ``(1 - t**m)`` factors keeps degrees small and makes the order
   of the pole at t = 1 readable.  Values are kept in a greedy-peel normal
   form ``(shift, num, den)``, which the CLI prints for non-polynomial terms;
 * ``BiPoly``: a two-variable polynomial ``sum c * u**a * v**b`` as a map
-  ``(a, b) -> c``.
+  ``(a, b) -> c``;
+* ``EFunction``: a finite sum of u**a v**b * R(uv) with R a RationalT, the
+  shape of every E-function both pipelines build.  Every term is a
+  polynomial in u/v times a rational function of t = uv, so it stores a map
+  (a, b) -> R(t) with min(a, b) = 0: the monomial key u**a v**b rides on the
+  off-diagonal degree a - b, so distinct keys can never cancel and equality
+  may be tested key by key.
 
 Every division by 1 - t**m is a stride-m running sum, ``accumulate`` over
 each residue class mod m: ``series_quotient`` for series and
@@ -56,7 +63,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import add, sub
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     NegativeExponent,
@@ -89,37 +96,6 @@ def poly_mul(a: Sequence, b: Sequence) -> List:
                 if cb:
                     out[i + j] += ca * cb
     return poly_strip(out)
-
-
-def poly_div_exact(a: Sequence, b: Sequence):
-    """Quotient of dense polynomials, or None when a remainder is left.
-
-    The divisor must have a unit leading coefficient, which covers every
-    divisor used in this package: products of (1 - t**m) factors.
-    """
-    rem = list(a)
-    div = poly_strip(list(b))
-    if not div:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = div[-1]
-    if lead not in (1, -1):
-        raise ValueError("divisor must have a unit leading coefficient")
-    poly_strip(rem)
-    if not rem:
-        return []
-    if len(rem) < len(div):
-        return None
-    quot = [0] * (len(rem) - len(div) + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + len(div) - 1]
-        if c:
-            c *= lead
-            quot[i] = c
-            for k, bc in enumerate(div):
-                rem[i + k] -= c * bc
-    if any(rem):
-        return None
-    return quot
 
 
 def mul_one_minus_tm(a: Sequence[int], m: int) -> List[int]:
@@ -857,3 +833,81 @@ def mirror_transform(p: BiPoly, dim: int) -> BiPoly:
             )
         out[(dim - a, b)] = sign * c
     return BiPoly(out)
+
+
+# ---------------------------------------------------------------------------
+# EFunction: sums of u^a v^b * R(uv)
+
+
+class EFunction:
+    """Finite sum of u^a v^b * R_{a,b}(uv) with min(a, b) = 0.
+
+    Construction folds min(a, b) into the rational part as a power of
+    t = uv, sums the parts of each key in one ``rational_sum`` and drops
+    vanishing parts, so the key set is canonical.  Equality
+    compares the canonical maps; the rational parts compare semantically.
+    """
+
+    __slots__ = ("dimension", "terms")
+
+    def __init__(self, dimension: int, entries: Iterable[Tuple[int, int, RationalT]]):
+        acc: Dict[Tuple[int, int], List[RationalT]] = {}
+        for a, b, r in entries:
+            if a < 0 or b < 0:
+                raise ValueError(f"EFunction exponents must be >= 0, got ({a}, {b})")
+            m = min(a, b)
+            acc.setdefault((a - m, b - m), []).append(r.mul_tpower(m))
+        self.dimension = dimension
+        self.terms = {}
+        for key, parts in acc.items():
+            total = rational_sum(parts)
+            if not total.is_zero():
+                self.terms[key] = total
+
+    def iter_entries(self) -> Iterator[Tuple[int, int, RationalT]]:
+        for (a, b), r in self.terms.items():
+            yield a, b, r
+
+    def __add__(self, other: "EFunction") -> "EFunction":
+        if not isinstance(other, EFunction):
+            return NotImplemented
+        entries = list(self.iter_entries()) + list(other.iter_entries())
+        return EFunction(self.dimension, entries)
+
+    def __sub__(self, other: "EFunction") -> "EFunction":
+        if not isinstance(other, EFunction):
+            return NotImplemented
+        entries = list(self.iter_entries()) + [
+            (a, b, -r) for a, b, r in other.iter_entries()
+        ]
+        return EFunction(self.dimension, entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, EFunction):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_polynomial(self) -> bool:
+        return all(r.is_polynomial() for r in self.terms.values())
+
+    def to_bipoly(self) -> BiPoly:
+        out: Dict[Tuple[int, int], int] = {}
+        for (a, b), r in self.terms.items():
+            for k, c in enumerate(r.as_polynomial()):
+                if c:
+                    key = (a + k, b + k)
+                    out[key] = out.get(key, 0) + c
+        return BiPoly(out)
+
+    def value_at_one(self) -> Fraction:
+        """Exact limit at u = v = 1 (PoleAtOne if infinite)."""
+        return sum((limit_at_one(r) for r in self.terms.values()), Fraction(0))
+
+    def __repr__(self):
+        bits = [f"u^{a} v^{b} * {r!r}" for (a, b), r in sorted(self.terms.items())]
+        return "EFunction(" + ("0" if not bits else " + ".join(bits)) + ")"

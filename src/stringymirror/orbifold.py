@@ -14,11 +14,11 @@ fixed by l.  Three related objects are computed:
 
   where s = (t tbar)^(1/w), U_l is the sector Hilbert series
   prod_{i in Z(l)} (1 - s^(w - w_i)) / (1 - s^(w_i)) (a polynomial with
-  non-negative coefficients for transverse vectors, computed by exact long
-  division), g_l = size/2 - sum_{i not in Z} q_i and beta_l = age - size/2.
-  All exponent arithmetic is carried over the common denominator 2w, and the
-  bracket keeps the terms with both exponents integral, which reduces to the
-  single congruence e = sum_{i not in Z} w_i (mod w) on the s-exponent.
+  non-negative coefficients for transverse vectors), g_l = size/2 -
+  sum_{i not in Z} q_i and beta_l = age - size/2.  With S = sum_{i not in
+  Z} w_i, the term s^e lands at t^(age + (e - S)/w) tbar^(size - age + (e -
+  S)/w), so the bracket keeps the e = S (mod w), and e = S mod w + k w lands
+  at (alpha + k, beta + k), alpha = age - S // w, beta = size - age - S // w.
   Coefficients are Hodge numbers of the mirror: the (p, q) entry is
   h^{d-1-p, q} of the mirror hypersurface.
 
@@ -30,16 +30,16 @@ fixed by l.  Three related objects are computed:
   The projected product depends only on Z(l).  With s = t^(1/w) it equals
   [ s^a U_l(s) ]_int, a = sum_{i in Z} w_i.
 
-Both rational projections are multisections of U_l: sum_k c_{k w + offset}
-t^k over the coefficients c_e of U_l in s, an exact rational function of t
-(``exact_arith.multisection``).  ``mirror_orbifold_e`` uses the offset -a;
-the non-polynomial sectors of the Poincare-style route use the offset
-sum_{i not in Z} w_i mod w.
+Both projections are multisections of U_l: sum_k c_{k w + offset} t^k
+over the coefficients c_e of U_l in s, an exact rational function of t
+(``exact_arith.multisection``), all in integers.  ``mirror_orbifold_e`` uses
+the offset -a, the Poincare-style route the offset S mod w; U_l is a
+polynomial exactly when its factored normal form has an empty denominator.
 
-``q_identity_check`` verifies, element by element, that the Poincare-style
-route (fractional exponents over 2w, no signs) times (-1)^size equals the
+``q_identity_check`` verifies, element class by element class, that the
+Poincare-style route t^alpha tbar^beta G(t tbar) times (-1)^size equals the
 per-element term of ``mirror_orbifold_e`` (s^a twist); it is a structural
-self-test of the fractional-exponent algebra, not a mirror statement.
+self-test of the two offsets, not a mirror statement.
 
 Every sum over Z/wZ runs over the element classes of ``weights``: a term
 depends on l only through Z(l), age and size.  The sector terms and their
@@ -52,26 +52,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import InconsistentSector, NonIntegerCoefficient
-from .exact_arith import (
-    BiPoly,
-    Factor,
-    FracPoly,
-    RationalT,
-    expand_factors,
-    integral_project,
-    multisection,
-    poly_div_exact,
-)
-from .stringy import EFunction, efunction_from_bipoly
+from .exact_arith import BiPoly, EFunction, RationalT, multisection
 from .weights import (
+    ElementClass,
     WeightVector,
     class_index,
-    element,
     element_classes,
     record,
+    sector_hilbert,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,56 +89,29 @@ def vafa_euler(wv: WeightVector) -> Fraction:
     return total / w
 
 
+def _zero_mask(wv: WeightVector, c: ElementClass) -> int:
+    """Z(l) of the elements l of class c, as a bitmask."""
+    return sum(1 << i for i in wv.indices() if i not in c.support)
+
+
 # ---------------------------------------------------------------------------
-# sector Hilbert series and the Poincare polynomial
+# the Poincare polynomial
 
 
-def _sector_factors(wv: WeightVector, zero: FrozenSet[int]) -> Tuple[List[Factor], List[Factor]]:
-    """Numerator and denominator factors (m, 1), standing for 1 - s^m, of
-    U_l = prod_{i in Z} (1 - s^(w - w_i)) / (1 - s^(w_i))."""
-    ws = [wv.weights[i] for i in sorted(zero)]
-    return [(wv.w - wi, 1) for wi in ws], [(wi, 1) for wi in ws]
-
-
-def _multisection(wv: WeightVector, zero: FrozenSet[int], offset: int) -> RationalT:
-    """sum_k c_{k w + offset} t^k for the coefficients c_e of U_l in s (zero
-    at negative e)."""
-    num, den = _sector_factors(wv, zero)
-    return multisection(expand_factors(num), [c for c, _ in den], wv.w, offset)
-
-
-def _sector_bipoly(wv: WeightVector, l: int) -> Optional[BiPoly]:
-    """[ U_l * (t tbar)^{g} (t/tbar)^{beta} ]_int for the polynomial route;
-    None when U_l is not a polynomial."""
-    el = element(wv, l)
-    zero = frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
-    num, den = _sector_factors(wv, zero)
-    U = poly_div_exact(expand_factors(num), expand_factors(den))
-    if U is None:
-        return None
-    w = wv.w
-    twisted_sum = sum(wv.weights[i] for i in wv.indices() if i not in zero)
-    # numerators over the common denominator 2w:
-    # 2w*g = size*w - 2*sum', 2w*beta = 2*age*w - size*w
-    g2 = el.size * w - 2 * twisted_sum
-    b2 = 2 * el.age * w - el.size * w
-    terms: Dict[int, int] = {}
-    for e, c in enumerate(U):
-        if c:
-            terms[2 * e + g2 + b2] = c
-    fp = FracPoly(2 * w, terms)
-    kept = integral_project(fp)
-    diag_offset = 2 * el.age - el.size  # alpha - beta, always an integer
-    out: Dict[Tuple[int, int], int] = {}
-    for ee, c in kept.terms.items():
-        alpha = ee // (2 * w)
-        beta = alpha - diag_offset
-        if alpha < 0 or beta < 0:
-            raise InconsistentSector(
-                f"sector {l} of {wv} has a negative exponent pair ({alpha}, {beta})"
-            )
-        out[(alpha, beta)] = out.get((alpha, beta), 0) + c
-    return BiPoly(out)
+def _direct_sector(wv: WeightVector, c: ElementClass) -> EFunction:
+    """[ U_l * (t tbar)^{g} (t/tbar)^{beta} ]_int for the elements l of class
+    c: t^alpha tbar^beta G(t tbar), G the multisection of U_l at the offset
+    S mod w (S the sum of the weights off Z(l))."""
+    twisted_sum = sum(wv.weights[i] for i in c.support)
+    alpha = c.age - twisted_sum // wv.w
+    beta = alpha - (2 * c.age - c.size)
+    if alpha < 0 or beta < 0:
+        raise InconsistentSector(
+            f"sector {c.first} of {wv} has a negative exponent pair ({alpha}, {beta})"
+        )
+    num, coins = sector_hilbert(wv, _zero_mask(wv, c))
+    G = multisection(num, coins, wv.w, twisted_sum % wv.w)
+    return EFunction(wv.d - 1, [(alpha, beta, G)])
 
 
 def vafa_poincare(wv: WeightVector) -> BiPoly:
@@ -158,14 +122,14 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     input)."""
     total = BiPoly.zero()
     for c in element_classes(wv):
-        part = _sector_bipoly(wv, c.first)
-        if part is None:
+        num, coins = sector_hilbert(wv, _zero_mask(wv, c))
+        if not RationalT(num, 0, [(m, 1) for m in coins]).is_polynomial():
             raise NonIntegerCoefficient(
                 f"sector l={c.first} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
             )
-        total = total + part * c.count
-    if any(c < 0 or c != int(c) for c in total.terms.values()):
+        total = total + _direct_sector(wv, c).to_bipoly() * c.count
+    if any(c < 0 for c in total.terms.values()):
         raise NonIntegerCoefficient(f"negative entries in P(t, tbar) for {wv}")
     return total
 
@@ -174,10 +138,12 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
 # the mirror-side orbifold E-function
 
 
-def _projected_sector(wv: WeightVector, zero: FrozenSet[int]) -> RationalT:
+def _projected_sector(wv: WeightVector, zero: int) -> RationalT:
     """[ prod_{i in Z} ((uv)^{q_i} - uv) / (1 - (uv)^{q_i}) ]_int as a
-    rational function of t = uv: the multisection of U_l at offset -a."""
-    return _multisection(wv, zero, -sum(wv.weights[i] for i in zero))
+    rational function of t = uv, for the zero set Z given as a bitmask: the
+    multisection of U_l at offset -a."""
+    num, coins = sector_hilbert(wv, zero)
+    return multisection(num, coins, wv.w, -sum(coins))
 
 
 @dataclass(frozen=True)
@@ -200,11 +166,11 @@ def _orbifold(wv: WeightVector) -> OrbifoldHalf:
     """The orbifold half of wv's record, built on first use."""
     rec = record(wv)
     if rec.orbifold is None:
-        projected: Dict[FrozenSet[int], RationalT] = {}
+        projected: Dict[int, RationalT] = {}
         terms = []
         entries = []
         for c in element_classes(wv):
-            zero = frozenset(wv.indices()) - c.support
+            zero = _zero_mask(wv, c)
             if zero not in projected:
                 projected[zero] = _projected_sector(wv, zero)
             B = projected[zero]
@@ -231,36 +197,13 @@ def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
 # structural identity between the two sector forms
 
 
-def _sector_efunction_direct(wv: WeightVector, l: int) -> EFunction:
-    """Project U_l (or its full rational series) against the twisted
-    monomial, fractional exponents carried over 2w."""
-    el = element(wv, l)
-    zero = frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
-    w = wv.w
-    bp = _sector_bipoly(wv, l)
-    if bp is not None:
-        return efunction_from_bipoly(wv.d - 1, bp)
-    # rational sector: multisection at the offset forced by integrality
-    twisted_sum = sum(wv.weights[i] for i in wv.indices() if i not in zero)
-    e0 = twisted_sum % w
-    G = _multisection(wv, zero, e0)
-    alpha0 = Fraction(e0, w) + Fraction(el.size, 2) - Fraction(twisted_sum, w) \
-        + el.age - Fraction(el.size, 2)
-    beta0 = alpha0 - (2 * el.age - el.size)
-    if alpha0.denominator != 1 or beta0.denominator != 1:
-        raise InconsistentSector(
-            f"sector {l} of {wv} has a non-integral exponent pair ({alpha0}, {beta0})"
-        )
-    return EFunction(wv.d - 1, [(int(alpha0), int(beta0), G)])
-
-
 def q_identity_check(wv: WeightVector) -> bool:
     """Element-by-element agreement of the two displayed forms of the
     orbifold sector sum: the direct projection, signed by (-1)^size, equals
     the s^a-twisted term of ``mirror_orbifold_e``.  Both depend on l only
     through its element class, so one l per class is checked."""
     for c, term in zip(element_classes(wv), _orbifold(wv).terms):
-        direct = _sector_efunction_direct(wv, c.first)
+        direct = _direct_sector(wv, c)
         # term - (-1)^size * direct
         diff = term + direct if c.size % 2 else term - direct
         if not diff.is_zero():

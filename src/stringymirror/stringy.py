@@ -27,11 +27,6 @@ gives the form that summing the parts one by one gives, as they share
 weighted_J's denominator.  The sums across faces keep their order and
 grouping, since the printed form of a sum depends on both.
 
-Because every term is a polynomial in u/v times a rational function of
-t = uv, an ``EFunction`` stores a map (a, b) -> R(t) with min(a, b) = 0:
-the monomial key u^a v^b rides on the off-diagonal degree a - b, so distinct
-keys can never cancel and equality may be tested key by key.
-
 The same object supports the per-element decomposition
 
     E_str = sum over l in Z/wZ of E^(l),
@@ -50,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .errors import (
     DivisionNotExact,
@@ -61,11 +56,11 @@ from .errors import (
 )
 from .exact_arith import (
     BiPoly,
+    EFunction,
     RationalT,
     cleared_section,
     clearing_order,
     extend_cleared,
-    limit_at_one,
     multisection,
     poly_strip,
     rational_sum,
@@ -80,91 +75,6 @@ from .weights import (
     ip_record,
     record,
 )
-
-# ---------------------------------------------------------------------------
-# EFunction
-
-
-class EFunction:
-    """Finite sum of u^a v^b * R_{a,b}(uv) with min(a, b) = 0.
-
-    Construction folds min(a, b) into the rational part as a power of
-    t = uv, sums the parts of each key in one ``rational_sum`` and drops
-    vanishing parts, so the key set is canonical.  Equality
-    compares the canonical maps; the rational parts compare semantically.
-    """
-
-    __slots__ = ("dimension", "terms")
-
-    def __init__(self, dimension: int, entries: Iterable[Tuple[int, int, RationalT]]):
-        acc: Dict[Tuple[int, int], List[RationalT]] = {}
-        for a, b, r in entries:
-            if a < 0 or b < 0:
-                raise ValueError(f"EFunction exponents must be >= 0, got ({a}, {b})")
-            m = min(a, b)
-            acc.setdefault((a - m, b - m), []).append(r.mul_tpower(m))
-        self.dimension = dimension
-        self.terms = {}
-        for key, parts in acc.items():
-            total = rational_sum(parts)
-            if not total.is_zero():
-                self.terms[key] = total
-
-    def iter_entries(self) -> Iterator[Tuple[int, int, RationalT]]:
-        for (a, b), r in self.terms.items():
-            yield a, b, r
-
-    def __add__(self, other: "EFunction") -> "EFunction":
-        if not isinstance(other, EFunction):
-            return NotImplemented
-        entries = list(self.iter_entries()) + list(other.iter_entries())
-        return EFunction(self.dimension, entries)
-
-    def __sub__(self, other: "EFunction") -> "EFunction":
-        if not isinstance(other, EFunction):
-            return NotImplemented
-        entries = list(self.iter_entries()) + [
-            (a, b, -r) for a, b, r in other.iter_entries()
-        ]
-        return EFunction(self.dimension, entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, EFunction):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_polynomial(self) -> bool:
-        return all(r.is_polynomial() for r in self.terms.values())
-
-    def to_bipoly(self) -> BiPoly:
-        out: Dict[Tuple[int, int], int] = {}
-        for (a, b), r in self.terms.items():
-            for k, c in enumerate(r.as_polynomial()):
-                if c:
-                    key = (a + k, b + k)
-                    out[key] = out.get(key, 0) + c
-        return BiPoly(out)
-
-    def value_at_one(self) -> Fraction:
-        """Exact limit at u = v = 1 (PoleAtOne if infinite)."""
-        return sum((limit_at_one(r) for r in self.terms.values()), Fraction(0))
-
-    def __repr__(self):
-        bits = [f"u^{a} v^{b} * {r!r}" for (a, b), r in sorted(self.terms.items())]
-        return "EFunction(" + ("0" if not bits else " + ".join(bits)) + ")"
-
-
-def efunction_from_bipoly(dimension: int, p: BiPoly) -> EFunction:
-    return EFunction(
-        dimension,
-        ((a, b, RationalT.from_int(c)) for (a, b), c in p.terms.items()),
-    )
-
 
 # ---------------------------------------------------------------------------
 # brackets

@@ -671,6 +671,14 @@ def milnor_number(wv: WeightVector, transverse_hint: bool | None = None) -> Frac
     return value
 
 
+def sector_hilbert(wv: WeightVector, zero: int) -> Tuple[List[int], List[int]]:
+    """The numerator coefficients and the coins c of the sector Hilbert
+    series U = prod over i in Z of (1 - s**(w - w_i)) / (1 - s**w_i), with
+    the zero set Z given as a bitmask: U = num(s) / prod (1 - s**c)."""
+    coins = [wi for i, wi in enumerate(wv.weights) if zero >> i & 1]
+    return expand_factors((wv.w - wi, 1) for wi in coins), coins
+
+
 def poincare_series(wv: WeightVector, l: int) -> RationalT:
     """Hilbert series of the l-th fixed sector restriction, as a rational
     function of s = t**(1/w):
@@ -682,6 +690,5 @@ def poincare_series(wv: WeightVector, l: int) -> RationalT:
     the product is empty and the series is 1.
     """
     el = element(wv, l)
-    fixed = [wv.weights[j] for j, q in enumerate(el.theta_tilde) if q == 0]
-    num = expand_factors((wv.w - wj, 1) for wj in fixed)
-    return RationalT(num, 0, [(wj, 1) for wj in fixed])
+    num, coins = sector_hilbert(wv, sum(1 << j for j, q in enumerate(el.theta_tilde) if q == 0))
+    return RationalT(num, 0, [(c, 1) for c in coins])

@@ -18,13 +18,17 @@ stride-m kernel ``exact_arith.series_quotient`` replaced.
 ``slow_stringy_half`` assembles E_str and every E^(l) face by face, with one
 ``bracket`` call and one ``EFunction`` per face term, the reference for the
 printed forms of the subset-lattice walk and its one peel per face term.
+``slow_vafa_poincare`` divides each sector Hilbert series out by exact long
+division (``poly_div_exact``, also the reference for the stride-m division)
+and keeps the integral exponents of a ``FracPoly`` over 2w, the reference
+for the single multisection route of ``vafa_poincare``.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -32,20 +36,24 @@ from stringymirror import (
     BiPoly,
     EFunction,
     FaceEPolynomial,
+    FracPoly,
     bracket,
     element,
     face_e,
+    integral_project,
     ip_property,
     orbifold,
     subgroup,
     validate,
 )
-from stringymirror.exact_arith import rational_sum
+from stringymirror.exact_arith import expand_factors, poly_strip, rational_sum
 from stringymirror.weights import element_classes
 from stringymirror.errors import (
     DivisionNotExact,
     InconsistentCensus,
     InconsistentLP,
+    InconsistentSector,
+    NonIntegerCoefficient,
     NotWellFormed,
 )
 
@@ -451,7 +459,8 @@ def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
     zs = _zero_sets(wv)
     for l in range(wv.w):
         if zs[l] not in projected:
-            projected[zs[l]] = orbifold._projected_sector(wv, zs[l])
+            zero = sum(1 << i for i in zs[l])
+            projected[zs[l]] = orbifold._projected_sector(wv, zero)
         B = projected[zs[l]]
         if l == 0:
             ef = EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])
@@ -464,6 +473,95 @@ def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
         per[l] = ef
         total = total + ef
     return total, per
+
+
+# ---------------------------------------------------------------------------
+# the Poincare polynomial by exact long division and exponents over 2w
+
+
+def poly_div_exact(a: Sequence, b: Sequence):
+    """Quotient of dense polynomials, or None when a remainder is left.
+
+    The divisor must have a unit leading coefficient, which covers every
+    divisor used in this package: products of (1 - t**m) factors.
+    """
+    rem = list(a)
+    div = poly_strip(list(b))
+    if not div:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = div[-1]
+    if lead not in (1, -1):
+        raise ValueError("divisor must have a unit leading coefficient")
+    poly_strip(rem)
+    if not rem:
+        return []
+    if len(rem) < len(div):
+        return None
+    quot = [0] * (len(rem) - len(div) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(div) - 1]
+        if c:
+            c *= lead
+            quot[i] = c
+            for k, bc in enumerate(div):
+                rem[i + k] -= c * bc
+    if any(rem):
+        return None
+    return quot
+
+
+def _slow_sector_bipoly(wv, l) -> Optional[BiPoly]:
+    """[ U_l * (t tbar)^{g} (t/tbar)^{beta} ]_int for the polynomial route;
+    None when U_l is not a polynomial."""
+    el = element(wv, l)
+    zero = frozenset(i for i, q in enumerate(el.theta_tilde) if q == 0)
+    ws = [wv.weights[i] for i in sorted(zero)]
+    num, den = [(wv.w - wi, 1) for wi in ws], [(wi, 1) for wi in ws]
+    U = poly_div_exact(expand_factors(num), expand_factors(den))
+    if U is None:
+        return None
+    w = wv.w
+    twisted_sum = sum(wv.weights[i] for i in wv.indices() if i not in zero)
+    # numerators over the common denominator 2w:
+    # 2w*g = size*w - 2*sum', 2w*beta = 2*age*w - size*w
+    g2 = el.size * w - 2 * twisted_sum
+    b2 = 2 * el.age * w - el.size * w
+    terms: Dict[int, int] = {}
+    for e, c in enumerate(U):
+        if c:
+            terms[2 * e + g2 + b2] = c
+    fp = FracPoly(2 * w, terms)
+    kept = integral_project(fp)
+    diag_offset = 2 * el.age - el.size  # alpha - beta, always an integer
+    out: Dict[Tuple[int, int], int] = {}
+    for ee, c in kept.terms.items():
+        alpha = ee // (2 * w)
+        beta = alpha - diag_offset
+        if alpha < 0 or beta < 0:
+            raise InconsistentSector(
+                f"sector {l} of {wv} has a negative exponent pair ({alpha}, {beta})"
+            )
+        out[(alpha, beta)] = out.get((alpha, beta), 0) + c
+    return BiPoly(out)
+
+
+def slow_vafa_poincare(wv) -> BiPoly:
+    """Orbifold Hodge-Poincare polynomial with U_l divided out by exact long
+    division and the bracket taken on a ``FracPoly`` over 2w, one l per
+    element class; NonIntegerCoefficient when some U_l is not a
+    polynomial."""
+    total = BiPoly.zero()
+    for c in element_classes(wv):
+        part = _slow_sector_bipoly(wv, c.first)
+        if part is None:
+            raise NonIntegerCoefficient(
+                f"sector l={c.first} of {wv} has a non-polynomial Hilbert series; "
+                "the weight vector is not transverse"
+            )
+        total = total + part * c.count
+    if any(c < 0 or c != int(c) for c in total.terms.values()):
+        raise NonIntegerCoefficient(f"negative entries in P(t, tbar) for {wv}")
+    return total
 
 
 # ---------------------------------------------------------------------------

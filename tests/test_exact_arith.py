@@ -23,7 +23,6 @@ from stringymirror.exact_arith import (
     expand_factors,
     mul_one_minus_tm,
     multisection,
-    poly_div_exact,
     poly_mul,
     poly_strip,
     rational_sum,
@@ -36,7 +35,7 @@ from stringymirror.errors import (
     ReconstructionFailure,
 )
 
-from conftest import slow_series_quotient
+from conftest import poly_div_exact, slow_series_quotient
 
 HYP = settings(deadline=None, derandomize=True, max_examples=60)
 

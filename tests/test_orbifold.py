@@ -19,12 +19,22 @@ from stringymirror import (
     validate,
 )
 from stringymirror.errors import NonIntegerCoefficient
-from stringymirror.orbifold import _sector_bipoly
+from stringymirror.orbifold import _direct_sector
+from stringymirror.weights import class_index, element_classes, transverse
+
+from conftest import _ip_members, slow_vafa_poincare
 
 QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
 OCTIC = (1, 1, 2, 2, 2)
 FERMAT_LIKE = (1, 1, 2, 4, 5)
+DEGREE_1806 = (1, 42, 258, 602, 903)
+RATIONAL_SECTOR = (1, 2, 3, 10, 15)  # non-transverse: U_l is not a polynomial
+
+
+def _sector_bipoly(wv, l):
+    """The direct sector of l's element class, as a polynomial in (t, tbar)."""
+    return _direct_sector(wv, element_classes(wv)[class_index(wv)[l]]).to_bipoly()
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +129,40 @@ def test_vafa_poincare_rejects_non_transverse():
         vafa_poincare(validate(FERMAT_LIKE))
 
 
+def _poincare_or_error(fn, wv):
+    try:
+        return fn(wv)
+    except NonIntegerCoefficient as exc:
+        return str(exc)
+
+
+def test_vafa_poincare_matches_long_division(population):
+    # the same polynomial, or the same NonIntegerCoefficient message, as the
+    # long-division route over 2w on every survey vector
+    assert any(not transverse(wv) for wv in population)
+    for wv in population:
+        assert _poincare_or_error(vafa_poincare, wv) == _poincare_or_error(
+            slow_vafa_poincare, wv
+        ), wv
+
+
+def test_vafa_poincare_matches_long_division_degree_1806():
+    wv = validate(DEGREE_1806)
+    assert vafa_poincare(wv) == slow_vafa_poincare(wv)
+
+
+def test_vafa_poincare_sign_rule():
+    # P(t, tbar) is the mirror-side E-function with the sign (-1)^(p+q)
+    # dropped, on every transverse IP vector of d = 3, w <= 66 and d = 4,
+    # w <= 24
+    vectors = [wv for wv in _ip_members(3, 66) + _ip_members(4, 24) if transverse(wv)]
+    assert len(vectors) > 100
+    for wv in vectors:
+        e = mirror_orbifold_e(wv).value.to_bipoly()
+        signed = BiPoly({(p, q): (-1) ** (p + q) * c for (p, q), c in e.terms.items()})
+        assert vafa_poincare(wv) == signed, wv
+
+
 # ---------------------------------------------------------------------------
 # mirror-transformed orbifold E-function
 
@@ -185,6 +229,6 @@ def test_mirror_orbifold_equals_stringy(ws):
 # the two sector representations agree
 
 
-@pytest.mark.parametrize("ws", [QUINTIC, K3, OCTIC, FERMAT_LIKE])
+@pytest.mark.parametrize("ws", [QUINTIC, K3, OCTIC, FERMAT_LIKE, DEGREE_1806, RATIONAL_SECTOR])
 def test_q_identity(ws):
     assert q_identity_check(validate(ws))
