@@ -26,6 +26,7 @@ import csv
 import json
 import sys
 from itertools import islice
+from math import gcd
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
@@ -37,6 +38,8 @@ from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
 from .weights import (
     ElementClass,
     WeightVector,
+    _extend_reach,
+    _interior,
     census,
     class_index,
     element_classes,
@@ -367,35 +370,52 @@ def _emit_single(args, payload: Dict) -> None:
                 print(f"  l={l}: {payload['per_l'][l]}")
 
 
-def _ascending_tuples(
-    k: int, budget: int, start: int = 1, before: int = 0
-) -> Iterator[Tuple[int, ...]]:
-    """Non-decreasing k-tuples (k >= 1) with entries >= start and sum <=
-    budget whose last, largest entry is at most the sum of the others
-    (``before`` is the sum of the entries already placed in front), in
-    lexicographic order.  A larger last entry w_i has 2 w_i > w, which
-    ``ip_property`` rejects at its first step."""
-    if k == 1:
-        for v in range(start, min(budget, before) + 1):
-            yield (v,)
+def _prefixes(
+    k: int, wmax: int, ws: Tuple[int, ...], R: List[int]
+) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """ws extended by k more non-decreasing weights, in lexicographic order,
+    leaving room for a last weight at least as large within the sum wmax;
+    each with its reach sets kept to the bits 0..wmax, extended one weight
+    at a time as the walk goes down (R holds those of ws)."""
+    if not k:
+        yield ws, R
         return
-    for v in range(start, budget // k + 1):
-        for rest in _ascending_tuples(k - 1, budget - v, v, before + v):
-            yield (v,) + rest
+    for v in range(ws[-1] if ws else 1, (wmax - sum(ws)) // (k + 1) + 1):
+        yield from _prefixes(k - 1, wmax, ws + (v,), R + _extend_reach(R, v, wmax))
 
 
 def _ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
-    """The IP vectors in lexicographic order.  Each candidate's record is
-    dropped before the next one is tested, and with it the row built for
-    the candidate, so a scan holds one record at a time."""
-    for tup in _ascending_tuples(dim + 1, wmax):
-        try:
-            wv = validate(tup)
-        except NotWellFormed:
+    """The IP vectors with dim + 1 non-decreasing weights and w <= wmax, in
+    lexicographic order.
+
+    The walk goes over the prefixes of the first dim weights, and each does
+    its work once: gcd(prefix) = 1 (else no last weight d makes a
+    well-formed vector), the gcd g_i of the prefix without index i, and the
+    prefix's reach sets.  A candidate d runs from the prefix's largest
+    weight up to the sum of the others (a larger d has 2 d > w, on a face)
+    and within wmax.  It is well formed iff gcd(g_i, d) = 1 for every i,
+    and its reach sets are the prefix's, cut to w, followed by the same
+    extended by the coin d (``weights._reach_sets``); ``weights._interior``
+    gives the verdict.  Only an IP vector gets a record, seeded with its
+    reach sets and verdict, and the record before it is dropped first (and
+    with it the row built for it), so a scan holds one record at a time."""
+    for prefix, top in _prefixes(dim, wmax, (), [1]):
+        if gcd(*prefix) != 1:
             continue
-        record.cache_clear()
-        if ip_property(wv):
-            yield wv
+        s = sum(prefix)
+        others = [gcd(*prefix[:i], *prefix[i + 1 :]) for i in range(dim)]
+        for d in range(prefix[-1], min(wmax - s, s) + 1):
+            if any(gcd(g, d) != 1 for g in others):
+                continue
+            full = (1 << (s + d + 1)) - 1
+            R = [r & full for r in top]
+            R += _extend_reach(R, d, s + d)
+            if _interior(prefix + (d,), R):
+                wv = validate(prefix + (d,))
+                record.cache_clear()
+                rec = record(wv)
+                rec.reach, rec.ip = R, True
+                yield wv
 
 
 def _cmd_scan(args) -> int:

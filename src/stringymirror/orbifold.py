@@ -36,10 +36,13 @@ over the coefficients c_e of U_l in s, an exact rational function of t
 the offset -a, the Poincare-style route the offset S mod w; U_l is a
 polynomial exactly when its factored normal form has an empty denominator.
 
-``q_identity_check`` verifies, element class by element class, that the
-Poincare-style route t^alpha tbar^beta G(t tbar) times (-1)^size equals the
-per-element term of ``mirror_orbifold_e`` (s^a twist); it is a structural
-self-test of the two offsets, not a mirror statement.
+Since S = w - a, the two offsets differ by w and G = B / t, B the mirror
+form's multisection: each Poincare-style term is (-1)^size times the
+class's term of ``mirror_orbifold_e``, and ``vafa_poincare`` reads it so.
+``q_identity_check`` verifies this, element class by element class,
+against the Poincare-style route t^alpha tbar^beta G(t tbar) computed on
+its own (``_direct_sector``); it is a structural self-test of the two
+offsets, not a mirror statement.
 
 Every sum over Z/wZ runs over the element classes of ``weights``: a term
 depends on l only through Z(l), age and size.  The sector terms and their
@@ -119,16 +122,23 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     h^{d-1-p, q} of the hypersurface itself, i.e. h^{p, q} of its mirror.
     Raises NonIntegerCoefficient when a sector Hilbert series fails to be a
     polynomial with non-negative integer coefficients (non-transverse
-    input)."""
-    total = BiPoly.zero()
-    for c in element_classes(wv):
+    input).
+
+    Each sector term is read off the orbifold half: the multisections at
+    the offsets S mod w and -a differ by one factor t, so the term of class
+    c is (-1)^size times its term of ``mirror_orbifold_e``
+    (``q_identity_check`` tests this against ``_direct_sector``)."""
+    classes = element_classes(wv)
+    for c in classes:
         num, coins = sector_hilbert(wv, _zero_mask(wv, c))
         if not RationalT(num, 0, [(m, 1) for m in coins]).is_polynomial():
             raise NonIntegerCoefficient(
                 f"sector l={c.first} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
             )
-        total = total + _direct_sector(wv, c).to_bipoly() * c.count
+    total = BiPoly.zero()
+    for c, term in zip(classes, _orbifold(wv).terms):
+        total = total + term.to_bipoly() * (-c.count if c.size % 2 else c.count)
     if any(c < 0 for c in total.terms.values()):
         raise NonIntegerCoefficient(f"negative entries in P(t, tbar) for {wv}")
     return total

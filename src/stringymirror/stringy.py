@@ -115,13 +115,13 @@ def _finish(wv: WeightVector, R: List[int], K: int, fx: RationalT) -> RationalT:
 def _lattice_brackets(rec: VectorRecord) -> Dict[int, RationalT]:
     """bracket_J for every J with |J| >= 2, keyed by J's bitmask.
 
-    The complements K are walked depth first over the subset lattice with
-    the parent rule of ``weights._reach_sets`` on ranked coins: K extends
-    the cleared product of K minus its coin of lowest rank by that one coin
-    (``extend_cleared``), so each bracket costs one coin instead of |K|,
-    and only the products along the current chain are alive.  Rank 0 is
-    the coin that lengthens a product most (by m w - c), so the longest
-    products are leaves of the walk, never parents."""
+    The complements K are walked depth first over the subset lattice, one
+    coin at a time like ``weights._reach_sets`` but on ranked coins: K
+    extends the cleared product of K minus its coin of lowest rank by that
+    one coin (``extend_cleared``), so each bracket costs one coin instead
+    of |K|, and only the products along the current chain are alive.
+    Rank 0 is the coin that lengthens a product most (by m w - c), so the
+    longest products are leaves of the walk, never parents."""
     wv = rec.wv
     R = _reach(rec)
     ws, w, n = wv.weights, wv.w, len(wv.weights)

@@ -23,15 +23,20 @@ criterion for the generic member of the linear system to be quasi-smooth.
 
 Both tests read reach sets: for every index subset K, one int whose bit s
 says whether the degree s <= w is a non-negative integer combination of
-the weights w_k, k in K, built once over the subset lattice by shift-or
-steps (``_reach_sets``).
+the weights w_k, k in K, built by shift-or steps one weight at a time
+(``_reach_sets``): the subsets holding the last weight extend those of the
+others by one coin (``_extend_reach``), so a scan shares the sets of a
+weight prefix across every last weight (``cli._ip_vectors``).
 
 ``ip_property`` decides whether the all-ones exponent vector lies in the
 interior of the degree-w monomial polytope without listing its lattice
 points (there are roughly w^d of them).  After the free reject 2 w_i > w
-(z on the face u_i = 1), the reach sets give the face rejects: z on a face
-sum_{j in J} u_j = |J| for a proper index subset J, found by adding coins
-of J to the reach set of the other weights one round at a time.  Then one
+(z on the face u_i = 1), the reach sets give the face rejects, cheapest
+first: z on a face sum_{j in J} u_j = |J| for a proper index subset J,
+found by adding coins of J to the reach set of the other weights one round
+at a time.  The minimum tests run before the maximum tests, smallest J
+first; for one index it is a single bit, whether the other weights reach
+w, and that rejects most candidates of a scan.  Then one
 oracle minimizes a general integer functional over the points by an
 unbounded-knapsack DP over the degrees 0..w, O(n w) integer steps.  It
 serves a search for an affinely spanning set of points along integer
@@ -328,22 +333,32 @@ def _knapsack_min(
     return f[w], tuple(u)
 
 
-def _reach_sets(ws: Sequence[int]) -> List[int]:
-    """R[mask] for every index subset K (bit i of mask set for i in K): an
-    int whose bit s, 0 <= s <= w, is set when s is a non-negative integer
-    combination of the weights ws_k, k in K.  R[K] is R[K minus its lowest
-    index] closed under that one more coin by O(log w) shift-or steps."""
-    w = sum(ws)
+def _extend_reach(R: Sequence[int], c: int, w: int) -> List[int]:
+    """Each reach set of R, kept to the bits 0..w, closed under one more
+    coin c by O(log w) shift-or steps: from the sets of the index subsets K,
+    those of K plus one new index of weight c."""
     full = (1 << (w + 1)) - 1
-    R = [1] * (1 << len(ws))
-    for mask in range(1, len(R)):
-        low = mask & -mask
-        r = R[mask ^ low]
-        step = ws[low.bit_length() - 1]
+    out = []
+    for r in R:
+        step = c
         while step <= w:  # steps c, 2c, .., 2^k c add 0..2^(k+1) - 1 coins
             r |= (r << step) & full
             step <<= 1
-        R[mask] = r
+        out.append(r)
+    return out
+
+
+def _reach_sets(ws: Sequence[int]) -> List[int]:
+    """R[mask] for every index subset K (bit i of mask set for i in K): an
+    int whose bit s, 0 <= s <= w, is set when s is a non-negative integer
+    combination of the weights ws_k, k in K.  R[K] is R[K minus its highest
+    index] extended by that coin, so R(ws) = R(ws[:-1]) + ``_extend_reach``(
+    R(ws[:-1]), ws[-1], w): a scan builds the sets of a prefix once, at its
+    largest w, and shares them across every last weight."""
+    w = sum(ws)
+    R = [1]
+    for c in ws:
+        R += _extend_reach(R, c, w)
     return R
 
 
@@ -354,38 +369,46 @@ def _reach(rec: VectorRecord) -> List[int]:
     return rec.reach
 
 
-def _on_face(ws: Sequence[int], R: Sequence[int], mask: int) -> Tuple[bool, bool]:
-    """Whether the minimum and whether the maximum of sum_{j in J} u_j over
-    the points u >= 0, sum ws_i u_i = w equal |J|, for the proper nonempty
-    index subset J of mask; R is ``_reach_sets(ws)``.
-
-    Both follow from the degrees reachable with t coins from J: L_0 =
-    R[complement of J] and L_(t+1) = OR_(j in J) L_t << ws_j hold those with
-    exactly t of them, and the same rounds from R[all] those with at least
-    t.  z is a point, so the minimum is |J| when bit w is in none of
-    L_0..L_(|J|-1), and the maximum when it is missing after |J| + 1 rounds
-    from R[all]."""
-    w = sum(ws)
+def _rounds(r: int, coins: Sequence[int], w: int, k: int) -> int:
+    """k rounds of r -> OR_(c in coins) r << c, kept to the bits 0..w."""
     full = (1 << (w + 1)) - 1
-    J = [ws[j] for j in range(len(ws)) if mask >> j & 1]
-
-    def more(r: int) -> int:
+    for _ in range(k):
         out = 0
-        for c in J:
+        for c in coins:
             out |= r << c
-        return out & full
+        r = out & full
+    return r
 
+
+def _on_min(ws: Sequence[int], R: Sequence[int], mask: int) -> bool:
+    """Whether the minimum of sum_{j in J} u_j over the points u >= 0,
+    sum ws_i u_i = w equals |J|, for the proper nonempty index subset J of
+    mask; R is ``_reach_sets(ws)``.
+
+    L_0 = R[complement of J] holds the degrees reachable with no coin of J,
+    and L_(t+1) = OR_(j in J) L_t << ws_j those with exactly t + 1 of them.
+    z is a point, so the minimum is |J| when bit w is in none of
+    L_0..L_(|J|-1).  For |J| = 1 that is one bit read."""
+    w = sum(ws)
     r = R[(len(R) - 1) ^ mask]
-    on_min = True
-    for _ in J:
+    if r >> w & 1:
+        return False
+    coins = [c for j, c in enumerate(ws) if mask >> j & 1]
+    for _ in range(len(coins) - 1):
+        r = _rounds(r, coins, w, 1)
         if r >> w & 1:
-            on_min = False
-            break
-        r = more(r)
-    r = R[-1]
-    for _ in range(len(J) + 1):
-        r = more(r)
-    return on_min, not r >> w & 1
+            return False
+    return True
+
+
+def _on_max(ws: Sequence[int], R: Sequence[int], mask: int) -> bool:
+    """Whether the maximum of sum_{j in J} u_j over the same points equals
+    |J|: the rounds of ``_on_min`` started from R[all] hold the degrees
+    reachable with at least t coins of J, and the maximum is |J| when bit w
+    is missing after |J| + 1 of them."""
+    w = sum(ws)
+    coins = [c for j, c in enumerate(ws) if mask >> j & 1]
+    return not _rounds(R[-1], coins, w, len(coins) + 1) >> w & 1
 
 
 def _eliminate(
@@ -546,8 +569,10 @@ def ip_property(wv: WeightVector) -> bool:
        nonempty index subset J, if the minimum or the maximum of
        sum_{j in J} u_j equals |J|, z lies on a face (a proper one, or the
        polytope is not d-dimensional since 1_J is not parallel to w).
-       ``_on_face`` decides both from the reach sets: whether degree w
-       needs |J| coins of J, and whether it allows no more than |J|.
+       ``_on_min`` and ``_on_max`` decide them from the reach sets: whether
+       degree w needs |J| coins of J, and whether it allows no more than
+       |J|.  Every on-min test runs first, smallest |J| first; for |J| = 1
+       it is one bit read.
     2. Affine hull: starting from V = {z}, take a primitive integer c
        orthogonal to w and to every u - z, u in V.  If both the minimum and
        the maximum of c.u equal c.z, the points lie in a hyperplane of the
@@ -572,20 +597,25 @@ def ip_property(wv: WeightVector) -> bool:
 
 def _ip_verdict(rec: VectorRecord) -> bool:
     if rec.ip is None:
-        rec.ip = _interior(rec)
+        ws = rec.wv.weights
+        # 2 w_i > w puts z on the face u_i = 1; tested before any reach set
+        rec.ip = 2 * max(ws) <= rec.wv.w and _interior(ws, _reach(rec))
     return rec.ip
 
 
-def _interior(rec: VectorRecord) -> bool:
-    """The IP verdict of ``ip_property`` for rec's vector, computed."""
-    ws = rec.wv.weights
+def _interior(ws: Sequence[int], R: Sequence[int]) -> bool:
+    """The IP verdict of ``ip_property`` for the weights ws with reach sets
+    R = ``_reach_sets(ws)``, from step 1's face rejects on: the one verdict
+    of the record path and of ``cli._ip_vectors``.  Every on-min test runs
+    before any on-max test, smallest |J| first (the |J| = 1 on-min tests,
+    one bit each, reject most candidates; the on-max tests, few).  A weight
+    with 2 w_i > w is caught too, by the on-max test of J = {i}."""
     n = len(ws)
-    w = rec.wv.w
-    if any(2 * wi > w for wi in ws):
-        return False
-    R = _reach(rec)
-    if any(any(_on_face(ws, R, mask)) for mask in range(1, (1 << n) - 1)):
-        return False
+    faces = sorted(range(1, len(R) - 1), key=int.bit_count)
+    for on_face in (_on_min, _on_max):
+        for J in faces:
+            if on_face(ws, R, J):
+                return False
     z = (1,) * n
     V: List[Tuple[int, ...]] = [z]
     rows: List[Sequence[int]] = [ws]

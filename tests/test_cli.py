@@ -20,6 +20,8 @@ from stringymirror import cli, exact_arith, face_epoly, weights
 from stringymirror.cli import main
 from stringymirror.errors import InconsistentCensus
 
+from conftest import _ip_members
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -471,9 +473,38 @@ def test_scan_skip_resumes(capsys, monkeypatch):
         assert seen == []
 
 
+@pytest.mark.parametrize("dim, wmax", [(1, 10), (2, 60), (3, 40), (4, 20), (5, 12), (6, 10)])
+def test_prefix_scan_matches_the_per_candidate_route(dim, wmax):
+    # the prefix walk, with its shared reach sets and gcds, yields the
+    # well-formed IP vectors that one ip_property call per tuple finds, each
+    # with its record seeded by the verdict and the vector's own reach sets
+    found = []
+    for wv in cli._ip_vectors(dim, wmax):
+        rec = weights.record(wv)
+        assert rec.ip is True and rec.reach == weights._reach_sets(wv.weights), wv
+        found.append(wv)
+    assert found == _ip_members(dim, wmax)
+
+
+def test_k3_scan_stdout_matches_the_benchmark_reference(capsys):
+    # the k3_scan workload's stdout, byte for byte, against its digest in
+    # the benchmark's output reference
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text())["scans"]["k3_scan"]
+    code, out, _ = run(["scan", "--dim", "3", "--wmax", "66"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_cy3_scan_stdout_is_pinned(capsys):
+    code, out, _ = run(["scan", "--dim", "4", "--wmax", "24"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "9e3a7a40800aaecd"
+
+
 def test_scan_holds_one_record(capsys):
-    # each candidate's record, and the row built from it, is dropped before
-    # the next candidate is tested
+    # a non-IP candidate builds no record, and each vector's record, with
+    # the row built from it, is dropped before the next vector is emitted
     code, out, _ = run(["scan", "--dim", "4", "--wmax", "16", "--format", "json"], capsys)
     assert code == 0 and out
     assert weights.record.cache_info().currsize <= 1

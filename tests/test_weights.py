@@ -350,7 +350,8 @@ def _check_face_rejects(ws):
             weights._knapsack_min(ws, ind)[0] == size,
             -weights._knapsack_min(ws, [-x for x in ind])[0] == size,
         )
-        assert weights._on_face(ws, R, mask) == expected, (ws, mask)
+        found = (weights._on_min(ws, R, mask), weights._on_max(ws, R, mask))
+        assert found == expected, (ws, mask)
 
 
 @HYP
@@ -363,6 +364,20 @@ def test_face_rejects_match_knapsack(ws):
 
 def test_face_rejects_match_knapsack_high_degree():
     _check_face_rejects((1, 42, 258, 602, 903))
+
+
+@HYP
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(0, 50))
+@example([1], 0)
+def test_reach_sets_extend_a_prefix(ws, extra):
+    # a prefix's reach sets built for a larger degree and cut to w, then
+    # extended by the last coin: the sets of the whole vector
+    w = sum(ws)
+    R = [1]
+    for c in ws[:-1]:
+        R += weights._extend_reach(R, c, w + extra)
+    cut = [r & ((1 << (w + 1)) - 1) for r in R]
+    assert weights._reach_sets(ws) == cut + weights._extend_reach(cut, ws[-1], w)
 
 
 def test_reach_sets_are_subset_sums():
