@@ -24,10 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from itertools import islice
-from math import gcd
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
 from .exact_arith import BiPoly, EFunction, RationalT
@@ -38,20 +38,22 @@ from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
 from .weights import (
     ElementClass,
     WeightVector,
-    _extend_reach,
-    _interior,
     census,
     class_index,
     element_classes,
     ip_property,
+    ip_vectors,
     milnor_number,
-    record,
     require_ip,
     transverse,
     validate,
 )
 
 INVALID_INPUT, NO_MIRROR, INTERNAL = 2, 3, 4
+
+# a weight token: an optional sign and ASCII digits (int() alone would also
+# read digit-group underscores and non-ASCII digits)
+_INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 _INPUT_ERRORS = (EmptyInput, NotWellFormed, OutOfRange)
 # caught after NotIP and the input errors: every other package error is a
@@ -152,9 +154,11 @@ def _parse_weights(raw: str) -> WeightVector:
     parts = raw.replace(",", " ").split()
     if not parts:
         raise EmptyInput("no weights supplied")
+    if not all(_INTEGER_TOKEN.fullmatch(p) for p in parts):
+        raise NotWellFormed(f"weights must be integers, got {raw!r}")
     try:
         ints = [int(p) for p in parts]
-    except ValueError:
+    except ValueError:  # past int()'s digit limit
         raise NotWellFormed(f"weights must be integers, got {raw!r}")
     return validate(ints)
 
@@ -370,54 +374,6 @@ def _emit_single(args, payload: Dict) -> None:
                 print(f"  l={l}: {payload['per_l'][l]}")
 
 
-def _prefixes(
-    k: int, wmax: int, ws: Tuple[int, ...], R: List[int]
-) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-    """ws extended by k more non-decreasing weights, in lexicographic order,
-    leaving room for a last weight at least as large within the sum wmax;
-    each with its reach sets kept to the bits 0..wmax, extended one weight
-    at a time as the walk goes down (R holds those of ws)."""
-    if not k:
-        yield ws, R
-        return
-    for v in range(ws[-1] if ws else 1, (wmax - sum(ws)) // (k + 1) + 1):
-        yield from _prefixes(k - 1, wmax, ws + (v,), R + _extend_reach(R, v, wmax))
-
-
-def _ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
-    """The IP vectors with dim + 1 non-decreasing weights and w <= wmax, in
-    lexicographic order.
-
-    The walk goes over the prefixes of the first dim weights, and each does
-    its work once: gcd(prefix) = 1 (else no last weight d makes a
-    well-formed vector), the gcd g_i of the prefix without index i, and the
-    prefix's reach sets.  A candidate d runs from the prefix's largest
-    weight up to the sum of the others (a larger d has 2 d > w, on a face)
-    and within wmax.  It is well formed iff gcd(g_i, d) = 1 for every i,
-    and its reach sets are the prefix's, cut to w, followed by the same
-    extended by the coin d (``weights._reach_sets``); ``weights._interior``
-    gives the verdict.  Only an IP vector gets a record, seeded with its
-    reach sets and verdict, and the record before it is dropped first (and
-    with it the row built for it), so a scan holds one record at a time."""
-    for prefix, top in _prefixes(dim, wmax, (), [1]):
-        if gcd(*prefix) != 1:
-            continue
-        s = sum(prefix)
-        others = [gcd(*prefix[:i], *prefix[i + 1 :]) for i in range(dim)]
-        for d in range(prefix[-1], min(wmax - s, s) + 1):
-            if any(gcd(g, d) != 1 for g in others):
-                continue
-            full = (1 << (s + d + 1)) - 1
-            R = [r & full for r in top]
-            R += _extend_reach(R, d, s + d)
-            if _interior(prefix + (d,), R):
-                wv = validate(prefix + (d,))
-                record.cache_clear()
-                rec = record(wv)
-                rec.reach, rec.ip = R, True
-                yield wv
-
-
 def _cmd_scan(args) -> int:
     if not 1 <= args.dim <= 6:
         raise OutOfRange("scan supports --dim between 1 and 6")
@@ -429,7 +385,7 @@ def _cmd_scan(args) -> int:
         raise OutOfRange("scan supports --limit >= 0")
     stop = None if args.limit is None else args.skip + args.limit
     # rows are built only for the vectors past --skip
-    vectors = islice(_ip_vectors(args.dim, args.wmax), args.skip, stop)
+    vectors = islice(ip_vectors(args.dim, args.wmax), args.skip, stop)
     rows = (_row_payload(wv, verify(wv)) for wv in vectors)
     if args.format == "json":
         for row in rows:

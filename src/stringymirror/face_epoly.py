@@ -12,9 +12,10 @@ G_J = { l : theta~_j(l) = 0 for all j outside J }:
 The division by uv is exact because every nonzero l has age >= 1 and
 size - age >= 1; a remainder would mean the weight vector escaped the
 well-formedness checks, reported as DivisionNotExact.  The formula is
-written once, ``face_terms``, over the element classes with their supports
-as index bitmasks; ``face_e`` reads it for one J and the stringy half for
-every J.
+written once, ``face_terms``, over the element classes, whose supports are
+index bitmasks like J; ``face_e`` reads it for one J and the stringy half
+for every J.  (t - 1)^n, t = uv, which the stringy half needs too, is
+``_uv_minus_one_pow``.
 
 ``psi`` is the age census of the full group: psi_i = #{ l : age(l) = i }.
 Specialising E_I at v = 1 reproduces the psi-weighted form
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import DivisionNotExact, InconsistentCensus, SubsetTooSmall
 from .exact_arith import BiPoly
-from .weights import ElementClass, WeightVector, _check_subset, element_classes
+from .weights import ElementClass, WeightVector, _check_subset, _members, element_classes
 
 
 @dataclass(frozen=True)
@@ -41,39 +42,29 @@ class FaceEPolynomial:
 
 def face_e(wv: WeightVector, J: Iterable[int]) -> FaceEPolynomial:
     """E-polynomial of the face piece for J (|J| >= 2)."""
-    Jf = _check_subset(wv, J)
-    if len(Jf) < 2:
-        raise SubsetTooSmall(f"face subsets need at least two indices, got {sorted(Jf)}")
-    mask = sum(1 << j for j in Jf)
-    classes = class_masks(element_classes(wv))
-    return FaceEPolynomial(Jf, BiPoly(face_terms(classes, mask)))
+    mask = _check_subset(wv, J)
+    members = _members(mask)
+    if len(members) < 2:
+        raise SubsetTooSmall(f"face subsets need at least two indices, got {list(members)}")
+    return FaceEPolynomial(frozenset(members), BiPoly(face_terms(element_classes(wv), mask)))
 
 
-def class_masks(classes: Iterable[ElementClass]) -> Tuple[Tuple[int, int, int, int], ...]:
-    """(support bitmask, age, size, count) of every element class but {0}."""
-    return tuple(
-        (sum(1 << i for i in c.support), c.age, c.size, c.count)
-        for c in classes
-        if c.support
-    )
+def _uv_minus_one_pow(n: int) -> List[int]:
+    """(t - 1)^n as dense coefficients."""
+    return [comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
 
 
-def face_terms(
-    classes: Sequence[Tuple[int, int, int, int]], mask: int
-) -> Dict[Tuple[int, int], int]:
+def face_terms(classes: Sequence[ElementClass], mask: int) -> Dict[Tuple[int, int], int]:
     """The nonzero coefficients {(a, b): c} of E_J for the index bitmask J
-    (|J| >= 2), from ``class_masks``: G_J is the elements whose support
-    lies in J."""
+    (|J| >= 2), from the element classes: G_J minus {0} is the elements
+    whose nonempty support lies in J."""
     k = mask.bit_count()
-    terms: Dict[Tuple[int, int], int] = {}
     # (uv - 1)^(k-1) - (-1)^(k-1), along the diagonal
-    for i in range(k):
-        c = comb(k - 1, i) * (-1) ** (k - 1 - i)
-        terms[(i, i)] = terms.get((i, i), 0) + c
-    terms[(0, 0)] = terms.get((0, 0), 0) - (-1) ** (k - 1)
+    terms = {(i, i): c for i, c in enumerate(_uv_minus_one_pow(k - 1))}
+    terms[(0, 0)] -= (-1) ** (k - 1)
     sign = (-1) ** k
-    for support, age, size, count in classes:
-        if support & mask == support:
+    for support, age, size, count, _ in classes:
+        if support and support & mask == support:
             key = (age, size - age)
             terms[key] = terms.get(key, 0) + sign * count
     out: Dict[Tuple[int, int], int] = {}
@@ -81,9 +72,8 @@ def face_terms(
         if c == 0:
             continue
         if a < 1 or b < 1:
-            members = [i for i in range(mask.bit_length()) if mask >> i & 1]
             raise DivisionNotExact(
-                f"face numerator for J={members} has a u^{a} v^{b} term; "
+                f"face numerator for J={list(_members(mask))} has a u^{a} v^{b} term; "
                 "division by uv is not exact"
             )
         out[(a - 1, b - 1)] = c

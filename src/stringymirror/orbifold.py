@@ -62,6 +62,8 @@ from .exact_arith import BiPoly, EFunction, RationalT, multisection
 from .weights import (
     ElementClass,
     WeightVector,
+    _complement,
+    _members,
     class_index,
     element_classes,
     record,
@@ -76,25 +78,20 @@ def vafa_euler(wv: WeightVector) -> Fraction:
     """Orbifold Euler number of the hypersurface (exact rational).
 
     The pair sum runs over the distinct zero sets (at most 2^(d+1) of them),
-    each weighted by how many elements l share it."""
+    each weighted by how many elements l share it, keyed by its bitmask."""
     mult: Counter = Counter()
     for c in element_classes(wv):
-        mult[frozenset(wv.indices()) - c.support] += c.count
+        mult[_complement(wv, c.support)] += c.count
     ws = wv.weights
     w = wv.w
     total = Fraction(0)
     for zl, ml in mult.items():
         for zr, mr in mult.items():
             val = Fraction(ml * mr)
-            for i in zl & zr:
+            for i in _members(zl & zr):
                 val *= Fraction(ws[i] - w, ws[i])
             total += val
     return total / w
-
-
-def _zero_mask(wv: WeightVector, c: ElementClass) -> int:
-    """Z(l) of the elements l of class c, as a bitmask."""
-    return sum(1 << i for i in wv.indices() if i not in c.support)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +102,14 @@ def _direct_sector(wv: WeightVector, c: ElementClass) -> EFunction:
     """[ U_l * (t tbar)^{g} (t/tbar)^{beta} ]_int for the elements l of class
     c: t^alpha tbar^beta G(t tbar), G the multisection of U_l at the offset
     S mod w (S the sum of the weights off Z(l))."""
-    twisted_sum = sum(wv.weights[i] for i in c.support)
+    twisted_sum = sum(wv.weights[i] for i in _members(c.support))
     alpha = c.age - twisted_sum // wv.w
     beta = alpha - (2 * c.age - c.size)
     if alpha < 0 or beta < 0:
         raise InconsistentSector(
             f"sector {c.first} of {wv} has a negative exponent pair ({alpha}, {beta})"
         )
-    num, coins = sector_hilbert(wv, _zero_mask(wv, c))
+    num, coins = sector_hilbert(wv, _complement(wv, c.support))
     G = multisection(num, coins, wv.w, twisted_sum % wv.w)
     return EFunction(wv.d - 1, [(alpha, beta, G)])
 
@@ -130,7 +127,7 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     (``q_identity_check`` tests this against ``_direct_sector``)."""
     classes = element_classes(wv)
     for c in classes:
-        num, coins = sector_hilbert(wv, _zero_mask(wv, c))
+        num, coins = sector_hilbert(wv, _complement(wv, c.support))
         if not RationalT(num, 0, [(m, 1) for m in coins]).is_polynomial():
             raise NonIntegerCoefficient(
                 f"sector l={c.first} of {wv} has a non-polynomial Hilbert series; "
@@ -180,7 +177,7 @@ def _orbifold(wv: WeightVector) -> OrbifoldHalf:
         terms = []
         entries = []
         for c in element_classes(wv):
-            zero = _zero_mask(wv, c)
+            zero = _complement(wv, c.support)
             if zero not in projected:
                 projected[zero] = _projected_sector(wv, zero)
             B = projected[zero]

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from .errors import (
@@ -65,12 +64,14 @@ from .exact_arith import (
     poly_strip,
     rational_sum,
 )
-from .face_epoly import class_masks, face_terms
+from .face_epoly import _uv_minus_one_pow, face_terms
 from .weights import (
     VectorRecord,
     WeightVector,
     _check_subset,
     _classified,
+    _complement,
+    _members,
     _reach,
     ip_record,
     record,
@@ -83,8 +84,7 @@ from .weights import (
 def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
     t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
-    Jf = _check_subset(wv, J)
-    K = sum(1 << j for j in wv.indices() if j not in Jf)
+    K = _complement(wv, _check_subset(wv, J))
     coins = [wv.weights[j] for j in _members(K)]
     fx = multisection([1], coins, wv.w, -sum(coins))
     return _finish(wv, _reach(record(wv)), K, fx)
@@ -103,7 +103,7 @@ def _finish(wv: WeightVector, R: List[int], K: int, fx: RationalT) -> RationalT:
         top = bt.shift + len(bt.num) - 1 - sum(m * e for m, e in bt.den)
         first = bt.num[-1] * (-1) ** bt.pole_order_at_one() if bt.num and top == -1 else 0
         if not bt.num or top >= 0 or bool(first) != bool(reached):
-            J = [j for j in wv.indices() if not K >> j & 1]
+            J = list(_members(_complement(wv, K)))
             raise InconsistentExpansion(
                 f"bracket of {wv} for J = {J}: its expansion at t = infinity"
                 f" should be sum_k N_J(k) t^-k, but it has degree {top} and t^-1"
@@ -142,11 +142,6 @@ def _lattice_brackets(rec: VectorRecord) -> Dict[int, RationalT]:
     return out
 
 
-def _uv_minus_one_pow(n: int) -> List[int]:
-    """(t - 1)^n as dense coefficients."""
-    return [comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -158,10 +153,6 @@ def _face_masks(wv: WeightVector) -> List[int]:
     masks = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
     masks.sort(key=lambda mask: (mask.bit_count(), _members(mask)))
     return masks
-
-
-def _members(mask: int) -> Tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _face_entries(
@@ -216,7 +207,7 @@ def _stringy(rec: VectorRecord) -> StringyHalf:
             mask: brackets[mask].mul_poly(_uv_minus_one_pow(wv.d + 1 - mask.bit_count()))
             for mask in _face_masks(wv)
         }
-        classes = class_masks(_classified(rec).classes)
+        classes = _classified(rec).classes
         # one entry per face term and key, in the order of J: the printed
         # form of each key's sum follows this grouping and order
         total = EFunction(
@@ -236,7 +227,7 @@ def _stringy(rec: VectorRecord) -> StringyHalf:
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
     rec = ip_record(wv)
-    classes = class_masks(_classified(rec).classes)
+    classes = _classified(rec).classes
     return {
         frozenset(_members(mask)): EFunction(
             wv.d - 1, _face_entries(face_terms(classes, mask), base)
@@ -292,10 +283,9 @@ def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     if l == 0:
         return half.untwisted
     c = _classified(rec).classes[rec.class_of[l]]
-    support = sum(1 << i for i in c.support)
-    r = half.twisted.get(support)
+    r = half.twisted.get(c.support)
     if r is None:
-        r = half.twisted[support] = _twisted_component(wv, half.weighted, support)
+        r = half.twisted[c.support] = _twisted_component(wv, half.weighted, c.support)
     return EFunction(wv.d - 1, [(c.age - 1, c.size - c.age - 1, r)])
 
 

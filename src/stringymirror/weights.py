@@ -26,7 +26,13 @@ says whether the degree s <= w is a non-negative integer combination of
 the weights w_k, k in K, built by shift-or steps one weight at a time
 (``_reach_sets``): the subsets holding the last weight extend those of the
 others by one coin (``_extend_reach``), so a scan shares the sets of a
-weight prefix across every last weight (``cli._ip_vectors``).
+weight prefix across every last weight (``ip_vectors``).
+
+An index subset, whether a support, a face J or a zero set, is an index
+bitmask throughout the package (bit i set for i in the subset);
+``_check_subset`` turns a caller's iterable into one and ``_members`` lists
+a mask's indices.  Only the public results ``FaceSubgroup.J``,
+``FaceEPolynomial.J`` and the keys of ``stringy_terms`` are frozensets.
 
 ``ip_property`` decides whether the all-ones exponent vector lies in the
 interior of the degree-w monomial polytope without listing its lattice
@@ -56,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
@@ -182,10 +188,11 @@ def element(wv: WeightVector, l: int) -> OrbifoldElement:
 
 class ElementClass(NamedTuple):
     """The elements l of Z/wZ that share support (the i with theta~_i(l) !=
-    0), age and size: every per-element formula depends on l only through
-    these.  ``count`` is their number and ``first`` the smallest of them."""
+    0, as an index bitmask), age and size: every per-element formula
+    depends on l only through these.  ``count`` is their number and
+    ``first`` the smallest of them."""
 
-    support: FrozenSet[int]
+    support: int
     age: int
     size: int
     count: int
@@ -212,17 +219,11 @@ def _classified(rec: VectorRecord) -> VectorRecord:
         index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
         count = Counter(keys)
         rec.classes = tuple(
-            ElementClass(
-                _bit_set(mask), age, mask.bit_count(), count[mask, age], keys.index((mask, age))
-            )
+            ElementClass(mask, age, mask.bit_count(), count[mask, age], keys.index((mask, age)))
             for mask, age in index
         )
         rec.class_of = tuple(map(index.__getitem__, keys))
     return rec
-
-
-def _bit_set(mask: int) -> FrozenSet[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def element_classes(wv: WeightVector) -> Tuple[ElementClass, ...]:
@@ -255,22 +256,34 @@ class FaceSubgroup:
         return len(self.members)
 
 
-def _check_subset(wv: WeightVector, J: Iterable[int]) -> FrozenSet[int]:
-    Jf = frozenset(J)
-    if not all(isinstance(j, int) and 0 <= j <= wv.d for j in Jf):
-        raise OutOfRange(f"subset {sorted(Jf)} not within 0..{wv.d}")
-    return Jf
+def _check_subset(wv: WeightVector, J: Iterable[int]) -> int:
+    """The index bitmask of J; OutOfRange unless every member is an int in
+    0..d."""
+    members = set(J)
+    if not all(isinstance(j, int) and 0 <= j <= wv.d for j in members):
+        raise OutOfRange(f"subset {sorted(members)} not within 0..{wv.d}")
+    return sum(1 << j for j in members)
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    """The indices of an index bitmask, in increasing order."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _complement(wv: WeightVector, mask: int) -> int:
+    """The indices of wv outside the index bitmask mask."""
+    return ((1 << len(wv.weights)) - 1) ^ mask
 
 
 def subgroup(wv: WeightVector, J: Iterable[int]) -> FaceSubgroup:
     """G_J = { l : theta~_j(l) = 0 for every j outside J }."""
-    Jf = _check_subset(wv, J)
+    mask = _check_subset(wv, J)
     w = wv.w
-    comp = [wv.weights[j] for j in wv.indices() if j not in Jf]
+    comp = [wv.weights[j] for j in _members(_complement(wv, mask))]
     members = tuple(
         l for l in range(w) if all((l * wj) % w == 0 for wj in comp)
     )
-    return FaceSubgroup(Jf, members)
+    return FaceSubgroup(frozenset(_members(mask)), members)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +297,8 @@ def lattice_counts(wv: WeightVector, J: Iterable[int], K: int) -> Tuple[int, ...
     w_i, by one ``series_quotient`` call."""
     if K < 1:
         raise OutOfRange("K must be >= 1")
-    Jf = _check_subset(wv, J)
     w = wv.w
-    coins = [wv.weights[j] for j in wv.indices() if j not in Jf]
+    coins = [wv.weights[j] for j in _members(_complement(wv, _check_subset(wv, J)))]
     if not coins:
         # only the zero vector, which never has degree k*w for k >= 1
         return (0,) * K
@@ -606,7 +618,7 @@ def _ip_verdict(rec: VectorRecord) -> bool:
 def _interior(ws: Sequence[int], R: Sequence[int]) -> bool:
     """The IP verdict of ``ip_property`` for the weights ws with reach sets
     R = ``_reach_sets(ws)``, from step 1's face rejects on: the one verdict
-    of the record path and of ``cli._ip_vectors``.  Every on-min test runs
+    of the record path and of ``ip_vectors``.  Every on-min test runs
     before any on-max test, smallest |J| first (the |J| = 1 on-min tests,
     one bit each, reject most candidates; the on-max tests, few).  A weight
     with 2 w_i > w is caught too, by the on-max test of J = {i}."""
@@ -656,6 +668,54 @@ def ip_record(wv: WeightVector) -> VectorRecord:
     return rec
 
 
+def _prefixes(
+    k: int, wmax: int, ws: Tuple[int, ...], R: List[int]
+) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """ws extended by k more non-decreasing weights, in lexicographic order,
+    leaving room for a last weight at least as large within the sum wmax;
+    each with its reach sets kept to the bits 0..wmax, extended one weight
+    at a time as the walk goes down (R holds those of ws)."""
+    if not k:
+        yield ws, R
+        return
+    for v in range(ws[-1] if ws else 1, (wmax - sum(ws)) // (k + 1) + 1):
+        yield from _prefixes(k - 1, wmax, ws + (v,), R + _extend_reach(R, v, wmax))
+
+
+def ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
+    """The IP vectors with dim + 1 non-decreasing weights and w <= wmax, in
+    lexicographic order.
+
+    The walk goes over the prefixes of the first dim weights, and each does
+    its work once: gcd(prefix) = 1 (else no last weight d makes a
+    well-formed vector), the gcd g_i of the prefix without index i, and the
+    prefix's reach sets.  A candidate d runs from the prefix's largest
+    weight up to the sum of the others (a larger d has 2 d > w, on a face)
+    and within wmax.  It is well formed iff gcd(g_i, d) = 1 for every i,
+    and its reach sets are the prefix's, cut to w, followed by the same
+    extended by the coin d (``_reach_sets``); ``_interior`` gives the
+    verdict.  Only an IP vector gets a record, seeded with its reach sets
+    and verdict, and the record before it is dropped first (and with it
+    whatever was built from it), so a scan holds one record at a time."""
+    for prefix, top in _prefixes(dim, wmax, (), [1]):
+        if gcd(*prefix) != 1:
+            continue
+        s = sum(prefix)
+        others = [gcd(*prefix[:i], *prefix[i + 1 :]) for i in range(dim)]
+        for d in range(prefix[-1], min(wmax - s, s) + 1):
+            if any(gcd(g, d) != 1 for g in others):
+                continue
+            full = (1 << (s + d + 1)) - 1
+            R = [r & full for r in top]
+            R += _extend_reach(R, d, s + d)
+            if _interior(prefix + (d,), R):
+                wv = validate(prefix + (d,))
+                record.cache_clear()
+                rec = record(wv)
+                rec.reach, rec.ip = R, True
+                yield wv
+
+
 # ---------------------------------------------------------------------------
 # transversality, Milnor number, sector Poincare series
 
@@ -684,7 +744,7 @@ def _quasi_smooth(ws: Sequence[int], R: Sequence[int]) -> bool:
         pointers = sum(
             1 for j in range(n) if not mask >> j & 1 and reach >> (w - ws[j]) & 1
         )
-        if pointers < bin(mask).count("1"):
+        if pointers < mask.bit_count():
             return False
     return True
 
@@ -705,7 +765,7 @@ def sector_hilbert(wv: WeightVector, zero: int) -> Tuple[List[int], List[int]]:
     """The numerator coefficients and the coins c of the sector Hilbert
     series U = prod over i in Z of (1 - s**(w - w_i)) / (1 - s**w_i), with
     the zero set Z given as a bitmask: U = num(s) / prod (1 - s**c)."""
-    coins = [wi for i, wi in enumerate(wv.weights) if zero >> i & 1]
+    coins = [wv.weights[i] for i in _members(zero)]
     return expand_factors((wv.w - wi, 1) for wi in coins), coins
 
 

@@ -647,11 +647,10 @@ def slow_stringy_half(wv) -> Tuple[EFunction, List[EFunction]]:
         if not c.support:
             per_class.append(EFunction(wv.d - 1, untwisted))
             continue
-        support = sum(1 << i for i in c.support)
         r = rational_sum(
             weighted[mask] * (-1 if bin(mask).count("1") % 2 else 1)
-            for mask in range(support, 1 << n)
-            if mask & support == support
+            for mask in range(c.support, 1 << n)
+            if mask & c.support == c.support
         )
         per_class.append(EFunction(wv.d - 1, [(c.age - 1, c.size - c.age - 1, r)]))
     return total, per_class

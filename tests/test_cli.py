@@ -1,6 +1,7 @@
 """Command-line interface: payload correctness across formats, golden
 strings, exit codes, the scan stream, and argument plumbing."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -306,9 +307,11 @@ def test_internal_value_error_is_internal_error(capsys, monkeypatch):
 
 
 def test_bad_weight_token_is_input_error(capsys):
-    # non-integer tokens, including one past int()'s digit limit, are turned
-    # into NotWellFormed before any computation
-    for raw in ("1,x,3", "1," + "9" * 5000):
+    # a token other than an optional sign and ASCII digits, including the
+    # ones int() alone would read (digit-group underscores, non-ASCII
+    # digits), or one past int()'s digit limit, is turned into NotWellFormed
+    # before any computation
+    for raw in ("1,x,3", "1," + "9" * 5000, "1,1,1_0", "١,١,١", "1,٢,3"):
         code, _, err = run(["analyze", raw], capsys)
         assert code == 2
         assert err.startswith("error: weights must be integers")
@@ -479,21 +482,73 @@ def test_prefix_scan_matches_the_per_candidate_route(dim, wmax):
     # well-formed IP vectors that one ip_property call per tuple finds, each
     # with its record seeded by the verdict and the vector's own reach sets
     found = []
-    for wv in cli._ip_vectors(dim, wmax):
+    for wv in weights.ip_vectors(dim, wmax):
         rec = weights.record(wv)
         assert rec.ip is True and rec.reach == weights._reach_sets(wv.weights), wv
         found.append(wv)
     assert found == _ip_members(dim, wmax)
 
 
-def test_k3_scan_stdout_matches_the_benchmark_reference(capsys):
+def _scan_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def k3_scan_stdout():
+    """The stdout of ``scan --dim 3 --wmax 66``: all 95 K3 weight systems."""
+    return _scan_stdout(["scan", "--dim", "3", "--wmax", "66"])
+
+
+def test_k3_scan_stdout_matches_the_benchmark_reference(k3_scan_stdout):
     # the k3_scan workload's stdout, byte for byte, against its digest in
     # the benchmark's output reference
     reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
     expected = json.loads(reference.read_text())["scans"]["k3_scan"]
-    code, out, _ = run(["scan", "--dim", "3", "--wmax", "66"], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert hashlib.sha256(k3_scan_stdout.encode()).hexdigest() == expected
+
+
+def _rendered_terms(rendered):
+    """{monomial: coefficient} of a polynomial printed by ``render_bipoly``."""
+    terms = {}
+    for token in rendered.replace(" - ", " + -").split(" + "):
+        sign, token = (-1, token[1:]) if token.startswith("-") else (1, token)
+        coeff, star, mono = token.partition("*")
+        if not coeff.isdigit():
+            coeff, mono = "1", token
+        elif not star:
+            mono = ""
+        terms[mono] = sign * int(coeff)
+    return terms
+
+
+def test_k3_scan_rows_have_the_k3_hodge_numbers(k3_scan_stdout):
+    # against the literature, not the second route: every K3 surface has
+    # h11 = 20 and Euler number 24, so every row's E-polynomial is
+    # 1 + u^2 + 20 uv + v^2 + (uv)^2
+    rows = list(csv.DictReader(io.StringIO(k3_scan_stdout)))
+    assert len(rows) == 95
+    for row in rows:
+        terms = _rendered_terms(row["e_str"])
+        assert terms["u*v"] == 20, row
+        assert sum(terms.values()) == 24 == int(row["euler_str"]), row
+
+
+def test_cy4_scan_rows_satisfy_the_fourfold_hodge_relations():
+    # against the literature: a Calabi-Yau fourfold has
+    # chi = 6 (8 + h11 + h31 - h21) and h22 = 2 (22 + 2 h11 + 2 h31 - h21)
+    # (Klemm-Lian-Roan-Yau, hep-th/9701023)
+    out = _scan_stdout(["scan", "--dim", "5", "--wmax", "16", "--format", "json"])
+    rows = [json.loads(line) for line in out.splitlines()]
+    grids = [(row["hodge"], int(row["euler_str"])) for row in rows if row["stringy_polynomial"]]
+    assert (len(rows), len(grids)) == (94, 62)
+    for h, chi in grids:
+        h11, h21, h31, h22 = h[1][1], h[2][1], h[3][1], h[2][2]
+        assert chi == 6 * (8 + h11 + h31 - h21), h
+        assert h22 == 2 * (22 + 2 * h11 + 2 * h31 - h21), h
 
 
 def test_cy3_scan_stdout_is_pinned(capsys):

@@ -38,7 +38,7 @@ def _check_against_oracles(ws):
     assert sum(c.count for c in classes) == wv.w
     for l, c in enumerate(class_index(wv)):
         el = element(wv, l)
-        support = frozenset(i for i, q in enumerate(el.theta_tilde) if q)
+        support = sum(1 << i for i, q in enumerate(el.theta_tilde) if q)
         assert (classes[c].support, classes[c].age, classes[c].size) == (
             support, el.age, el.size
         )

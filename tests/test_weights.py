@@ -12,8 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from stringymirror import (
     RationalT,
+    bracket,
     census,
     element,
+    face_e,
     ip_property,
     lattice_counts,
     milnor_number,
@@ -182,6 +184,35 @@ def test_subgroup_k3_examples():
 def test_subgroup_bad_index():
     with pytest.raises(OutOfRange):
         subgroup(validate(K3), [4])
+
+
+def test_index_subsets_read_any_iterable():
+    # every public function taking an index subset J reads it through one
+    # check: each iterable form of J gives the same result, a repeated index
+    # counts once, and an index outside 0..d is OutOfRange
+    wv = validate(OCTIC)
+    calls = (
+        lambda J: bracket(wv, J),
+        lambda J: face_e(wv, J),
+        lambda J: lattice_counts(wv, J, 3),
+        lambda J: subgroup(wv, J),
+    )
+    forms = (
+        lambda: [3, 0, 2, 0],
+        lambda: (0, 2, 3),
+        lambda: {2, 3, 0},
+        lambda: frozenset((0, 2, 3)),
+        lambda: (j for j in (3, 2, 0)),
+    )
+    for call in calls:
+        results = [call(form()) for form in forms]
+        assert all(r == results[0] for r in results), results
+        assert all(repr(r) == repr(results[0]) for r in results)
+        for bad in ([0, 5], (-1, 2), {0, 1, 9}):
+            with pytest.raises(OutOfRange):
+                call(bad)
+    assert face_e(wv, iter([0, 2, 3])).J == frozenset((0, 2, 3))
+    assert subgroup(wv, iter([0, 2, 3])).J == frozenset((0, 2, 3))
 
 
 def test_subgroup_closed_under_addition():
