@@ -16,7 +16,8 @@ Exit codes: 0 success (including "no mirror exists" answers), 2 invalid
 input, 3 IP-property precondition failed, 4 internal error: any other
 package error (a failed guard: reconstruction, pole, sign pattern, non-exact
 division, LP, census, sector exponents, verification) or a ValueError from
-the library's own arithmetic.
+the library's own arithmetic.  A reader that closes stdout early, as
+``head`` does, ends the command with exit code 0 and no further output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from itertools import islice
@@ -462,7 +464,15 @@ def main(argv=None) -> int:
     # module global is seen by the next call
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped, as ``head`` does; devnull keeps the exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except NotIP as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NO_MIRROR

@@ -14,8 +14,9 @@ size - age >= 1; a remainder would mean the weight vector escaped the
 well-formedness checks, reported as DivisionNotExact.  The formula is
 written once, ``face_terms``, over the element classes, whose supports are
 index bitmasks like J; ``face_e`` reads it for one J and the stringy half
-for every J.  (t - 1)^n, t = uv, which the stringy half needs too, is
-``_uv_minus_one_pow``.
+for every J.  The stringy half reads two of its parts too: (t - 1)^n,
+t = uv, is ``_uv_minus_one_pow``, and the l = 0 part
+((t - 1)^(|J|-1) - (-1)^(|J|-1)) / t of E_J is ``_untwisted_numerator``.
 
 ``psi`` is the age census of the full group: psi_i = #{ l : age(l) = i }.
 Specialising E_I at v = 1 reproduces the psi-weighted form
@@ -54,14 +55,23 @@ def _uv_minus_one_pow(n: int) -> List[int]:
     return [comb(n, i) * (-1) ** (n - i) for i in range(n + 1)]
 
 
+def _untwisted_numerator(k: int) -> List[int]:
+    """((t - 1)^(k-1) - (-1)^(k-1)) / t as dense coefficients, the part of
+    E_J from l = 0 for |J| = k: a polynomial of degree k - 2."""
+    num = _uv_minus_one_pow(k - 1)
+    num[0] -= (-1) ** (k - 1)
+    if num[0]:
+        raise DivisionNotExact(f"(t - 1)^{k - 1} - (-1)^{k - 1} is not divisible by t")
+    return num[1:]
+
+
 def face_terms(classes: Sequence[ElementClass], mask: int) -> Dict[Tuple[int, int], int]:
     """The nonzero coefficients {(a, b): c} of E_J for the index bitmask J
     (|J| >= 2), from the element classes: G_J minus {0} is the elements
     whose nonempty support lies in J."""
     k = mask.bit_count()
     # (uv - 1)^(k-1) - (-1)^(k-1), along the diagonal
-    terms = {(i, i): c for i, c in enumerate(_uv_minus_one_pow(k - 1))}
-    terms[(0, 0)] -= (-1) ** (k - 1)
+    terms = {(i, i): c for i, c in enumerate(_untwisted_numerator(k), 1)}
     sign = (-1) ** k
     for support, age, size, count, _ in classes:
         if support and support & mask == support:

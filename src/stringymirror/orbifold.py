@@ -55,12 +55,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict
 
 from .errors import InconsistentSector, NonIntegerCoefficient
 from .exact_arith import BiPoly, EFunction, RationalT, multisection
 from .weights import (
     ElementClass,
+    Half,
     WeightVector,
     _complement,
     _members,
@@ -162,14 +163,7 @@ class OrbifoldEResult:
     per_l_terms: Dict[int, EFunction]
 
 
-class OrbifoldHalf(NamedTuple):
-    """The orbifold pipeline's part of a vector's record."""
-
-    value: EFunction
-    terms: Tuple[EFunction, ...]  # one per element class
-
-
-def _orbifold(wv: WeightVector) -> OrbifoldHalf:
+def _orbifold(wv: WeightVector) -> Half:
     """The orbifold half of wv's record, built on first use."""
     rec = record(wv)
     if rec.orbifold is None:
@@ -188,7 +182,7 @@ def _orbifold(wv: WeightVector) -> OrbifoldHalf:
                 a, b, r = 0, 0, B.mul_tpower(-1)
             terms.append(EFunction(wv.d - 1, [(a, b, r)]))
             entries.append((a, b, r * c.count))
-        rec.orbifold = OrbifoldHalf(EFunction(wv.d - 1, entries), tuple(terms))
+        rec.orbifold = Half(EFunction(wv.d - 1, entries), tuple(terms))
     return rec.orbifold
 
 
@@ -197,7 +191,7 @@ def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
     per-element terms of one element class are one shared EFunction."""
     half = _orbifold(wv)
     per_l = {l: half.terms[c] for l, c in enumerate(class_index(wv))}
-    return OrbifoldEResult(half.value, half.value.value_at_one(), per_l)
+    return OrbifoldEResult(half.total, half.total.value_at_one(), per_l)
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,18 @@ The same object supports the per-element decomposition
               sum_{J containing the support of l} (-1)^|J| (uv-1)^(d+1-|J|) bracket_J
 
 for l != 0, with support(l) = { i : theta~_i(l) != 0 }.  E^(l) depends on l
-only through its element class.  The weighted brackets, E_str, E^(0) and
-the sum over J per support are kept in the stringy half of the vector's
-record (``weights.record``).
+only through its element class.  The stringy half of the vector's record
+(``weights.record``) keeps E_str and one E^(l) per element class, not the
+weighted brackets (uv-1)^(d+1-|J|) bracket_J they are built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import (
-    DivisionNotExact,
     InconsistentExpansion,
     NotPolynomial,
     OutOfRange,
@@ -64,8 +63,9 @@ from .exact_arith import (
     poly_strip,
     rational_sum,
 )
-from .face_epoly import _uv_minus_one_pow, face_terms
+from .face_epoly import _untwisted_numerator, _uv_minus_one_pow, face_terms
 from .weights import (
+    Half,
     VectorRecord,
     WeightVector,
     _check_subset,
@@ -185,28 +185,23 @@ def _face_entries(
     return entries
 
 
-class StringyHalf(NamedTuple):
-    """The stringy pipeline's part of a vector's record; subsets of the
-    indices are keyed by bitmask."""
-
-    # (uv - 1)^(d+1-|J|) * bracket_J for every |J| >= 2, the factor every
-    # assembly shares
-    weighted: Dict[int, RationalT]
-    total: EFunction
-    untwisted: EFunction
-    # the twisted component per support, filled on first use
-    twisted: Dict[int, RationalT]
+def _weighted(rec: VectorRecord) -> Dict[int, RationalT]:
+    """(uv - 1)^(d+1-|J|) * bracket_J for every |J| >= 2, the factor every
+    assembly shares, keyed by J's bitmask in face order."""
+    d = rec.wv.d
+    brackets = _lattice_brackets(rec)
+    return {
+        mask: brackets[mask].mul_poly(_uv_minus_one_pow(d + 1 - mask.bit_count()))
+        for mask in _face_masks(rec.wv)
+    }
 
 
-def _stringy(rec: VectorRecord) -> StringyHalf:
-    """The stringy half of a vector's record, built on first use."""
-    wv = rec.wv
+def _stringy(rec: VectorRecord) -> Half:
+    """The stringy half of a vector's record, built on first use: E_str and
+    E^(l) for one l per element class."""
     if rec.stringy is None:
-        brackets = _lattice_brackets(rec)
-        weighted = {
-            mask: brackets[mask].mul_poly(_uv_minus_one_pow(wv.d + 1 - mask.bit_count()))
-            for mask in _face_masks(wv)
-        }
+        wv = rec.wv
+        weighted = _weighted(rec)
         classes = _classified(rec).classes
         # one entry per face term and key, in the order of J: the printed
         # form of each key's sum follows this grouping and order
@@ -218,9 +213,26 @@ def _stringy(rec: VectorRecord) -> StringyHalf:
                 for e in _face_entries(face_terms(classes, mask), base)
             ),
         )
-        rec.stringy = StringyHalf(
-            weighted, total, _untwisted_component(wv, weighted), {}
-        )
+        # E^(0) sums over J in face order, a twisted class over the J holding
+        # its support in increasing mask order, once per distinct support
+        twisted: Dict[int, RationalT] = {}
+        terms = []
+        for c in classes:
+            if not c.support:  # l = 0
+                entries = [
+                    (0, 0, base.mul_poly(_untwisted_numerator(mask.bit_count())))
+                    for mask, base in weighted.items()
+                ]
+            else:
+                if c.support not in twisted:
+                    twisted[c.support] = rational_sum(
+                        weighted[mask] * (-1 if mask.bit_count() % 2 else 1)
+                        for mask in range(c.support, 1 << len(wv.weights))
+                        if mask & c.support == c.support
+                    )
+                entries = [(c.age - 1, c.size - c.age - 1, twisted[c.support])]
+            terms.append(EFunction(wv.d - 1, entries))
+        rec.stringy = Half(total, tuple(terms))
     return rec.stringy
 
 
@@ -232,7 +244,7 @@ def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
         frozenset(_members(mask)): EFunction(
             wv.d - 1, _face_entries(face_terms(classes, mask), base)
         )
-        for mask, base in _stringy(rec).weighted.items()
+        for mask, base in _weighted(rec).items()
     }
 
 
@@ -241,52 +253,15 @@ def stringy_e(wv: WeightVector) -> EFunction:
     return _stringy(ip_record(wv)).total
 
 
-# ---------------------------------------------------------------------------
-# per-element decomposition
-
-
-def _untwisted_component(wv: WeightVector, weighted: Dict[int, RationalT]) -> EFunction:
-    entries = []
-    for mask, base in weighted.items():
-        k = mask.bit_count()
-        # ((t-1)^(k-1) - (-1)^(k-1)) / t is a polynomial of degree k - 2
-        num = _uv_minus_one_pow(k - 1)
-        num[0] -= (-1) ** (k - 1)
-        if num[0]:
-            raise DivisionNotExact(f"(t - 1)^{k - 1} - (-1)^{k - 1} is not divisible by t")
-        entries.append((0, 0, base.mul_poly(num[1:])))
-    return EFunction(wv.d - 1, entries)
-
-
-def _twisted_component(
-    wv: WeightVector, weighted: Dict[int, RationalT], support: int
-) -> RationalT:
-    """sum over J containing the support of (-1)^|J| (uv-1)^(d+1-|J|) bracket_J,
-    with J and the support as index bitmasks, summed in increasing order of
-    J's mask (the printed form of a sum follows its order)."""
-    return rational_sum(
-        weighted[mask] * (-1 if mask.bit_count() % 2 else 1)
-        for mask in range(support, 1 << len(wv.weights))
-        if mask & support == support
-    )
-
-
 def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     """The contribution E^(l) of a single group element to E_str; summing
-    over all l in Z/wZ recovers ``stringy_e``.  It depends on l only
-    through l's element class.  The verdict, the classes and the stringy
-    half come from one lookup of wv's record."""
+    over all l in Z/wZ recovers ``stringy_e``.  Every l of an element class
+    gets the same object.  The verdict, the classes and the stringy half
+    come from one lookup of wv's record."""
     rec = ip_record(wv)
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
-    half = _stringy(rec)
-    if l == 0:
-        return half.untwisted
-    c = _classified(rec).classes[rec.class_of[l]]
-    r = half.twisted.get(c.support)
-    if r is None:
-        r = half.twisted[c.support] = _twisted_component(wv, half.weighted, c.support)
-    return EFunction(wv.d - 1, [(c.age - 1, c.size - c.age - 1, r)])
+    return _stringy(rec).terms[rec.class_of[l]]
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ from .errors import (
     NotWellFormed,
     OutOfRange,
 )
-from .exact_arith import RationalT, expand_factors, series_quotient
+from .exact_arith import EFunction, RationalT, expand_factors, series_quotient
 
 # ---------------------------------------------------------------------------
 # the weight vector itself
@@ -133,10 +133,18 @@ def validate(weights: Sequence[int]) -> WeightVector:
 # the per-vector record
 
 # Records kept by ``record``.  A record with both halves built holds about
-# 25 KiB for five weights (tracemalloc, mean over the 353 IP vectors with
+# 11 KiB for five weights (tracemalloc, mean over the 353 IP vectors with
 # w <= 24).  A request reuses its vector's record as long as fewer than this
 # many other vectors were asked for in between.
 RECORD_CACHE_SIZE = 1024
+
+
+class Half(NamedTuple):
+    """One pipeline's E-function of a vector: the total and its term per
+    element class, in the order of ``element_classes``."""
+
+    total: EFunction
+    terms: Tuple[EFunction, ...]
 
 
 @dataclass(eq=False)
@@ -152,8 +160,8 @@ class VectorRecord:
     transverse: Optional[bool] = None
     classes: Optional[Tuple[ElementClass, ...]] = None
     class_of: Optional[Tuple[int, ...]] = None
-    stringy: Optional[object] = None
-    orbifold: Optional[object] = None
+    stringy: Optional[Half] = None
+    orbifold: Optional[Half] = None
 
 
 @lru_cache(maxsize=RECORD_CACHE_SIZE)

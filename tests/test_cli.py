@@ -292,6 +292,33 @@ def test_verify_agreement_guard_fires_under_optimize():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["scan", "--dim", "3", "--wmax", "66", "--format", "json"], 1),
+        # analyze's few lines reach the pipe in one flush, after it closed
+        (["analyze", "1,1,1,1,1"], 0),
+    ],
+)
+def test_closed_stdout_ends_the_command_quietly(argv, lines):
+    # the reader stops early, as ``| head -1`` does: exit 0 and no
+    # traceback, neither from main nor from the flush at exit; stdout is
+    # block-buffered, as it is on a pipe by default
+    src = os.path.dirname(os.path.dirname(stringymirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringymirror.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    for _ in range(lines):
+        assert json.loads(proc.stdout.readline())["weights"]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert "Traceback" not in err
+
+
 def test_internal_value_error_is_internal_error(capsys, monkeypatch):
     # a ValueError from the arithmetic kernel is a broken internal step,
     # not invalid input

@@ -5,6 +5,7 @@ import pytest
 
 from stringymirror import BiPoly, census, face_e, psi, validate
 from stringymirror.errors import SubsetTooSmall
+from stringymirror.face_epoly import _untwisted_numerator, _uv_minus_one_pow
 
 QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
@@ -105,3 +106,11 @@ def test_top_size_age_symmetry(ws):
     top = wv.d + 1
     for age in range(1, top):
         assert cen[(top, age)] == cen[(top, top - age)]
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_untwisted_numerator_times_t_restores_the_binomial(k):
+    # t * ((t - 1)^(k-1) - (-1)^(k-1)) / t + (-1)^(k-1) = (t - 1)^(k-1)
+    times_t = [0] + _untwisted_numerator(k)
+    times_t[0] += (-1) ** (k - 1)
+    assert times_t == _uv_minus_one_pow(k - 1)

@@ -18,6 +18,7 @@ from stringymirror import (
     is_polynomial,
     lattice_counts,
     limit_at_one,
+    mirror_orbifold_e,
     rational_from_counts,
     stringy_e,
     stringy_e_per_l,
@@ -281,6 +282,26 @@ def test_per_l_range_and_ip_guards():
         stringy_e_per_l(wv, -1)
     with pytest.raises(NotIP):
         stringy_e_per_l(validate((1, 1, 4)), 0)
+
+
+@pytest.mark.parametrize("ws", [FERMAT_LIKE, K3])
+def test_per_l_terms_are_shared_per_element_class(ws):
+    wv = validate(ws)
+    first = [c.first for c in weights.element_classes(wv)]
+    for l, c in enumerate(weights.class_index(wv)):
+        assert stringy_e_per_l(wv, l) is stringy_e_per_l(wv, first[c])
+
+
+@pytest.mark.parametrize("ws", [FERMAT_LIKE, K3])
+def test_both_halves_hold_a_total_and_one_term_per_class(ws):
+    wv = validate(ws)
+    stringy_e(wv)
+    mirror_orbifold_e(wv)
+    rec = weights.record(wv)
+    assert type(rec.stringy) is type(rec.orbifold)
+    for half in (rec.stringy, rec.orbifold):
+        assert half._fields == ("total", "terms")
+        assert len(half.terms) == len(weights.element_classes(wv))
 
 
 # ---------------------------------------------------------------------------
