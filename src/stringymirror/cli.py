@@ -457,14 +457,15 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # the handler is looked up here, not stored in the parser, so a rebound
-    # module global is seen by the next call
-    handler = globals()["_cmd_" + args.command.replace("-", "_")]
-    try:
-        code = handler(args)
+        # --help prints here, so its flush is guarded too
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            # the handler is looked up here, not stored in the parser, so a
+            # rebound module global is seen by the next call
+            code = globals()["_cmd_" + args.command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

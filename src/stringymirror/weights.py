@@ -42,14 +42,16 @@ first: z on a face sum_{j in J} u_j = |J| for a proper index subset J,
 found by adding coins of J to the reach set of the other weights one round
 at a time.  The minimum tests run before the maximum tests, smallest J
 first; for one index it is a single bit, whether the other weights reach
-w, and that rejects most candidates of a scan.  Then one
-oracle minimizes a general integer functional over the points by an
-unbounded-knapsack DP over the degrees 0..w, O(n w) integer steps.  It
-serves a search for an affinely spanning set of points along integer
-directions orthogonal to the span so far, and the exact separation step of
-a column generation over the points found.  Its LP is a revised simplex in
-plain integers: it starts from the feasible basis the spanning search
-already found, so there is no phase 1.  Fraction-free Gauss-Jordan
+w, and that rejects most candidates of a scan.  Then one oracle minimizes
+general integer functionals over the points by an unbounded-knapsack DP
+over the degrees 0..w, O(n w) integer steps per functional.  It serves a
+search for an affinely spanning set of points along integer directions
+orthogonal to the span so far (both extremes of a direction from one
+call), and the exact separation step of a column generation over the
+points found.  Its LP is one revised simplex in plain integers across the
+rounds: it starts from the feasible basis the spanning search already
+found, so there is no phase 1, and each round goes on from the basis the
+last one ended at.  Fraction-free Gauss-Jordan
 elimination gives both its first scaled basis inverse and the orthogonal
 directions, and each pivot updates that inverse by one exact step.  The
 IP test uses neither floats nor fractions.
@@ -61,7 +63,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
+from operator import mul
 from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -326,31 +329,39 @@ def lattice_counts(wv: WeightVector, J: Iterable[int], K: int) -> Tuple[int, ...
 
 
 def _knapsack_min(
-    ws: Sequence[int], cost: Sequence[int]
-) -> Tuple[int, Tuple[int, ...]]:
-    """min cost.u over integer u >= 0 with sum ws_i u_i = sum(ws), and one
-    minimiser: an unbounded-knapsack DP over the degrees 0..w, O(n w)."""
+    ws: Sequence[int], *costs: Sequence[int]
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """For each cost vector c, min c.u over integer u >= 0 with sum ws_i u_i
+    = sum(ws), and one minimiser: an unbounded-knapsack DP over the degrees
+    0..w, O(n w) steps per cost.  The first coin alone reaches its
+    multiples, set in one step, and the last coin's pass visits only the
+    degrees it takes to w."""
     w = sum(ws)
-    # every reachable degree has |value| <= w * top, so `big` plus any chain
-    # of at most w costs stays above all of them
-    top = max(map(abs, cost))
-    big = 2 * w * top + 1
-    f = [big] * (w + 1)
-    f[0] = 0
-    arg = [0] * (w + 1)
-    for i, (wi, ci) in enumerate(zip(ws, cost)):
-        for s in range(wi, w + 1):
-            v = f[s - wi] + ci
-            if v < f[s]:
-                f[s] = v
-                arg[s] = i
-    u = [0] * len(ws)
-    s = w
-    while s:
-        i = arg[s]
-        u[i] += 1
-        s -= ws[i]
-    return f[w], tuple(u)
+    first, last = ws[0], ws[-1]
+    passes = [(i, ws[i], range(ws[i], w + 1)) for i in range(1, len(ws) - 1)]
+    passes.append((len(ws) - 1, last, range(w % last + last, w + 1, last)))
+    out = []
+    for cost in costs:
+        # every reachable degree has |value| <= w * max |cost|, so this
+        # start plus any chain of at most w costs stays above all of them
+        f = [2 * w * max(map(abs, cost)) + 1] * (w + 1)
+        f[::first] = [k * cost[0] for k in range(w // first + 1)]
+        arg = [0] * (w + 1)
+        for i, wi, degrees in passes:
+            ci = cost[i]
+            for s in degrees:
+                v = f[s - wi] + ci
+                if v < f[s]:
+                    f[s] = v
+                    arg[s] = i
+        u = [0] * len(ws)
+        s = w
+        while s:
+            i = arg[s]
+            u[i] += 1
+            s -= ws[i]
+        out.append((f[w], tuple(u)))
+    return out
 
 
 def _extend_reach(R: Sequence[int], c: int, w: int) -> List[int]:
@@ -389,46 +400,51 @@ def _reach(rec: VectorRecord) -> List[int]:
     return rec.reach
 
 
-def _rounds(r: int, coins: Sequence[int], w: int, k: int) -> int:
-    """k rounds of r -> OR_(c in coins) r << c, kept to the bits 0..w."""
-    full = (1 << (w + 1)) - 1
-    for _ in range(k):
+def _comb(w: int, d: int) -> int:
+    """The bits w, w - d, w - 2d, .. down to w mod d: a reach set r, extended
+    by the coin d (``_extend_reach``), has bit w iff r & _comb(w, d)."""
+    return ((1 << (w // d + 1) * d) - 1) // ((1 << d) - 1) << w % d
+
+
+def _faces(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """(J, members of J) for each proper nonempty index subset J of n
+    indices, smallest |J| first: the face order of ``_interior``, which a
+    scan computes once."""
+    masks = sorted(range(1, (1 << n) - 1), key=int.bit_count)
+    return tuple((J, _members(J)) for J in masks)
+
+
+def _on_min(w: int, r: int, coins: Sequence[int]) -> bool:
+    """Whether the minimum of sum_{j in J} u_j over the points u >= 0,
+    sum w_i u_i = w equals |J|, for the proper nonempty index subset J
+    whose weights are coins; r is the reach set of the other weights.
+
+    L_0 = r holds the degrees reachable with no coin of J, and L_(t+1) =
+    OR_(c in coins) L_t << c those with exactly t + 1 of them (bits past w
+    are left in: they never reach bit w).  z is a point, so the minimum is
+    |J| when bit w is in none of L_0..L_(|J|-1).  For |J| = 1 that is one
+    bit read."""
+    for _ in range(len(coins) - 1):
+        if r >> w & 1:
+            return False
         out = 0
         for c in coins:
             out |= r << c
-        r = out & full
-    return r
+        r = out
+    return not r >> w & 1
 
 
-def _on_min(ws: Sequence[int], R: Sequence[int], mask: int) -> bool:
-    """Whether the minimum of sum_{j in J} u_j over the points u >= 0,
-    sum ws_i u_i = w equals |J|, for the proper nonempty index subset J of
-    mask; R is ``_reach_sets(ws)``.
-
-    L_0 = R[complement of J] holds the degrees reachable with no coin of J,
-    and L_(t+1) = OR_(j in J) L_t << ws_j those with exactly t + 1 of them.
-    z is a point, so the minimum is |J| when bit w is in none of
-    L_0..L_(|J|-1).  For |J| = 1 that is one bit read."""
-    w = sum(ws)
-    r = R[(len(R) - 1) ^ mask]
-    if r >> w & 1:
-        return False
-    coins = [c for j, c in enumerate(ws) if mask >> j & 1]
-    for _ in range(len(coins) - 1):
-        r = _rounds(r, coins, w, 1)
-        if r >> w & 1:
-            return False
-    return True
-
-
-def _on_max(ws: Sequence[int], R: Sequence[int], mask: int) -> bool:
+def _on_max(w: int, r: int, coins: Sequence[int]) -> bool:
     """Whether the maximum of sum_{j in J} u_j over the same points equals
-    |J|: the rounds of ``_on_min`` started from R[all] hold the degrees
-    reachable with at least t coins of J, and the maximum is |J| when bit w
-    is missing after |J| + 1 of them."""
-    w = sum(ws)
-    coins = [c for j, c in enumerate(ws) if mask >> j & 1]
-    return not _rounds(R[-1], coins, w, len(coins) + 1) >> w & 1
+    |J|: the rounds of ``_on_min``, started from the reach set r of all the
+    weights, hold the degrees reachable with at least t coins of J, and the
+    maximum is |J| when bit w is missing after |J| + 1 of them."""
+    for _ in range(len(coins) + 1):
+        out = 0
+        for c in coins:
+            out |= r << c
+        r = out
+    return not r >> w & 1
 
 
 def _eliminate(
@@ -444,6 +460,8 @@ def _eliminate(
     prev = 1
     for col in range(len(M[0])):
         r = len(pivots)
+        if r == len(M):
+            break
         piv = next((i for i in range(r, len(M)) if M[i][col]), None)
         if piv is None:
             continue
@@ -498,57 +516,78 @@ def _kernel_vector(rows: List[Sequence[int]], n: int) -> List[int]:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _simplex_max(
-    cols: List[Sequence[int]], b: Sequence[int], obj: Sequence[int]
-) -> Tuple[int, List[int]]:
-    """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0, starting
-    from the basis of the first len(b) columns, whose basic solution must be
-    feasible (there is no phase 1).
+def _add_column(cols: List[Tuple[int, ...]], u: Tuple[int, ...]):
+    # an exact oracle only returns points off the span found so far (hull)
+    # or violating the current dual (column generation), never a column
+    if u in cols:
+        raise InconsistentLP(f"oracle point {u} is already a column of the LP")
+    cols.append(u)
+
+
+class _Simplex:
+    """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0: a revised
+    simplex in integers with Bland's rule, starting from the basis of the
+    first len(b) columns, whose basic solution must be feasible (there is no
+    phase 1).  ``add`` appends a column, and the next ``solve`` goes on from
+    the last optimal basis: one warm-started LP across the rounds of a
+    column generation.
 
     It keeps A = D B^-1 with D = |det B| > 0, so D x_B = A b, the dual
     D y = c_B A and the entering direction D B^-1 a_j are integer vectors,
     and the ratio test compares cross products.  ``_scaled_inverse`` gives
-    the first (A, D); each pivot updates it (``_pivot_inverse``).
-    Returns (D * value, D * y) for the final D: y is an exact optimal dual,
-    y.cols[j] >= obj[j] for all j.  A singular basis or an unbounded LP
-    raises InconsistentLP.
-    """
-    m = len(b)
-    basis = list(range(m))
-    A, D = _scaled_inverse([[cols[j][r] for j in basis] for r in range(m)])
-    while True:
-        x = [_dot(row, b) for row in A]
-        cb = [obj[j] for j in basis]
-        y = [_dot(cb, col) for col in zip(*A)]
-        enter = next(
-            (
-                j
-                for j in range(len(cols))  # Bland: smallest improving index
-                if j not in basis and D * obj[j] > _dot(y, cols[j])
-            ),
-            None,
-        )
-        if enter is None:
-            return _dot(cb, x), y
-        a = [_dot(row, cols[enter]) for row in A]
-        leave = -1
-        for i in range(m):
-            if a[i] > 0 and (
-                leave < 0
-                or x[i] * a[leave] < x[leave] * a[i]
-                or (
-                    x[i] * a[leave] == x[leave] * a[i]
-                    and basis[i] < basis[leave]
-                )
-            ):
-                leave = i
-        if leave < 0:
-            raise InconsistentLP("LP unbounded")
-        A, D = _pivot_inverse(A, D, a, leave)
-        basis[leave] = enter
+    the first (A, D); each pivot updates it (``_pivot_inverse``).  A
+    singular start basis or an unbounded LP raises InconsistentLP."""
+
+    def __init__(
+        self, cols: Sequence[Tuple[int, ...]], b: Sequence[int], obj: Sequence[int]
+    ):
+        m = len(b)
+        self.cols = list(cols)
+        self.b = b
+        self.obj = list(obj)
+        self.basis = list(range(m))
+        self.A, self.D = _scaled_inverse([col[:m] for col in zip(*self.cols)])
+
+    def add(self, col: Tuple[int, ...], obj: int) -> None:
+        _add_column(self.cols, col)
+        self.obj.append(obj)
+
+    def solve(self) -> Tuple[int, List[int]]:
+        """(D * value, D * y) at an optimal basis, for its D: y is an exact
+        optimal dual, y.cols[j] >= obj[j] for all j."""
+        cols, obj, basis, b = self.cols, self.obj, self.basis, self.b
+        A, D = self.A, self.D
+        while True:
+            x = [_dot(row, b) for row in A]
+            cb = [obj[j] for j in basis]
+            y = [_dot(cb, col) for col in zip(*A)]
+            enter = next(
+                (
+                    j
+                    for j in range(len(cols))  # Bland: smallest improving index
+                    if j not in basis and D * obj[j] > _dot(y, cols[j])
+                ),
+                None,
+            )
+            if enter is None:
+                self.A, self.D = A, D
+                return _dot(cb, x), y
+            a = [_dot(row, cols[enter]) for row in A]
+            leave = -1
+            for i, ai in enumerate(a):
+                if ai > 0 and (
+                    leave < 0
+                    or x[i] * a[leave] < x[leave] * ai
+                    or (x[i] * a[leave] == x[leave] * ai and basis[i] < basis[leave])
+                ):
+                    leave = i
+            if leave < 0:
+                raise InconsistentLP("LP unbounded")
+            A, D = _pivot_inverse(A, D, a, leave)
+            basis[leave] = enter
 
 
 def _pivot_inverse(
@@ -566,23 +605,16 @@ def _pivot_inverse(
     ], p
 
 
-def _add_column(V: List[Tuple[int, ...]], u: Tuple[int, ...]):
-    # an exact oracle only returns points off the span found so far (hull)
-    # or violating the current dual (column generation), never one of V
-    if u in V:
-        raise InconsistentLP(f"oracle point {u} is already a column of the LP")
-    V.append(u)
-
-
 def ip_property(wv: WeightVector) -> bool:
     """Whether the all-ones vector z is interior to the degree-w monomial
     polytope: conv{u >= 0 : sum w_i u_i = w} must be d-dimensional with z in
     its relative interior.
 
     The lattice points are never listed.  Steps 2 and 3 ask one oracle,
-    ``_knapsack_min``: the minimum of an integer functional c.u over them,
-    by an unbounded-knapsack DP over the degrees 0..w.  z is itself a
-    lattice point, so min <= c.z <= max for every c.
+    ``_knapsack_min``: the minimum of integer functionals c.u over them, by
+    an unbounded-knapsack DP over the degrees 0..w, several functionals to
+    one call.  z is itself a lattice point, so min <= c.z <= max for every
+    c.
 
     1. Sound rejects, cheapest first.  If 2 w_i > w then u_i <= 1 on every
        point, so z lies on the face u_i = 1.  Otherwise, for each proper
@@ -594,23 +626,36 @@ def ip_property(wv: WeightVector) -> bool:
        |J|.  Every on-min test runs first, smallest |J| first; for |J| = 1
        it is one bit read.
     2. Affine hull: starting from V = {z}, take a primitive integer c
-       orthogonal to w and to every u - z, u in V.  If both the minimum and
-       the maximum of c.u equal c.z, the points lie in a hyperplane of the
-       degree hyperplane and the answer is False; otherwise the optimal
-       point joins V.  After d steps V spans the polytope affinely.
+       orthogonal to w and to every u - z, u in V, and ask the oracle for
+       the minima of c and of -c in one call.  If both extremes of c.u equal
+       c.z, the points lie in a hyperplane of the degree hyperplane and the
+       answer is False.  Otherwise a point off c.u = c.z joins V (the
+       minimiser if it is off, else the maximiser), and when the minimiser
+       joins and the maximiser is off too, the maximiser is kept as an
+       extra LP column.  A kept point off c.u = c.z joins V in place of
+       the oracle's answer, with no DP.  After d steps V spans the
+       polytope affinely.
     3. Column generation: maximize eps subject to z = sum_p mu_p u_p +
-       eps * s_V over mu >= 0, eps >= 0, where s_V = sum of the points in V
-       (substituting lambda_p = mu_p + eps into a convex combination; the
-       degree functional forces sum lambda = 1).  eps > 0 certifies
-       interiority.  At eps = 0 the exact dual y, scaled to a primitive
-       integer vector, supports conv(V) at z; the oracle's minimum of y.u
-       is either >= 0 (y supports the whole polytope at z: False) or
-       attained at a point outside V, which joins V.
-       The LP is ``_simplex_max``, a revised simplex in integers.  It needs
-       no phase 1: the points of step 2 lie in the degree hyperplane
-       w.u = w, which misses the origin, so V[:n] (z and n - 1 affinely
+       eps * s over mu >= 0, eps >= 0, where p runs over the LP's columns
+       (V, the extra columns and the points added since) and s = sum of the
+       n points of V, a fixed column.  The degree functional forces
+       sum mu_p + n eps = 1, so this is z as a convex combination in which
+       every point of V has weight at least eps.  eps > 0 certifies
+       interiority: V spans the polytope's affine hull, so a convex
+       combination with positive weight on all of V is relative-interior.
+       At eps = 0 the exact dual y has y.u_p >= 0 on every column,
+       y.z = 0 and y.s >= 1 once scaled to a primitive integer vector, so
+       y supports conv(V) at z and is not constant on V.  The oracle's
+       minimum of y.u is then either >= 0 (y supports the whole polytope
+       at z, which lies on a proper face: False) or attained at a point
+       that is not yet a column, which joins the LP.
+       The LP is one ``_Simplex``, a revised simplex in integers kept
+       across the rounds: each round goes on from the last basis and its
+       scaled inverse, with the new point the one improving column.  It
+       needs no phase 1: the points of step 2 lie in the degree hyperplane
+       w.u = w, which misses the origin, so V (z and n - 1 affinely
        independent points) is a basis, and since z is one of them x = e_0
-       is feasible.  Every run starts there.
+       is feasible.
     """
     return _ip_verdict(record(wv))
 
@@ -619,47 +664,62 @@ def _ip_verdict(rec: VectorRecord) -> bool:
     if rec.ip is None:
         ws = rec.wv.weights
         # 2 w_i > w puts z on the face u_i = 1; tested before any reach set
-        rec.ip = 2 * max(ws) <= rec.wv.w and _interior(ws, _reach(rec))
+        rec.ip = 2 * max(ws) <= rec.wv.w and _interior(
+            ws, _reach(rec), _faces(len(ws))
+        )
     return rec.ip
 
 
-def _interior(ws: Sequence[int], R: Sequence[int]) -> bool:
+def _interior(
+    ws: Sequence[int], R: Sequence[int], faces: Sequence[Tuple[int, Tuple[int, ...]]]
+) -> bool:
     """The IP verdict of ``ip_property`` for the weights ws with reach sets
-    R = ``_reach_sets(ws)``, from step 1's face rejects on: the one verdict
-    of the record path and of ``ip_vectors``.  Every on-min test runs
-    before any on-max test, smallest |J| first (the |J| = 1 on-min tests,
-    one bit each, reject most candidates; the on-max tests, few).  A weight
-    with 2 w_i > w is caught too, by the on-max test of J = {i}."""
+    R = ``_reach_sets(ws)`` and faces = ``_faces(len(ws))``, from step 1's
+    face rejects on: the one verdict of the record path and of
+    ``ip_vectors``.  Every on-min test runs before any on-max test,
+    smallest |J| first (the |J| = 1 on-min tests, one bit each, reject most
+    candidates; the on-max tests, few).  A weight with 2 w_i > w is caught
+    too, by the on-max test of J = {i}."""
     n = len(ws)
-    faces = sorted(range(1, len(R) - 1), key=int.bit_count)
-    for on_face in (_on_min, _on_max):
-        for J in faces:
-            if on_face(ws, R, J):
-                return False
+    w = sum(ws)
+    top = len(R) - 1
+    for J, members in faces:
+        r = R[top ^ J]
+        # the first bit of the test here: most faces are decided by it
+        if not r >> w & 1 and _on_min(w, r, [ws[j] for j in members]):
+            return False
+    for _, members in faces:
+        if _on_max(w, R[top], [ws[j] for j in members]):
+            return False
     z = (1,) * n
     V: List[Tuple[int, ...]] = [z]
+    extra: List[Tuple[int, ...]] = []
     rows: List[Sequence[int]] = [ws]
     while len(V) < n:
         c = _kernel_vector(rows, n)
         cz = sum(c)
-        lo, u_lo = _knapsack_min(ws, c)
-        neg_hi, u_hi = _knapsack_min(ws, [-x for x in c])
-        if lo == cz == -neg_hi:
-            return False
-        u = u_lo if lo < cz else u_hi
+        # a far extreme of an earlier direction off c.u = c.z needs no DP
+        u = next((u for u in extra if _dot(c, u) != cz), None)
+        if u is None:
+            (lo, u_lo), (neg_hi, u_hi) = _knapsack_min(ws, c, [-x for x in c])
+            if lo == cz == -neg_hi:
+                return False
+            u = u_hi if lo == cz else u_lo
+            if lo < cz < -neg_hi:
+                extra.append(u_hi)
         _add_column(V, u)
         rows.append([ui - 1 for ui in u])
+    cols = V + [tuple(map(sum, zip(*V)))]
+    cols += [u for u in extra if u not in V]
+    lp = _Simplex(cols, z, [0] * n + [1] + [0] * (len(cols) - n - 1))
     while True:
-        cols: List[Sequence[int]] = list(V)
-        cols.append(tuple(sum(u[i] for u in V) for i in range(n)))
-        obj = [0] * len(V) + [1]
-        eps, y = _simplex_max(cols, z, obj)
+        eps, y = lp.solve()
         if eps > 0:
             return True
-        value, u = _knapsack_min(ws, _primitive(y))
+        [(value, u)] = _knapsack_min(ws, _primitive(y))
         if value >= 0:
             return False
-        _add_column(V, u)
+        lp.add(u, 0)
 
 
 def require_ip(wv: WeightVector) -> None:
@@ -696,27 +756,39 @@ def ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
 
     The walk goes over the prefixes of the first dim weights, and each does
     its work once: gcd(prefix) = 1 (else no last weight d makes a
-    well-formed vector), the gcd g_i of the prefix without index i, and the
-    prefix's reach sets.  A candidate d runs from the prefix's largest
-    weight up to the sum of the others (a larger d has 2 d > w, on a face)
-    and within wmax.  It is well formed iff gcd(g_i, d) = 1 for every i,
-    and its reach sets are the prefix's, cut to w, followed by the same
-    extended by the coin d (``_reach_sets``); ``_interior`` gives the
-    verdict.  Only an IP vector gets a record, seeded with its reach sets
-    and verdict, and the record before it is dropped first (and with it
-    whatever was built from it), so a scan holds one record at a time."""
+    well-formed vector), the lcm g of the gcds g_i of the prefix without
+    index i, and the prefix's reach sets.  A candidate d runs from the
+    prefix's largest weight up to the sum s of the others (a larger d has
+    2 d > w, on a face) and within wmax.  It is well formed iff gcd(g, d) =
+    1.  The |J| = 1 on-min tests come next, before any reach set is
+    extended; each rejects d unless the weights off J reach w: for J = {d},
+    bit w = s + d of the prefix's full reach set, and for J = {i}, whether
+    the prefix's set without i meets ``_comb(w, d)``, that is, reaches w
+    with copies of d.  Only a survivor gets its reach sets,
+    the prefix's, cut to w, followed by the same extended by the coin d
+    (``_reach_sets``), and ``_interior`` gives the verdict.  Only an IP
+    vector gets a record, seeded with its reach sets and verdict, and the
+    record before it is dropped first (and with it whatever was built from
+    it), so a scan holds one record at a time."""
+    faces = _faces(dim + 1)
     for prefix, top in _prefixes(dim, wmax, (), [1]):
         if gcd(*prefix) != 1:
             continue
         s = sum(prefix)
-        others = [gcd(*prefix[:i], *prefix[i + 1 :]) for i in range(dim)]
+        g = lcm(*(gcd(*prefix[:i], *prefix[i + 1 :]) for i in range(dim)))
+        every = len(top) - 1
+        rest = [top[every ^ 1 << i] for i in range(dim)]
         for d in range(prefix[-1], min(wmax - s, s) + 1):
-            if any(gcd(g, d) != 1 for g in others):
+            w = s + d
+            if gcd(g, d) != 1 or not top[every] >> w & 1:
                 continue
-            full = (1 << (s + d + 1)) - 1
+            comb = _comb(w, d)
+            if not all(r & comb for r in rest):
+                continue
+            full = (1 << (w + 1)) - 1
             R = [r & full for r in top]
-            R += _extend_reach(R, d, s + d)
-            if _interior(prefix + (d,), R):
+            R += _extend_reach(R, d, w)
+            if _interior(prefix + (d,), R, faces):
                 wv = validate(prefix + (d,))
                 record.cache_clear()
                 rec = record(wv)

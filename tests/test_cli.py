@@ -226,7 +226,9 @@ def test_ip_oracle_inconsistency_is_internal_error(capsys, monkeypatch):
     # an oracle that always answers the all-ones point, which is already a
     # column of the LP: the guard must fire as exit 4, also under -O
     monkeypatch.setattr(
-        weights, "_knapsack_min", lambda ws, cost: (sum(cost) - 1, (1,) * len(ws))
+        weights,
+        "_knapsack_min",
+        lambda ws, *costs: [(sum(cost) - 1, (1,) * len(ws)) for cost in costs],
     )
     weights.record.cache_clear()
     code, _, err = run(["analyze", "1,1,1,1,1"], capsys)
@@ -241,9 +243,11 @@ def test_ip_singular_start_basis_is_internal_error(capsys, monkeypatch):
     plane = [(2, 0, 1, 1, 1), (0, 2, 1, 1, 1), (1, 1, 2, 0, 1), (1, 1, 0, 2, 1)]
     calls = itertools.count()
 
-    def oracle(ws, cost):
-        # every step asks twice (minimum of c and of -c): a new point per pair
-        return sum(cost) - 1, plane[next(calls) // 2 % len(plane)]
+    def oracle(ws, *costs):
+        # every step asks once, for the minima of c and of -c: a new point
+        # per call, the same one for both
+        point = plane[next(calls) % len(plane)]
+        return [(sum(cost) - 1, point) for cost in costs]
 
     monkeypatch.setattr(weights, "_knapsack_min", oracle)
     weights.record.cache_clear()
@@ -317,6 +321,23 @@ def test_closed_stdout_ends_the_command_quietly(argv, lines):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+def test_help_into_closed_stdout_ends_quietly(argv):
+    # argparse prints the help inside main: its flush into a pipe the reader
+    # already closed must end with exit 0 and nothing on stderr
+    src = os.path.dirname(os.path.dirname(stringymirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringymirror.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err == ""
 
 
 def test_internal_value_error_is_internal_error(capsys, monkeypatch):

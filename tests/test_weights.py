@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,6 +38,7 @@ from stringymirror.exact_arith import poly_mul
 from conftest import (
     ascending_tuples,
     enumerated_counts,
+    lattice_points,
     slow_ip_property,
     slow_lattice_counts,
     slow_transverse,
@@ -349,6 +351,32 @@ def test_ip_matches_enumeration_oracle(dim, wmax, tuples):
     assert checked == tuples
 
 
+@HYP
+@given(
+    # (weight count, smallest w, largest w, largest weight drawn)
+    st.sampled_from([(4, 31, 66, 33), (5, 15, 24, 8)]).flatmap(
+        lambda family: st.lists(
+            st.integers(1, family[3]), min_size=family[0], max_size=family[0]
+        ).filter(lambda ws: family[1] <= sum(ws) <= family[2])
+    )
+)
+# IP, and rejected only by the column generation, beyond the grid above
+@example([1, 5, 12, 18])
+@example([4, 5, 18, 27])
+@example([1, 9, 18, 26])
+@example([6, 8, 11, 19])
+@example([1, 1, 6, 7, 9])
+@example([3, 4, 4, 5, 8])
+@example([1, 1, 4, 4, 7])
+def test_ip_matches_enumeration_oracle_sampled(ws):
+    # four weights with 30 < w <= 66 and five with 14 < w <= 24
+    try:
+        wv = validate(sorted(ws))
+    except NotWellFormed:
+        return
+    assert ip_property(wv) == slow_ip_property(wv.weights), ws
+
+
 def test_ip_count_k3_anchor():
     # 95 IP weight systems with four weights (Reid's list; Yonemura), the
     # largest having w = 66
@@ -371,18 +399,21 @@ def _well_formed(dim, wmax):
 
 
 def _check_face_rejects(ws):
-    # the reach-set test against two knapsack DPs per proper subset J
+    # the reach-set test against the knapsack minima of 1_J and -1_J, for
+    # every proper subset J
     R = weights._reach_sets(ws)
     n = len(ws)
+    w = sum(ws)
     for mask in range(1, (1 << n) - 1):
         ind = [mask >> i & 1 for i in range(n)]
         size = sum(ind)
-        expected = (
-            weights._knapsack_min(ws, ind)[0] == size,
-            -weights._knapsack_min(ws, [-x for x in ind])[0] == size,
+        (lo, _), (neg_hi, _) = weights._knapsack_min(ws, ind, [-x for x in ind])
+        coins = [c for c, bit in zip(ws, ind) if bit]
+        found = (
+            weights._on_min(w, R[(len(R) - 1) ^ mask], coins),
+            weights._on_max(w, R[-1], coins),
         )
-        found = (weights._on_min(ws, R, mask), weights._on_max(ws, R, mask))
-        assert found == expected, (ws, mask)
+        assert found == (lo == size, -neg_hi == size), (ws, mask)
 
 
 @HYP
@@ -395,6 +426,69 @@ def test_face_rejects_match_knapsack(ws):
 
 def test_face_rejects_match_knapsack_high_degree():
     _check_face_rejects((1, 42, 258, 602, 903))
+
+
+def _point_count(ws):
+    # the number of degree-w points, by a counting DP: keeps the enumeration
+    # of the knapsack test small
+    w = sum(ws)
+    count = [1] + [0] * w
+    for c in ws:
+        for s in range(c, w + 1):
+            count[s] += count[s - c]
+    return count[w]
+
+
+@HYP
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.lists(st.integers(1, 60 // n), min_size=n, max_size=n)
+    ),
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=1, max_size=3
+    ),
+)
+@example([1, 1, 4], [[0, 0, 0, 0, 0, 0]])  # a zero cost: every point is optimal
+@example([5, 2, 3], [[1, -1, 0, 0, 0, 0]] * 3)  # a large first coin, a small last
+def test_knapsack_min_matches_enumeration(ws, costs):
+    # every cost of one call against the minimum over the listed points,
+    # and the pair (c, -c) of the hull step against the minimum and maximum
+    assume(_point_count(ws) <= 5000)
+    points = lattice_points(ws)
+    costs = [cost[: len(ws)] for cost in costs]
+    values = [[sum(map(mul, cost, p)) for p in points] for cost in costs]
+    found = weights._knapsack_min(ws, *costs)
+    for cost, vs, (value, u) in zip(costs, values, found):
+        assert value == min(vs)
+        assert u in points and sum(map(mul, cost, u)) == value
+    c = costs[0]
+    (lo, _), (neg_hi, _) = weights._knapsack_min(ws, c, [-x for x in c])
+    assert (lo, -neg_hi) == (min(values[0]), max(values[0]))
+
+
+@HYP
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    st.integers(1, 30),
+    st.integers(0, 40),
+)
+@example([1, 2], 2, 0)  # w = 5 with d = 2: the prefix without 1 misses it
+def test_comb_reject_matches_on_min(prefix, d, extra):
+    # the walk's |J| = 1 tests, read off the prefix's sets kept to a larger
+    # degree before the coin d joins, against _on_min on the whole vector
+    ws = prefix + [d]
+    w = sum(ws)
+    top = [1]
+    for c in prefix:
+        top += weights._extend_reach(top, c, w + extra)
+    R = weights._reach_sets(ws)
+    every, full = len(top) - 1, len(R) - 1
+    comb = weights._comb(w, d)
+    for i, c in enumerate(prefix):
+        found = bool(top[every ^ 1 << i] & comb)
+        assert found == (not weights._on_min(w, R[full ^ 1 << i], [c])), (ws, i)
+    found = bool(top[every] >> w & 1)
+    assert found == (not weights._on_min(w, R[full ^ 1 << len(prefix)], [d])), ws
 
 
 @HYP
@@ -497,6 +591,59 @@ def test_kernel_vector_is_primitive_and_orthogonal(rows):
     assert any(x)
     assert gcd(*x) == 1
     assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+
+
+@HYP
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            _int_rows(m, m, m),
+            _int_rows(m, 1, 5),
+            st.lists(st.integers(-3, 3), min_size=m + 5, max_size=m + 5),
+        )
+    )
+)
+def test_simplex_warm_start_matches_a_fresh_solve(case):
+    # columns added one at a time, each solve going on from the last basis,
+    # reach the optimum of one solve over all the columns
+    B, more, obj = case
+    assume(_det(B))
+    m = len(B)
+    start = [tuple(row[j] for row in B) for j in range(m)]
+    b = [sum(row) for row in B]  # x = (1, .., 1) on the start basis
+    obj = obj[: m + len(more)]
+
+    def optimum(lp):
+        try:
+            value, _ = lp.solve()
+        except InconsistentLP as exc:
+            assert "unbounded" in str(exc)
+            return None
+        return Fraction(value, lp.D)
+
+    warm = weights._Simplex(start, b, obj[:m])
+    for k, col in enumerate(map(tuple, more)):
+        if col in warm.cols:
+            with pytest.raises(InconsistentLP, match="already a column"):
+                warm.add(col, obj[m + k])
+            return
+        warm.add(col, obj[m + k])
+        value = optimum(warm)
+        fresh = optimum(weights._Simplex(warm.cols, b, warm.obj))
+        assert value == fresh
+        if value is None:
+            return
+
+
+def test_simplex_guards():
+    with pytest.raises(InconsistentLP, match="singular basis"):
+        weights._Simplex([(1, 2), (2, 4)], (3, 6), (0, 0))
+    lp = weights._Simplex([(1,)], (1,), (0,))
+    lp.add((0,), 1)  # a free direction with a positive objective
+    with pytest.raises(InconsistentLP, match="unbounded"):
+        lp.solve()
+    with pytest.raises(InconsistentLP, match="already a column"):
+        lp.add((1,), 0)
 
 
 # ---------------------------------------------------------------------------
