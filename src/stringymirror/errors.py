@@ -76,9 +76,9 @@ class NonIntegerCoefficient(StringyMirrorError):
 
 class InconsistentLP(StringyMirrorError):
     """The exact interior-point linear program or its separation oracle
-    contradicted itself: a singular simplex basis, an unbounded LP, affine
-    hull rows that already span the whole space, or an oracle point already
-    among the columns."""
+    contradicted itself: a singular basis (a zero pivot while the hull step
+    builds the simplex's start basis), an unbounded LP, or an oracle point
+    already among the columns."""
 
 
 class InconsistentCensus(StringyMirrorError):

@@ -21,15 +21,9 @@ from typing import Tuple
 
 from .errors import InconsistentVerification, OutOfRange
 from .exact_arith import mirror_transform
-from .orbifold import mirror_orbifold_e, vafa_euler
-from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
-from .weights import (
-    WeightVector,
-    class_index,
-    element_classes,
-    require_ip,
-    transverse,
-)
+from .orbifold import _orbifold, vafa_euler
+from .stringy import _stringy, hodge_table, stringy_euler
+from .weights import WeightVector, _classified, ip_record, transverse
 
 
 @dataclass(frozen=True)
@@ -52,37 +46,37 @@ class VerificationReport:
 def per_l_check(wv: WeightVector, l: int) -> bool:
     """Does the face-assembled contribution of the group element l equal the
     orbifold sector term of the same l?"""
-    require_ip(wv)
+    rec = ip_record(wv)
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
-    return stringy_e_per_l(wv, l) == mirror_orbifold_e(wv).per_l_terms[l]
+    c = _classified(rec).class_of[l]
+    return _stringy(rec).terms[c] == _orbifold(wv).terms[c]
 
 
 def verify(wv: WeightVector) -> VerificationReport:
     """Full mirror-duality report; raises NotIP when no mirror exists."""
-    require_ip(wv)
-    s = stringy_e(wv)
-    orb = mirror_orbifold_e(wv)
-    # both sides depend on l only through its element class
-    failed = {
-        i
-        for i, c in enumerate(element_classes(wv))
-        if stringy_e_per_l(wv, c.first) != orb.per_l_terms[c.first]
-    }
-    failures = [l for l, c in enumerate(class_index(wv)) if c in failed]
-    global_identity = s == orb.value
+    rec = ip_record(wv)
+    s = _stringy(rec)
+    orb = _orbifold(wv)
+    # both halves hold one term per element class, in the order of the classes
+    failed = {c for c, (a, b) in enumerate(zip(s.terms, orb.terms)) if a != b}
+    failures = [l for l, c in enumerate(_classified(rec).class_of) if c in failed]
+    global_identity = s.total == orb.total
     if global_identity == bool(failures):
         raise InconsistentVerification(
             f"{wv}: global identity {global_identity} disagrees with"
             f" {len(failures)} per-element failures"
         )
-    poly = s.is_polynomial()
+    poly = s.total.is_polynomial()
     hodge_ok = False
-    if poly and orb.value.is_polynomial():
+    if poly and orb.total.is_polynomial():
         dim = wv.d - 1
-        table_str = hodge_table(s.to_bipoly(), dim)
-        # undo the mirror transform to read the orbifold table of X itself
-        e_orb_x = mirror_transform(orb.value.to_bipoly(), dim)
+        table_str = hodge_table(s.total.to_bipoly(), dim)
+        # undo the mirror transform to read the orbifold table of X itself;
+        # hodge_table also checks X's own symmetry h^{p,q} = h^{q,p}, which
+        # the mirror's table does not imply: its symmetry gives only
+        # h^{dim-p,q}(X) = h^{dim-q,p}(X)
+        e_orb_x = mirror_transform(orb.total.to_bipoly(), dim)
         table_orb = hodge_table(e_orb_x, dim)
         hodge_ok = all(
             table_str.h(p, q) == table_orb.h(dim - p, q)

@@ -51,10 +51,11 @@ call), and the exact separation step of a column generation over the
 points found.  Its LP is one revised simplex in plain integers across the
 rounds: it starts from the feasible basis the spanning search already
 found, so there is no phase 1, and each round goes on from the basis the
-last one ended at.  Fraction-free Gauss-Jordan
-elimination gives both its first scaled basis inverse and the orthogonal
-directions, and each pivot updates that inverse by one exact step.  The
-IP test uses neither floats nor fractions.
+last one ended at.  One scaled basis inverse D B^-1 serves both: the
+spanning search reads each direction off one of its rows and swaps each
+point it finds into B by the simplex's own exact pivot (``_pivot_inverse``),
+so the LP starts with its inverse in hand.  The IP test uses neither floats
+nor fractions.
 """
 
 from __future__ import annotations
@@ -447,68 +448,10 @@ def _on_max(w: int, r: int, coins: Sequence[int]) -> bool:
     return not r >> w & 1
 
 
-def _eliminate(
-    rows: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968): (R, pivots, D) with D > 0 and R = D * rref(rows), so the first
-    len(pivots) rows of R hold D in their pivot column and 0 in every other
-    pivot column.  Every division is exact and every entry is a minor of
-    rows, so the integers stay small."""
-    M = [list(row) for row in rows]
-    pivots: List[int] = []
-    prev = 1
-    for col in range(len(M[0])):
-        r = len(pivots)
-        if r == len(M):
-            break
-        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        top = M[r]
-        p = top[col]
-        for i, row in enumerate(M):
-            if i != r:
-                f = row[col]
-                M[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
-        pivots.append(col)
-    if prev < 0:
-        M = [[-x for x in row] for row in M]
-    return M, pivots, abs(prev)
-
-
-def _scaled_inverse(B: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
-    """(A, D) with B A = A B = D I and D > 0, from [B | I] reduced by
-    ``_eliminate``; a singular B raises InconsistentLP."""
-    m = len(B)
-    R, pivots, D = _eliminate(
-        [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(B)]
-    )
-    if pivots != list(range(m)):
-        raise InconsistentLP("singular basis in the integer simplex")
-    return [row[m:] for row in R], D
-
-
 def _primitive(v: Sequence[int]) -> List[int]:
     """The positive multiple of a nonzero integer vector that is primitive."""
     g = gcd(*v)
     return [x // g for x in v]
-
-
-def _kernel_vector(rows: List[Sequence[int]], n: int) -> List[int]:
-    """A primitive integer vector orthogonal to every row (fewer than n
-    linearly independent rows)."""
-    R, pivots, D = _eliminate(rows)
-    if len(pivots) == n:
-        raise InconsistentLP("affine hull rows already span the whole space")
-    free = next(c for c in range(n) if c not in pivots)
-    x = [0] * n
-    x[free] = D
-    for row, p in zip(R, pivots):
-        x[p] = -row[free]
-    return _primitive(x)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +472,7 @@ def _add_column(cols: List[Tuple[int, ...]], u: Tuple[int, ...]):
 
 class _Simplex:
     """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0: a revised
-    simplex in integers with Bland's rule, starting from the basis of the
+    simplex in integers with Bland's rule, starting from the basis B of the
     first len(b) columns, whose basic solution must be feasible (there is no
     phase 1).  ``add`` appends a column, and the next ``solve`` goes on from
     the last optimal basis: one warm-started LP across the rounds of a
@@ -537,19 +480,24 @@ class _Simplex:
 
     It keeps A = D B^-1 with D = |det B| > 0, so D x_B = A b, the dual
     D y = c_B A and the entering direction D B^-1 a_j are integer vectors,
-    and the ratio test compares cross products.  ``_scaled_inverse`` gives
-    the first (A, D); each pivot updates it (``_pivot_inverse``).  A
-    singular start basis or an unbounded LP raises InconsistentLP."""
+    and the ratio test compares cross products.  The caller gives the first
+    (A, D), which ``_interior`` builds in its hull step, and each pivot
+    updates it (``_pivot_inverse``): nothing is inverted here.  An unbounded
+    LP raises InconsistentLP."""
 
     def __init__(
-        self, cols: Sequence[Tuple[int, ...]], b: Sequence[int], obj: Sequence[int]
+        self,
+        cols: Sequence[Tuple[int, ...]],
+        b: Sequence[int],
+        obj: Sequence[int],
+        A: List[List[int]],
+        D: int,
     ):
-        m = len(b)
         self.cols = list(cols)
         self.b = b
         self.obj = list(obj)
-        self.basis = list(range(m))
-        self.A, self.D = _scaled_inverse([col[:m] for col in zip(*self.cols)])
+        self.basis = list(range(len(b)))
+        self.A, self.D = A, D
 
     def add(self, col: Tuple[int, ...], obj: int) -> None:
         _add_column(self.cols, col)
@@ -625,16 +573,23 @@ def ip_property(wv: WeightVector) -> bool:
        degree w needs |J| coins of J, and whether it allows no more than
        |J|.  Every on-min test runs first, smallest |J| first; for |J| = 1
        it is one bit read.
-    2. Affine hull: starting from V = {z}, take a primitive integer c
-       orthogonal to w and to every u - z, u in V, and ask the oracle for
-       the minima of c and of -c in one call.  If both extremes of c.u equal
-       c.z, the points lie in a hyperplane of the degree hyperplane and the
-       answer is False.  Otherwise a point off c.u = c.z joins V (the
-       minimiser if it is off, else the maximiser), and when the minimiser
-       joins and the maximiser is off too, the maximiser is kept as an
-       extra LP column.  A kept point off c.u = c.z joins V in place of
-       the oracle's answer, with no DP.  After d steps V spans the
-       polytope affinely.
+    2. Affine hull: keep a basis B of R^n with A = D B^-1, D = |det B|,
+       starting from B = [z, e_1, .., e_(n-1)] (D = 1, row 0 of A is e_0
+       and row i is e_i - e_0), and V = {z}.  Step p = 1..d takes c, the
+       primitive multiple of row p of A, which is orthogonal to every
+       column of B but the p-th: to z, to the points of V and to the e_j
+       still in B.  As c.z = 0 while w.z = w, c is not parallel to w.  The
+       oracle gives the minima of c and of -c in one call.  If both
+       extremes of c.u are 0, the points lie in a hyperplane of the degree
+       hyperplane and the answer is False.  Otherwise a point off c.u = 0,
+       hence off aff(V), joins V (the minimiser if it is off, else the
+       maximiser) and replaces column p of B by one ``_pivot_inverse``
+       step, after negating row p of A if need be (e_p becomes -e_p) so
+       that the pivot is positive.  When the minimiser joins and the
+       maximiser is off too, the maximiser is kept as an extra LP column,
+       and a kept point off c.u = 0 joins V in place of the oracle's
+       answer, with no DP.  After d steps V spans the polytope affinely,
+       and B = V with its A and D is the LP's start basis.
     3. Column generation: maximize eps subject to z = sum_p mu_p u_p +
        eps * s over mu >= 0, eps >= 0, where p runs over the LP's columns
        (V, the extra columns and the points added since) and s = sum of the
@@ -652,10 +607,8 @@ def ip_property(wv: WeightVector) -> bool:
        The LP is one ``_Simplex``, a revised simplex in integers kept
        across the rounds: each round goes on from the last basis and its
        scaled inverse, with the new point the one improving column.  It
-       needs no phase 1: the points of step 2 lie in the degree hyperplane
-       w.u = w, which misses the origin, so V (z and n - 1 affinely
-       independent points) is a basis, and since z is one of them x = e_0
-       is feasible.
+       starts from the basis V with step 2's A and D, so it inverts
+       nothing, and it needs no phase 1: z is in V, so x = e_0 is feasible.
     """
     return _ip_verdict(record(wv))
 
@@ -694,24 +647,33 @@ def _interior(
     z = (1,) * n
     V: List[Tuple[int, ...]] = [z]
     extra: List[Tuple[int, ...]] = []
-    rows: List[Sequence[int]] = [ws]
-    while len(V) < n:
-        c = _kernel_vector(rows, n)
-        cz = sum(c)
-        # a far extreme of an earlier direction off c.u = c.z needs no DP
-        u = next((u for u in extra if _dot(c, u) != cz), None)
+    # A = D B^-1 for the basis B = [z, e_1, .., e_(n-1)], of det 1
+    A = [[1] + [0] * (n - 1)]
+    A += [[-1] + [int(k == i) for k in range(1, n)] for i in range(1, n)]
+    D = 1
+    for p in range(1, n):
+        # row p of A is orthogonal to every column of B but the p-th
+        c = _primitive(A[p])
+        # a far extreme of an earlier direction off c.u = 0 needs no DP
+        u = next((u for u in extra if _dot(c, u)), None)
         if u is None:
             (lo, u_lo), (neg_hi, u_hi) = _knapsack_min(ws, c, [-x for x in c])
-            if lo == cz == -neg_hi:
+            if lo == 0 == neg_hi:
                 return False
-            u = u_hi if lo == cz else u_lo
-            if lo < cz < -neg_hi:
+            u = u_hi if lo == 0 else u_lo
+            if lo < 0 < -neg_hi:
                 extra.append(u_hi)
         _add_column(V, u)
-        rows.append([ui - 1 for ui in u])
+        a = [_dot(row, u) for row in A]
+        if not a[p]:
+            raise InconsistentLP(f"singular basis: oracle point {u} has c.u = 0")
+        if a[p] < 0:  # B's column p becomes -e_p, so the pivot is positive
+            A[p] = [-x for x in A[p]]
+            a[p] = -a[p]
+        A, D = _pivot_inverse(A, D, a, p)
     cols = V + [tuple(map(sum, zip(*V)))]
     cols += [u for u in extra if u not in V]
-    lp = _Simplex(cols, z, [0] * n + [1] + [0] * (len(cols) - n - 1))
+    lp = _Simplex(cols, z, [0] * n + [1] + [0] * (len(cols) - n - 1), A, D)
     while True:
         eps, y = lp.solve()
         if eps > 0:

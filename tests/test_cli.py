@@ -275,10 +275,13 @@ import sys
 if __debug__:
     sys.exit(99)  # the guard must fire with asserts compiled out
 from stringymirror import cli, mirror_verify
-real = mirror_verify.stringy_e_per_l
-# element 0 answers element 1's term: one per-element identity fails while
-# the global identity still holds
-mirror_verify.stringy_e_per_l = lambda wv, l: real(wv, l or 1)
+real = mirror_verify._stringy
+def swapped(rec):
+    # the class of element 0 answers the next class's term: one per-element
+    # identity fails while the global identity still holds
+    half = real(rec)
+    return half._replace(terms=half.terms[1:2] + half.terms[1:])
+mirror_verify._stringy = swapped
 sys.exit(cli.main(["mirror-check", "1,1,1,1,1"]))
 """
 

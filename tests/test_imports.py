@@ -1,10 +1,12 @@
-"""Every name a package module imports is used in that module, and no
-module reads the environment.
+"""Every name a package module imports is used in that module, no module
+reads the environment, and no module has an ``assert`` statement.
 
 Stdlib ``ast`` checks, since the package has no linter.  ``__init__.py`` is
 exempt from the first: its imports are the public re-exports.  The second
 keeps the output a function of the CLI arguments alone: a setting read from
-``os.environ`` or ``os.getenv`` would be a knob that no flag shows.
+``os.environ`` or ``os.getenv`` would be a knob that no flag shows.  The
+third keeps every internal guard alive under ``python -O``, which compiles
+``assert`` statements out: a guard raises a ``StringyMirrorError`` instead.
 """
 
 import ast
@@ -94,3 +96,18 @@ def test_checker_flags_environment_reads():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_environment_reads(module):
     assert environment_reads((PACKAGE / module).read_text()) == []
+
+
+def assert_statements(source: str):
+    """The line of every ``assert`` statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_checker_flags_an_assert():
+    source = "def f(x):\n    assert x > 0, 'gone under -O'\n    return x\n"
+    assert assert_statements(source) == [2]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_assert_statements(module):
+    assert assert_statements((PACKAGE / module).read_text()) == []

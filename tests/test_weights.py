@@ -42,6 +42,7 @@ from conftest import (
     slow_ip_property,
     slow_lattice_counts,
     slow_transverse,
+    _solve_linear,
 )
 
 HYP = settings(deadline=None, derandomize=True, max_examples=40)
@@ -539,34 +540,34 @@ def _matmul(P, Q):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Q)] for row in P]
 
 
-@HYP
-@given(st.integers(1, 5).flatmap(lambda m: _int_rows(m, m, m)))
-def test_scaled_inverse_is_exact(B):
-    det = _det(B)
-    if det == 0:
-        with pytest.raises(InconsistentLP, match="singular"):
-            weights._scaled_inverse(B)
-        return
-    A, D = weights._scaled_inverse(B)
+def _scaled_inverse(B):
+    """(D B^-1, D) with D = |det B| != 0, column by column from the
+    reference solver of the test suite."""
     m = len(B)
-    identity = [[D * (i == k) for k in range(m)] for i in range(m)]
-    assert D == abs(det)  # the integers are minors of B: no growth past det
-    assert _matmul(B, A) == identity
-    assert _matmul(A, B) == identity
+    D = abs(_det(B))
+    F = [[Fraction(x) for x in row] for row in B]
+    inverse = [_solve_linear(F, [Fraction(int(i == k)) for i in range(m)]) for k in range(m)]
+    A = [[D * inverse[k][i] for k in range(m)] for i in range(m)]
+    assert all(x.denominator == 1 for row in A for x in row)
+    return [[int(x) for x in row] for row in A], D
+
+
+def _keeps_the_scaled_inverse(A, D, B):
+    m = len(B)
+    assert _matmul(A, B) == [[D * (i == k) for k in range(m)] for i in range(m)]
+    assert D == abs(_det(B))  # the integers are minors of B: no growth past det
 
 
 @HYP
 @given(
-    st.integers(1, 5).flatmap(lambda m: st.tuples(_int_rows(m, m, m), _int_rows(m, 1, 4))),
-    st.lists(st.integers(0, 4), min_size=4, max_size=4),
+    st.integers(1, 5).flatmap(lambda m: _int_rows(m, 1, 6)),
+    st.lists(st.integers(0, 4), min_size=6, max_size=6),
 )
-def test_pivot_update_keeps_the_scaled_inverse(case, picks):
-    # a chain of pivots: after each, the (A, D) kept by one-pivot updates
-    # equals _scaled_inverse of the new basis, entry for entry
-    B, entering = case
-    assume(_det(B))
-    A, D = weights._scaled_inverse(B)
-    B = [list(row) for row in B]
+def test_pivot_update_keeps_the_scaled_inverse(entering, picks):
+    # a chain of pivots from B = I: after each, A = D B^-1 and D = |det B|
+    m = len(entering[0])
+    B = [[int(i == k) for k in range(m)] for i in range(m)]
+    A, D = [row[:] for row in B], 1
     for col, pick in zip(entering, picks):
         a = [sum(x * c for x, c in zip(row, col)) for row in A]
         positive = [i for i, ai in enumerate(a) if ai > 0]
@@ -576,21 +577,43 @@ def test_pivot_update_keeps_the_scaled_inverse(case, picks):
         A, D = weights._pivot_inverse(A, D, a, leave)
         for r, c in enumerate(col):
             B[r][leave] = c
-        assert (A, D) == weights._scaled_inverse(B)
+        _keeps_the_scaled_inverse(A, D, B)
 
 
 @HYP
-@given(st.integers(1, 5).flatmap(lambda n: _int_rows(n, 1, n)))
-def test_kernel_vector_is_primitive_and_orthogonal(rows):
-    n = len(rows[0])
-    if len(rows) == n and _det(rows):
-        with pytest.raises(InconsistentLP, match="span"):
-            weights._kernel_vector(rows, n)
-        return
-    x = weights._kernel_vector(rows, n)
-    assert any(x)
-    assert gcd(*x) == 1
-    assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+@given(
+    # 2 to 6 weights with w <= 60: the gaps between distinct cuts in 1..60
+    st.integers(2, 6)
+    .flatmap(lambda n: st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+    .map(sorted)
+    .map(lambda cuts: [b - a for a, b in zip([0] + cuts, cuts)])
+)
+@example([1, 1, 1, 1, 1])  # IP
+@example([1, 5, 12, 18])  # IP
+@example([1, 3, 5, 7])  # through the hull to the LP, which rejects it
+@example([1, 3, 3, 5])
+def test_hull_pivots_build_the_lp_start_inverse(ws):
+    # each hull direction c is a primitive row of D B^-1, so c.z = 0, and
+    # the LP starts from the (A, D) the hull's pivots left for its basis
+    n = len(ws)
+    knapsack_min, simplex = weights._knapsack_min, weights._Simplex
+
+    def knapsack_spy(coins, *costs):
+        if len(costs) == 2:  # a hull step asks for the minima of c and -c
+            c, minus = costs
+            assert minus == [-x for x in c]
+            assert gcd(*c) == 1
+            assert sum(c) == 0  # c.z, z the all-ones point
+        return knapsack_min(coins, *costs)
+
+    def simplex_spy(cols, b, obj, A, D):
+        _keeps_the_scaled_inverse(A, D, [list(row[:n]) for row in zip(*cols)])
+        return simplex(cols, b, obj, A, D)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_knapsack_min", knapsack_spy)
+        mp.setattr(weights, "_Simplex", simplex_spy)
+        weights._interior(ws, weights._reach_sets(ws), weights._faces(n))
 
 
 @HYP
@@ -621,7 +644,7 @@ def test_simplex_warm_start_matches_a_fresh_solve(case):
             return None
         return Fraction(value, lp.D)
 
-    warm = weights._Simplex(start, b, obj[:m])
+    warm = weights._Simplex(start, b, obj[:m], *_scaled_inverse(B))
     for k, col in enumerate(map(tuple, more)):
         if col in warm.cols:
             with pytest.raises(InconsistentLP, match="already a column"):
@@ -629,16 +652,14 @@ def test_simplex_warm_start_matches_a_fresh_solve(case):
             return
         warm.add(col, obj[m + k])
         value = optimum(warm)
-        fresh = optimum(weights._Simplex(warm.cols, b, warm.obj))
+        fresh = optimum(weights._Simplex(warm.cols, b, warm.obj, *_scaled_inverse(B)))
         assert value == fresh
         if value is None:
             return
 
 
 def test_simplex_guards():
-    with pytest.raises(InconsistentLP, match="singular basis"):
-        weights._Simplex([(1, 2), (2, 4)], (3, 6), (0, 0))
-    lp = weights._Simplex([(1,)], (1,), (0,))
+    lp = weights._Simplex([(1,)], (1,), (0,), [[1]], 1)
     lp.add((0,), 1)  # a free direction with a positive objective
     with pytest.raises(InconsistentLP, match="unbounded"):
         lp.solve()
