@@ -29,21 +29,21 @@ import os
 import re
 import sys
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
 from .exact_arith import BiPoly, EFunction, RationalT
 from .face_epoly import psi
 from .mirror_verify import VerificationReport, verify
-from .orbifold import mirror_orbifold_e, vafa_euler, vafa_poincare
-from .stringy import hodge_table, stringy_e, stringy_e_per_l, stringy_euler
+from .orbifold import _orbifold, vafa_euler, vafa_poincare
+from .stringy import _stringy, hodge_table, stringy_e, stringy_e_per_l, stringy_euler
 from .weights import (
-    ElementClass,
     WeightVector,
     census,
     class_index,
     element_classes,
     ip_property,
+    ip_record,
     ip_vectors,
     milnor_number,
     require_ip,
@@ -306,7 +306,7 @@ def _cmd_stringy(args) -> int:
     require_ip(wv)
     payload = _row_payload(wv)
     if args.per_l:
-        payload["per_l"] = _per_l(wv, lambda c: render_efunction(stringy_e_per_l(wv, c.first)))
+        payload["per_l"] = _per_l(wv, [render_efunction(e) for e in _stringy(ip_record(wv)).terms])
     _emit_single(args, payload)
     return 0
 
@@ -315,15 +315,15 @@ def _cmd_orbifold(args) -> int:
     wv = _parse_weights(args.weights)
     require_ip(wv)
     tr = transverse(wv) if args.assume_transverse is None else args.assume_transverse
-    orb = mirror_orbifold_e(wv)
+    orb = _orbifold(wv)
     payload = _row_payload(wv)
-    payload["e_str"] = render_efunction(orb.value)
-    payload["hodge"] = _hodge_grid(orb.value, wv.d - 1)
+    payload["e_str"] = render_efunction(orb.total)
+    payload["hodge"] = _hodge_grid(orb.total, wv.d - 1)
     payload["formal"] = not tr
     if tr:
         payload["vafa_poincare"] = render_bipoly(vafa_poincare(wv))
     if args.per_l:
-        payload["per_l"] = _per_l(wv, lambda c: render_efunction(orb.per_l_terms[c.first]))
+        payload["per_l"] = _per_l(wv, [render_efunction(e) for e in orb.terms])
     _emit_single(args, payload)
     return 0
 
@@ -336,26 +336,25 @@ def _cmd_mirror_check(args) -> int:
     payload["per_l_failures"] = list(report.per_l_failures)
     payload["hodge_pairs_match"] = report.hodge_pairs_match
     if args.per_l:
-        orb_terms = mirror_orbifold_e(wv).per_l_terms
         failures = set(report.per_l_failures)  # whole element classes
-
-        def both_sides(c: ElementClass) -> Dict:
-            return {
-                "stringy": render_efunction(stringy_e_per_l(wv, c.first)),
-                "orbifold": render_efunction(orb_terms[c.first]),
+        # the halves' terms class by class, paired as ``verify`` pairs them
+        pairs = zip(element_classes(wv), _stringy(ip_record(wv)).terms, _orbifold(wv).terms)
+        payload["per_l"] = _per_l(wv, [
+            {
+                "stringy": render_efunction(s),
+                "orbifold": render_efunction(o),
                 "equal": c.first not in failures,
             }
-
-        payload["per_l"] = _per_l(wv, both_sides)
+            for c, s, o in pairs
+        ])
     _emit_single(args, payload)
     return 0
 
 
-def _per_l(wv: WeightVector, render: Callable[[ElementClass], object]) -> Dict[str, object]:
+def _per_l(wv: WeightVector, rendered: Sequence[object]) -> Dict[str, object]:
     """The ``--per-l`` payload: a term depends on l only through its element
-    class, so ``render`` runs once per class and its result is keyed by
-    every l of the class."""
-    rendered = [render(c) for c in element_classes(wv)]
+    class, so ``rendered`` holds one entry per class, in the order of
+    ``element_classes``, and each entry is keyed by every l of the class."""
     return {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
 
 

@@ -6,7 +6,12 @@ fixed by l.  Three related objects are computed:
 * ``vafa_euler``: the orbifold Euler number
       (1/w) sum_{l,r} prod_{i in Z(l) & Z(r)} (1 - 1/q_i),
   with (1 - 1/q_i) = (w_i - w)/w_i, an exact rational (an integer for
-  transverse vectors).
+  transverse vectors).  It is computed in the closed form
+      sum_{T in {0..d}} (-w)^|T| gcd(w, w_T)^2 / (w prod_{i in T} w_i),
+  w_T the gcd of the weights on T (gcd(w, w_T) = w for T empty), from the
+  identity |{l in Z/wZ : T in Z(l)}| = gcd(w, w_T): l fixes i iff
+  w/gcd(w, w_i) divides l, and the lcm of those over T is w/gcd(w, w_T).
+  It needs no element classes.
 
 * ``vafa_poincare``: the orbifold Hodge-Poincare polynomial
 
@@ -44,17 +49,17 @@ against the Poincare-style route t^alpha tbar^beta G(t tbar) computed on
 its own (``_direct_sector``); it is a structural self-test of the two
 offsets, not a mirror statement.
 
-Every sum over Z/wZ runs over the element classes of ``weights``: a term
-depends on l only through Z(l), age and size.  The sector terms and their
+Every other sum over Z/wZ runs over the element classes of ``weights``: a
+term depends on l only through Z(l), age and size.  The sector terms and their
 total are kept in the orbifold half of the vector's record
 (``weights.record``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from typing import Dict
 
 from .errors import InconsistentSector, NonIntegerCoefficient
@@ -76,23 +81,30 @@ from .weights import (
 
 
 def vafa_euler(wv: WeightVector) -> Fraction:
-    """Orbifold Euler number of the hypersurface (exact rational).
+    """Orbifold Euler number of the hypersurface (exact rational), as
 
-    The pair sum runs over the distinct zero sets (at most 2^(d+1) of them),
-    each weighted by how many elements l share it, keyed by its bitmask."""
-    mult: Counter = Counter()
-    for c in element_classes(wv):
-        mult[_complement(wv, c.support)] += c.count
-    ws = wv.weights
+        sum_{T in {0..d}} (-w)^|T| gcd(w, w_T)^2 / (w prod_{i in T} w_i),
+
+    w_T the gcd of the weights on T, with gcd(w, w_T) = w for T empty.
+    Expanding each prod_{i in Z(l) & Z(r)} (1 - w/w_i) over the subsets T
+    of Z(l) & Z(r) gives sum_T prod_{i in T} (-w/w_i) times the number of
+    pairs (l, r) whose zero sets both hold T, which is the square of
+    |{l : T in Z(l)}| = gcd(w, w_T): l fixes i iff w/gcd(w, w_i) divides
+    l, and the lcm of those over T is w/gcd(w, w_T).
+
+    One pass over the weights keeps, per running gcd(w, w_T) (a divisor of
+    w), the integer sum of (-w)^|T| prod_{i not in T} w_i over the subsets T
+    of the weights so far, so the result is one Fraction over w prod w_i."""
     w = wv.w
-    total = Fraction(0)
-    for zl, ml in mult.items():
-        for zr, mr in mult.items():
-            val = Fraction(ml * mr)
-            for i in _members(zl & zr):
-                val *= Fraction(ws[i] - w, ws[i])
-            total += val
-    return total / w
+    by_gcd = {w: 1}
+    for wi in wv.weights:
+        step: Dict[int, int] = {}
+        for g, v in by_gcd.items():
+            step[g] = step.get(g, 0) + v * wi
+            h = gcd(g, wi)
+            step[h] = step.get(h, 0) - v * w
+        by_gcd = step
+    return Fraction(sum(g * g * v for g, v in by_gcd.items()), w * prod(wv.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +139,15 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     c is (-1)^size times its term of ``mirror_orbifold_e``
     (``q_identity_check`` tests this against ``_direct_sector``)."""
     classes = element_classes(wv)
+    # the check depends only on the zero set: each one once, at its first l
+    first: Dict[int, int] = {}
     for c in classes:
-        num, coins = sector_hilbert(wv, _complement(wv, c.support))
+        first.setdefault(_complement(wv, c.support), c.first)
+    for zero, l in first.items():
+        num, coins = sector_hilbert(wv, zero)
         if not RationalT(num, 0, [(m, 1) for m in coins]).is_polynomial():
             raise NonIntegerCoefficient(
-                f"sector l={c.first} of {wv} has a non-polynomial Hilbert series; "
+                f"sector l={l} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
             )
     total = BiPoly.zero()

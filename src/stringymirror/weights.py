@@ -288,14 +288,15 @@ def _complement(wv: WeightVector, mask: int) -> int:
 
 
 def subgroup(wv: WeightVector, J: Iterable[int]) -> FaceSubgroup:
-    """G_J = { l : theta~_j(l) = 0 for every j outside J }."""
+    """G_J = { l : theta~_j(l) = 0 for every j outside J }: the multiples of
+    w/g in Z/wZ, g = gcd(w, w_j : j outside J) (g = w when J holds every
+    index).  l fixes the coordinate j iff l w_j = 0 mod w, that is iff
+    w/gcd(w, w_j) divides l, and the lcm of the w/gcd(w, w_j) over the j
+    outside J is w/g."""
     mask = _check_subset(wv, J)
     w = wv.w
-    comp = [wv.weights[j] for j in _members(_complement(wv, mask))]
-    members = tuple(
-        l for l in range(w) if all((l * wj) % w == 0 for wj in comp)
-    )
-    return FaceSubgroup(frozenset(_members(mask)), members)
+    g = gcd(w, *(wv.weights[j] for j in _members(_complement(wv, mask))))
+    return FaceSubgroup(frozenset(_members(mask)), tuple(range(0, w, w // g)))
 
 
 # ---------------------------------------------------------------------------

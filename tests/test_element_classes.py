@@ -1,9 +1,14 @@
 """Sums over element classes against the per-element loops they replaced.
 
 Every per-element formula depends on l only through its class (support,
-age, size), so ``face_e``, ``psi``, ``census``, ``vafa_euler`` and
-``mirror_orbifold_e`` sum over classes with multiplicities.  The oracles in
-``conftest`` visit every l of Z/wZ in turn.
+age, size), so ``face_e``, ``psi``, ``census`` and ``mirror_orbifold_e``
+sum over classes with multiplicities.  ``vafa_euler`` needs no classes: it
+is the closed form sum_T (-w)^|T| gcd(w, w_T)^2 / (w prod_{i in T} w_i)
+over the index subsets T, w_T the gcd of the weights on T, since
+gcd(w, w_T) elements l fix every coordinate of T (l fixes i iff
+w/gcd(w, w_i) divides l, and the lcm of those over T is w/gcd(w, w_T)).
+The oracles in ``conftest`` visit every l of Z/wZ in turn; the one for
+``vafa_euler`` counts each zero set element by element and sums over pairs.
 """
 
 from itertools import combinations

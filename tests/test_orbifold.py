@@ -17,6 +17,7 @@ from stringymirror import (
     vafa_euler,
     vafa_poincare,
     validate,
+    weights,
 )
 from stringymirror.errors import NonIntegerCoefficient
 from stringymirror.orbifold import _direct_sector
@@ -52,6 +53,16 @@ def test_vafa_euler_octic():
 
 def test_vafa_euler_k3():
     assert vafa_euler(validate(K3)) == 24
+
+
+def test_vafa_euler_reads_no_element_classes():
+    # the closed form sums over index subsets, so a fresh record keeps its
+    # classes unbuilt
+    wv = validate(FERMAT_LIKE)
+    weights.record.cache_clear()
+    rec = weights.record(wv)
+    assert vafa_euler(wv) == Fraction(-1032, 5)
+    assert rec.classes is None and rec.class_of is None
 
 
 @pytest.mark.parametrize("ws", [QUINTIC, K3, OCTIC, FERMAT_LIKE])

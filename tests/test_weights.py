@@ -218,6 +218,20 @@ def test_index_subsets_read_any_iterable():
     assert subgroup(wv, iter([0, 2, 3])).J == frozenset((0, 2, 3))
 
 
+def test_subgroup_is_the_literal_fixed_set(surface_population, random_threefold_population):
+    # G_J read off the gcd identity against its definition, l by l, for
+    # every J of the four- and five-weight survey vectors and of w = 1806
+    vectors = surface_population + random_threefold_population
+    vectors.append(validate((1, 42, 258, 602, 903)))
+    for wv in vectors:
+        n, w = len(wv.weights), wv.w
+        for k in range(n + 1):
+            for J in combinations(range(n), k):
+                off = [wv.weights[j] for j in range(n) if j not in J]
+                literal = tuple(l for l in range(w) if all(l * wj % w == 0 for wj in off))
+                assert subgroup(wv, J).members == literal, (wv, J)
+
+
 def test_subgroup_closed_under_addition():
     wv = validate(OCTIC)
     for J in ([0, 1], [2], [0, 4]):
