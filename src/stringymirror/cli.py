@@ -9,8 +9,10 @@ Subcommands:
 * ``scan``            sweep all IP weight vectors of a given dimension
 
 Weights are given as a comma- or space-separated list, e.g. ``1,5,12,18``.
-Output formats: ``text`` (default), ``json`` (canonical: sorted keys, so a
-load/dump round trip is byte-identical), ``csv``.
+Output formats: ``text`` (default) prints the payload in its key order,
+``--per-l`` last; ``json`` is canonical (sorted keys, so a load/dump round
+trip is byte-identical); ``csv`` holds a fixed set of row fields, without
+the ``--per-l`` breakdown.
 
 Exit codes: 0 success (including "no mirror exists" answers), 2 invalid
 input, 3 IP-property precondition failed, 4 internal error: any other
@@ -36,17 +38,16 @@ from .exact_arith import BiPoly, EFunction, RationalT
 from .face_epoly import psi
 from .mirror_verify import VerificationReport, verify
 from .orbifold import _orbifold, vafa_euler, vafa_poincare
-from .stringy import _stringy, hodge_table, stringy_e, stringy_e_per_l, stringy_euler
+from .stringy import _stringy, hodge_table
 from .weights import (
+    VectorRecord,
     WeightVector,
+    _classified,
     census,
-    class_index,
-    element_classes,
     ip_property,
     ip_record,
     ip_vectors,
     milnor_number,
-    require_ip,
     transverse,
     validate,
 )
@@ -185,13 +186,19 @@ def _analyze_payload(wv: WeightVector) -> Dict:
     return payload
 
 
-def _row_payload(wv: WeightVector, report: Optional[VerificationReport] = None) -> Dict:
-    dim = wv.d - 1
-    s = stringy_e(wv)
-    poly = s.is_polynomial()
+def _row_payload(
+    rec: VectorRecord, shown: EFunction, report: Optional[VerificationReport] = None
+) -> Dict:
+    """The row of an IP vector's record: ``e_str`` and ``hodge`` render
+    ``shown``, the E-function the command prints; the rest comes from the
+    stringy half (the class of l = 0 is its first term).  The keys are in
+    the order the text format prints them."""
+    wv = rec.wv
+    s = _stringy(rec)
+    poly = s.total.is_polynomial()
     if report is None:
         mirror_check = "n/a"
-        euler_str, euler_orb = stringy_euler(wv), vafa_euler(wv)
+        euler_str, euler_orb = s.total.value_at_one(), vafa_euler(wv)
     else:
         mirror_check = "pass" if report.passed else "fail"
         euler_str, euler_orb = report.euler_stringy, report.euler_orbifold
@@ -201,12 +208,12 @@ def _row_payload(wv: WeightVector, report: Optional[VerificationReport] = None) 
         "ip": True,
         "transverse": transverse(wv),
         "stringy_polynomial": poly,
-        "e_str": render_efunction(s),
-        "hodge": _hodge_grid(s, dim),
+        "e_str": render_efunction(shown),
         "euler_str": str(euler_str),
         "euler_orb": str(euler_orb),
         "mirror_check": mirror_check,
-        "untwisted_limit": str(stringy_e_per_l(wv, 0).value_at_one()),
+        "hodge": _hodge_grid(shown, wv.d - 1),
+        "untwisted_limit": str(s.terms[0].value_at_one()),
     }
     if not poly:
         # not an error: the construction is still meaningful, there is just
@@ -256,11 +263,8 @@ def _print_csv_rows(rows: Iterable[Dict], fields: Tuple[str, ...] = _ROW_FIELDS)
         sys.stdout.flush()
 
 
-def _print_text_kv(payload: Dict, order: Tuple[str, ...]) -> None:
-    for key in order:
-        if key not in payload:
-            continue
-        value = payload[key]
+def _print_text_kv(payload: Dict) -> None:
+    for key, value in payload.items():
         if key == "hodge" and value is not None:
             print("hodge:")
             for row in value:
@@ -276,6 +280,11 @@ def _print_text_kv(payload: Dict, order: Tuple[str, ...]) -> None:
             for term in value:
                 print(f"  u^{term['u']} v^{term['v']} * {term['rational']}")
             continue
+        if key == "per_l":
+            print("per_l:")
+            for l, entry in value.items():
+                print(f"  l={l}: {entry}")
+            continue
         print(f"{key}: {_csv_scalar(value)}")
 
 
@@ -286,60 +295,46 @@ def _print_text_kv(payload: Dict, order: Tuple[str, ...]) -> None:
 def _cmd_analyze(args) -> int:
     wv = _parse_weights(args.weights)
     payload = _analyze_payload(wv)
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv_rows([payload], tuple(sorted(payload)))
-    else:
-        _print_text_kv(
-            payload,
-            (
-                "weights", "w", "d", "charges", "well_formed", "ip",
-                "transverse", "census", "psi", "milnor",
-            ),
-        )
+    _emit_single(args, payload, tuple(sorted(payload)))
     return 0
 
 
 def _cmd_stringy(args) -> int:
-    wv = _parse_weights(args.weights)
-    require_ip(wv)
-    payload = _row_payload(wv)
+    rec = ip_record(_parse_weights(args.weights))
+    s = _stringy(rec)
+    payload = _row_payload(rec, s.total)
     if args.per_l:
-        payload["per_l"] = _per_l(wv, [render_efunction(e) for e in _stringy(ip_record(wv)).terms])
+        payload["per_l"] = _per_l(rec, [render_efunction(e) for e in s.terms])
     _emit_single(args, payload)
     return 0
 
 
 def _cmd_orbifold(args) -> int:
-    wv = _parse_weights(args.weights)
-    require_ip(wv)
-    tr = transverse(wv) if args.assume_transverse is None else args.assume_transverse
-    orb = _orbifold(wv)
-    payload = _row_payload(wv)
-    payload["e_str"] = render_efunction(orb.total)
-    payload["hodge"] = _hodge_grid(orb.total, wv.d - 1)
+    rec = ip_record(_parse_weights(args.weights))
+    orb = _orbifold(rec)
+    payload = _row_payload(rec, orb.total)
+    tr = args.assume_transverse or payload["transverse"]
     payload["formal"] = not tr
     if tr:
-        payload["vafa_poincare"] = render_bipoly(vafa_poincare(wv))
+        payload["vafa_poincare"] = render_bipoly(vafa_poincare(rec.wv))
     if args.per_l:
-        payload["per_l"] = _per_l(wv, [render_efunction(e) for e in orb.terms])
+        payload["per_l"] = _per_l(rec, [render_efunction(e) for e in orb.terms])
     _emit_single(args, payload)
     return 0
 
 
 def _cmd_mirror_check(args) -> int:
-    wv = _parse_weights(args.weights)
-    require_ip(wv)
-    report = verify(wv)
-    payload = _row_payload(wv, report)
+    rec = ip_record(_parse_weights(args.weights))
+    report = verify(rec.wv)
+    half = _stringy(rec)
+    payload = _row_payload(rec, half.total, report)
     payload["per_l_failures"] = list(report.per_l_failures)
     payload["hodge_pairs_match"] = report.hodge_pairs_match
     if args.per_l:
         failures = set(report.per_l_failures)  # whole element classes
         # the halves' terms class by class, paired as ``verify`` pairs them
-        pairs = zip(element_classes(wv), _stringy(ip_record(wv)).terms, _orbifold(wv).terms)
-        payload["per_l"] = _per_l(wv, [
+        pairs = zip(_classified(rec).classes, half.terms, _orbifold(rec).terms)
+        payload["per_l"] = _per_l(rec, [
             {
                 "stringy": render_efunction(s),
                 "orbifold": render_efunction(o),
@@ -351,28 +346,22 @@ def _cmd_mirror_check(args) -> int:
     return 0
 
 
-def _per_l(wv: WeightVector, rendered: Sequence[object]) -> Dict[str, object]:
-    """The ``--per-l`` payload: a term depends on l only through its element
-    class, so ``rendered`` holds one entry per class, in the order of
-    ``element_classes``, and each entry is keyed by every l of the class."""
-    return {str(l): rendered[c] for l, c in enumerate(class_index(wv))}
+def _per_l(rec: VectorRecord, rendered: Sequence[object]) -> Dict[str, object]:
+    """The ``--per-l`` payload, in the order of l: a term depends on l only
+    through its element class, so ``rendered`` holds one entry per class, in
+    the order of the classes, and each entry is keyed by every l of the
+    class."""
+    return {str(l): rendered[c] for l, c in enumerate(_classified(rec).class_of)}
 
 
-def _emit_single(args, payload: Dict) -> None:
+def _emit_single(args, payload: Dict, fields: Tuple[str, ...] = _ROW_FIELDS) -> None:
+    """One payload in the chosen format; CSV holds only ``fields``."""
     if args.format == "json":
         _print_json(payload)
     elif args.format == "csv":
-        _print_csv_rows([payload])
+        _print_csv_rows([payload], fields)
     else:
-        order = _ROW_FIELDS + (
-            "hodge", "untwisted_limit", "note", "formal", "vafa_poincare",
-            "per_l_failures", "hodge_pairs_match",
-        )
-        _print_text_kv(payload, order)
-        if "per_l" in payload:
-            print("per_l:")
-            for l in sorted(payload["per_l"], key=int):
-                print(f"  l={l}: {payload['per_l'][l]}")
+        _print_text_kv(payload)
 
 
 def _cmd_scan(args) -> int:
@@ -387,7 +376,8 @@ def _cmd_scan(args) -> int:
     stop = None if args.limit is None else args.skip + args.limit
     # rows are built only for the vectors past --skip
     vectors = islice(ip_vectors(args.dim, args.wmax), args.skip, stop)
-    rows = (_row_payload(wv, verify(wv)) for wv in vectors)
+    rows = (_row_payload(rec, _stringy(rec).total, verify(rec.wv))
+            for rec in map(ip_record, vectors))
     if args.format == "json":
         for row in rows:
             print(json.dumps(row, sort_keys=True))

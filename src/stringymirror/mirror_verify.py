@@ -22,7 +22,7 @@ from typing import Tuple
 from .errors import InconsistentVerification, OutOfRange
 from .exact_arith import mirror_transform
 from .orbifold import _orbifold, vafa_euler
-from .stringy import _stringy, hodge_table, stringy_euler
+from .stringy import _stringy, hodge_table
 from .weights import WeightVector, _classified, ip_record, transverse
 
 
@@ -50,14 +50,14 @@ def per_l_check(wv: WeightVector, l: int) -> bool:
     if not 0 <= l < wv.w:
         raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
     c = _classified(rec).class_of[l]
-    return _stringy(rec).terms[c] == _orbifold(wv).terms[c]
+    return _stringy(rec).terms[c] == _orbifold(rec).terms[c]
 
 
 def verify(wv: WeightVector) -> VerificationReport:
     """Full mirror-duality report; raises NotIP when no mirror exists."""
     rec = ip_record(wv)
     s = _stringy(rec)
-    orb = _orbifold(wv)
+    orb = _orbifold(rec)
     # both halves hold one term per element class, in the order of the classes
     failed = {c for c, (a, b) in enumerate(zip(s.terms, orb.terms)) if a != b}
     failures = [l for l, c in enumerate(_classified(rec).class_of) if c in failed]
@@ -91,6 +91,6 @@ def verify(wv: WeightVector) -> VerificationReport:
         per_l_failures=tuple(failures),
         stringy_polynomial=poly,
         hodge_pairs_match=hodge_ok,
-        euler_stringy=stringy_euler(wv),
+        euler_stringy=s.total.value_at_one(),
         euler_orbifold=vafa_euler(wv),
     )

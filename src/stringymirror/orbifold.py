@@ -43,11 +43,14 @@ polynomial exactly when its factored normal form has an empty denominator.
 
 Since S = w - a, the two offsets differ by w and G = B / t, B the mirror
 form's multisection: each Poincare-style term is (-1)^size times the
-class's term of ``mirror_orbifold_e``, and ``vafa_poincare`` reads it so.
-``q_identity_check`` verifies this, element class by element class,
-against the Poincare-style route t^alpha tbar^beta G(t tbar) computed on
-its own (``_direct_sector``); it is a structural self-test of the two
-offsets, not a mirror statement.
+class's term of ``mirror_orbifold_e``.  Every exponent pair (p, q) of that
+term, (age - 1, size - age - 1) plus a multiple of (1, 1), has p + q =
+size mod 2, so P is the orbifold total of ``mirror_orbifold_e`` with the
+sign (-1)^(p+q) dropped, and ``vafa_poincare`` reads it so.
+``q_identity_check`` verifies the term identity, element class by element
+class, against the Poincare-style route t^alpha tbar^beta G(t tbar)
+computed on its own (``_direct_sector``); it is a structural self-test of
+the two offsets, not a mirror statement.
 
 Every other sum over Z/wZ runs over the element classes of ``weights``: a
 term depends on l only through Z(l), age and size.  The sector terms and their
@@ -67,11 +70,11 @@ from .exact_arith import BiPoly, EFunction, RationalT, multisection
 from .weights import (
     ElementClass,
     Half,
+    VectorRecord,
     WeightVector,
+    _classified,
     _complement,
     _members,
-    class_index,
-    element_classes,
     record,
     sector_hilbert,
 )
@@ -134,14 +137,14 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     polynomial with non-negative integer coefficients (non-transverse
     input).
 
-    Each sector term is read off the orbifold half: the multisections at
-    the offsets S mod w and -a differ by one factor t, so the term of class
-    c is (-1)^size times its term of ``mirror_orbifold_e``
-    (``q_identity_check`` tests this against ``_direct_sector``)."""
-    classes = element_classes(wv)
+    P is the orbifold total with the sign (-1)^(p+q) dropped: the sector
+    term of class c is (-1)^size times its term of ``mirror_orbifold_e``
+    (``q_identity_check`` tests this against ``_direct_sector``), whose
+    exponent pairs (p, q) all have p + q = size mod 2."""
+    rec = record(wv)
     # the check depends only on the zero set: each one once, at its first l
     first: Dict[int, int] = {}
-    for c in classes:
+    for c in _classified(rec).classes:
         first.setdefault(_complement(wv, c.support), c.first)
     for zero, l in first.items():
         num, coins = sector_hilbert(wv, zero)
@@ -150,9 +153,8 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
                 f"sector l={l} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
             )
-    total = BiPoly.zero()
-    for c, term in zip(classes, _orbifold(wv).terms):
-        total = total + term.to_bipoly() * (-c.count if c.size % 2 else c.count)
+    e = _orbifold(rec).total.to_bipoly()
+    total = BiPoly({(p, q): -c if (p + q) % 2 else c for (p, q), c in e.terms.items()})
     if any(c < 0 for c in total.terms.values()):
         raise NonIntegerCoefficient(f"negative entries in P(t, tbar) for {wv}")
     return total
@@ -179,14 +181,14 @@ class OrbifoldEResult:
     per_l_terms: Dict[int, EFunction]
 
 
-def _orbifold(wv: WeightVector) -> Half:
-    """The orbifold half of wv's record, built on first use."""
-    rec = record(wv)
+def _orbifold(rec: VectorRecord) -> Half:
+    """The orbifold half of a vector's record, built on first use."""
     if rec.orbifold is None:
+        wv = rec.wv
         projected: Dict[int, RationalT] = {}
         terms = []
         entries = []
-        for c in element_classes(wv):
+        for c in _classified(rec).classes:
             zero = _complement(wv, c.support)
             if zero not in projected:
                 projected[zero] = _projected_sector(wv, zero)
@@ -205,8 +207,9 @@ def _orbifold(wv: WeightVector) -> Half:
 def mirror_orbifold_e(wv: WeightVector) -> OrbifoldEResult:
     """(-u)^(d-1) E_orb(X; 1/u, v), summed over the sectors l in Z/wZ; the
     per-element terms of one element class are one shared EFunction."""
-    half = _orbifold(wv)
-    per_l = {l: half.terms[c] for l, c in enumerate(class_index(wv))}
+    rec = _classified(record(wv))
+    half = _orbifold(rec)
+    per_l = {l: half.terms[c] for l, c in enumerate(rec.class_of)}
     return OrbifoldEResult(half.total, half.total.value_at_one(), per_l)
 
 
@@ -219,7 +222,8 @@ def q_identity_check(wv: WeightVector) -> bool:
     orbifold sector sum: the direct projection, signed by (-1)^size, equals
     the s^a-twisted term of ``mirror_orbifold_e``.  Both depend on l only
     through its element class, so one l per class is checked."""
-    for c, term in zip(element_classes(wv), _orbifold(wv).terms):
+    rec = record(wv)
+    for c, term in zip(_classified(rec).classes, _orbifold(rec).terms):
         direct = _direct_sector(wv, c)
         # term - (-1)^size * direct
         diff = term + direct if c.size % 2 else term - direct

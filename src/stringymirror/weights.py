@@ -685,11 +685,6 @@ def _interior(
         lp.add(u, 0)
 
 
-def require_ip(wv: WeightVector) -> None:
-    """Raise NotIP unless wv has the IP property (no mirror otherwise)."""
-    ip_record(wv)
-
-
 def ip_record(wv: WeightVector) -> VectorRecord:
     """wv's record, or NotIP unless wv has the IP property: one lookup
     serves the verdict and whatever the caller reads from the record next."""

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import stringymirror
-from stringymirror import cli, exact_arith, face_epoly, weights
+from stringymirror import cli, exact_arith, face_epoly, orbifold, weights
 from stringymirror.cli import main
 from stringymirror.errors import InconsistentCensus
 
@@ -422,6 +422,24 @@ def test_per_l_renders_once_per_element_class(capsys, monkeypatch):
     assert len(classes) == 33
     # E_str once, then the stringy and orbifold sides once per class
     assert len(calls) <= 2 * len(classes) + 1
+
+
+def test_orbifold_renders_only_the_orbifold_half(capsys, monkeypatch):
+    # the row shows the orbifold total: no stringy E-function is rendered or
+    # read into a Hodge table only to be replaced
+    rendered, tables = [], []
+    real_render, real_table = cli.render_efunction, cli.hodge_table
+    monkeypatch.setattr(cli, "render_efunction", lambda e: rendered.append(e) or real_render(e))
+    monkeypatch.setattr(cli, "hodge_table", lambda p, dim: tables.append(p) or real_table(p, dim))
+    code, out, _ = run(["orbifold", "--per-l", "--format", "json", "1,1,1,1,1"], capsys)
+    assert code == 0
+    wv = weights.validate((1, 1, 1, 1, 1))
+    assert len(rendered) == 1 + len(weights.element_classes(wv))
+    assert len(tables) == 1
+    half = orbifold._orbifold(weights.record(wv))
+    assert rendered[0] is half.total
+    assert all(e is term for e, term in zip(rendered[1:], half.terms))
+    assert json.loads(out)["hodge"][1][1] == 101
 
 
 def test_per_l_equal_follows_the_failures_of_a_whole_class(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module, no module
-reads the environment, and no module has an ``assert`` statement.
+reads the environment, no module has an ``assert`` statement, and the
+orbifold pipeline and the stringy (face) pipeline import nothing from each
+other.
 
 Stdlib ``ast`` checks, since the package has no linter.  ``__init__.py`` is
 exempt from the first: its imports are the public re-exports.  The second
@@ -7,6 +9,8 @@ keeps the output a function of the CLI arguments alone: a setting read from
 ``os.environ`` or ``os.getenv`` would be a knob that no flag shows.  The
 third keeps every internal guard alive under ``python -O``, which compiles
 ``assert`` statements out: a guard raises a ``StringyMirrorError`` instead.
+The fourth keeps the mirror identity a cross-check of two independent
+computations.
 """
 
 import ast
@@ -111,3 +115,32 @@ def test_checker_flags_an_assert():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_assert_statements(module):
     assert assert_statements((PACKAGE / module).read_text()) == []
+
+
+def package_imports(source: str):
+    """The package modules a module imports from, by their names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:  # from . import x
+                names |= {a.name for a in node.names}
+    return names
+
+
+def test_checker_finds_package_imports():
+    source = "from .stringy import hodge_table\nfrom . import orbifold\nimport math\n"
+    assert package_imports(source) == {"stringy", "orbifold"}
+
+
+def test_halves_share_nothing_past_the_kernel():
+    # the mirror identity is a cross-check only while the two pipelines are
+    # separate code: the orbifold side reaches neither the face assembly nor
+    # the stringy half, and neither of those reaches the orbifold side
+    imports = {
+        name: package_imports((PACKAGE / f"{name}.py").read_text())
+        for name in ("orbifold", "stringy", "face_epoly")
+    }
+    assert imports["orbifold"].isdisjoint({"stringy", "face_epoly"})
+    assert "orbifold" not in imports["stringy"] | imports["face_epoly"]

@@ -21,7 +21,7 @@ from stringymirror import (
 )
 from stringymirror.errors import NonIntegerCoefficient
 from stringymirror.orbifold import _direct_sector
-from stringymirror.weights import class_index, element_classes, transverse
+from stringymirror.weights import class_index, element_classes, ip_vectors, transverse
 
 from conftest import _ip_members, slow_vafa_poincare
 
@@ -149,9 +149,12 @@ def _poincare_or_error(fn, wv):
 
 def test_vafa_poincare_matches_long_division(population):
     # the same polynomial, or the same NonIntegerCoefficient message, as the
-    # long-division route over 2w on every survey vector
+    # long-division route over 2w on every survey vector and every IP vector
+    # with six weights and w <= 16
+    six_weights = list(ip_vectors(5, 16))
+    assert sum(transverse(wv) for wv in six_weights) == 62
     assert any(not transverse(wv) for wv in population)
-    for wv in population:
+    for wv in population + six_weights:
         assert _poincare_or_error(vafa_poincare, wv) == _poincare_or_error(
             slow_vafa_poincare, wv
         ), wv
