@@ -5,17 +5,16 @@ The mirror's stringy E-function is assembled face by face:
     E_str(u, v) = sum over J with |J| >= 2 of
         E_J(u, v) * (uv - 1)^(d+1-|J|) * [ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int
 
-The projected product (the "bracket") is the generating function of the
-lattice counts N_J(k) in the variable x = t**-1 where t = uv: expanding
-each factor at t = infinity and keeping integer exponents gives
-sum_{k>=1} N_J(k) x**k, the multisection of 1 / prod_{j not in J}
-(1 - s**w_j), s = x**(1/w), at the offset -sum_{j not in J} w_j.  It is
-computed exactly as a rational function of x (``exact_arith.multisection``)
-and x = 1/t substituted.  The result is checked at t = infinity, where it
-must start as N_J(1) t^-1 + ...: it has to vanish there, and its t^-1
-coefficient has to be nonzero exactly when w - sum_{j not in J} w_j is a
-sum of those weights, a bit of the vector's reach sets
-(``weights._reach_sets``).  A failure raises InconsistentExpansion.
+The projected product (the "bracket") is one rational function of t = uv.
+At t = 0, 1/(t^q - 1) = -1/(1 - t^q) makes it (-1)^|K| sum_{k>=0} M_J(k)
+t^k, K the complement of J and M_J(k) the number of u >= 0 on K with
+sum w_k u_k = k w: the residue-0 multisection of 1 / prod_{k in K}
+(1 - s**w_k), t = s**w, computed exactly by ``exact_arith.multisection``.
+At t = infinity it is sum_{k>=1} N_J(k) t^-k, the lattice counts.  Both
+ends are checked: the section must start as M_J(0) = 1, the bracket must
+vanish at infinity, and its t^-1 coefficient must be nonzero exactly when
+w - sum_{k in K} w_k is a sum of those weights, a bit of the vector's
+reach sets (``weights._reach_sets``).  A failure raises InconsistentExpansion.
 
 The stringy half needs the brackets of all 2^n - n - 1 faces.  It walks
 their complements K depth first over the subset lattice, K after K minus
@@ -60,7 +59,6 @@ from .exact_arith import (
     clearing_order,
     extend_cleared,
     multisection,
-    poly_strip,
     rational_sum,
 )
 from .face_epoly import _untwisted_numerator, _uv_minus_one_pow, face_terms
@@ -83,31 +81,33 @@ from .weights import (
 
 def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
-    t = uv; equals sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
+    t = uv; equals (-1)^|K| sum_{k>=0} M_J(k) t^k at t = 0 (K the complement
+    of J) and sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
     K = _complement(wv, _check_subset(wv, J))
     coins = [wv.weights[j] for j in _members(K)]
-    fx = multisection([1], coins, wv.w, -sum(coins))
-    return _finish(wv, _reach(record(wv)), K, fx)
+    return _finish(wv, _reach(record(wv)), K, multisection([1], coins, wv.w, 0))
 
 
-def _finish(wv: WeightVector, R: List[int], K: int, fx: RationalT) -> RationalT:
+def _finish(wv: WeightVector, R: List[int], K: int, section: RationalT) -> RationalT:
     """The bracket of the J whose complement has the bitmask K, from
-    fx = sum_k N_J(k) x^k: x = 1/t, then two checks on the expansion at
-    t = infinity when K is nonempty.  It must vanish there, and its t^-1
-    coefficient N_J(1) must be nonzero exactly when w - sum_{k in K} w_k is
-    reachable by the coins of K, bit of the reach set R[K] (R is
-    ``weights._reach_sets``).  Either failing raises InconsistentExpansion."""
-    bt = fx.inverse_substitution()
+    section = sum_k M_J(k) t^k, negated when |K| is odd.  For a nonempty K
+    the section must start as M_J(0) = 1, the bracket must vanish at
+    t = infinity, and its t^-1 coefficient N_J(1) must be nonzero exactly
+    when w - sum_{k in K} w_k is reachable by the coins of K, bit of the
+    reach set R[K] (``weights._reach_sets``); else InconsistentExpansion."""
+    bt = -section if K.bit_count() % 2 else section
     if K:
         reached = R[K] >> (wv.w - sum(wv.weights[k] for k in _members(K))) & 1
         top = bt.shift + len(bt.num) - 1 - sum(m * e for m, e in bt.den)
         first = bt.num[-1] * (-1) ** bt.pole_order_at_one() if bt.num and top == -1 else 0
-        if not bt.num or top >= 0 or bool(first) != bool(reached):
+        start = (section.shift, section.num[:1])
+        if start != (0, (1,)) or top >= 0 or bool(first) != bool(reached):
             J = list(_members(_complement(wv, K)))
             raise InconsistentExpansion(
                 f"bracket of {wv} for J = {J}: its expansion at t = infinity"
-                f" should be sum_k N_J(k) t^-k, but it has degree {top} and t^-1"
-                f" coefficient {first} while N_J(1) {'!=' if reached else '='} 0"
+                f" should be sum_k N_J(k) t^-k and its section at t = 0 start as 1,"
+                f" but it has degree {top}, t^-1 coefficient {first} while N_J(1)"
+                f" {'!=' if reached else '='} 0, and (shift, num[:1]) = {start}"
             )
     return bt
 
@@ -130,15 +130,15 @@ def _lattice_brackets(rec: VectorRecord) -> Dict[int, RationalT]:
     rank = sorted(range(n), key=growth.__getitem__, reverse=True)
     out: Dict[int, RationalT] = {}
 
-    def walk(K: int, low: int, P: List[int], ms: List[int], coins: int) -> None:
-        out[full ^ K] = _finish(wv, R, K, cleared_section(P, ms, w, -coins))
+    def walk(K: int, low: int, P: List[int], ms: List[int]) -> None:
+        out[full ^ K] = _finish(wv, R, K, cleared_section(P, ms, w, 0))
         if K.bit_count() < n - 2:
             for p in range(low):
                 i = rank[p]
                 Q, m = extend_cleared(P, ws[i], w)
-                walk(K | 1 << i, p, Q, ms + [m], coins + ws[i])
+                walk(K | 1 << i, p, Q, ms + [m])
 
-    walk(0, n, [1], [], 0)
+    walk(0, n, [1], [])
     return out
 
 
@@ -176,10 +176,8 @@ def _face_entries(
         poly[m] += c
     entries = []
     for (a, b), poly in polys.items():
-        low = next((i for i, c in enumerate(poly) if c), None)
-        if low is None:
-            continue
-        poly = poly_strip(poly[low:])
+        low = next(i for i, c in enumerate(poly) if c)
+        poly = poly[low:]
         r = base * poly[0] if len(poly) == 1 else base.mul_poly(poly)
         entries.append((a, b, r.mul_tpower(low)))
     return entries

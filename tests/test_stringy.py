@@ -148,26 +148,87 @@ def test_lattice_brackets_match_per_subset_brackets(ws):
 
 _section = exact_arith.cleared_section
 
+# the 105 IP vectors of the d = 3 and d = 4 scans up to w = 30 and w = 12,
+# each bracket of them with a proper nonempty J: 1,934 brackets
+SWEEP = [wv.weights for wv in weights.ip_vectors(3, 30)] + [
+    wv.weights for wv in weights.ip_vectors(4, 12)
+]
 
-def _shifted_section(P, ms, w, offset):
-    return _section(P, ms, w, offset + 1)
+
+def _proper_subsets(n):
+    for mask in range(1, (1 << n) - 1):
+        yield [i for i in range(n) if mask >> i & 1]
 
 
-def test_bracket_checks_catch_a_shifted_kernel(monkeypatch, capsys):
-    # a multisection one coefficient off: the expansion at t = infinity no
-    # longer starts with N_J(1) t^-1, and every route to a bracket says so
-    weights.record.cache_clear()
-    monkeypatch.setattr(stringy, "cleared_section", _shifted_section)
-    monkeypatch.setattr(exact_arith, "cleared_section", _shifted_section)
-    try:
-        with pytest.raises(InconsistentExpansion):
-            bracket(validate(K3), (1, 2, 3))
-        with pytest.raises(InconsistentExpansion):
-            stringy_e(validate(K3))
-        assert cli.main(["stringy", "1,1,1,1,1"]) == 4
-        assert "expansion at t = infinity" in capsys.readouterr().err
-    finally:
+@pytest.fixture
+def shifted_kernel(monkeypatch):
+    """Patch the section kernel to read its coefficients ``shift`` places
+    off, for every route to a bracket; the records built under it are
+    dropped on both sides."""
+
+    def patch(shift):
+        def _shifted_section(P, ms, w, offset):
+            return _section(P, ms, w, offset + shift)
+
         weights.record.cache_clear()
+        monkeypatch.setattr(stringy, "cleared_section", _shifted_section)
+        monkeypatch.setattr(exact_arith, "cleared_section", _shifted_section)
+
+    yield patch
+    weights.record.cache_clear()
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=lambda s: f"{s:+d}")
+def test_bracket_checks_catch_a_shifted_kernel(shifted_kernel, capsys, shift):
+    # a multisection one coefficient off either way: the expansion at t = 0
+    # no longer starts as (-1)^|K| t^0, or the one at t = infinity no longer
+    # as N_J(1) t^-1, and every route to a bracket says so.  The complement
+    # of J = (0, 2, 3) is the coin 5; that of (1, 2, 3) would be the coin 1,
+    # whose section is the same at every residue, so a +1 fault leaves its
+    # bracket right
+    shifted_kernel(shift)
+    with pytest.raises(InconsistentExpansion):
+        bracket(validate(K3), (0, 2, 3))
+    with pytest.raises(InconsistentExpansion):
+        stringy_e(validate(K3))
+    assert cli.main(["stringy", "1,1,1,1,1"]) == 4
+    assert "expansion at t = infinity" in capsys.readouterr().err
+
+
+def test_every_bracket_a_low_shifted_kernel_changes_raises(shifted_kernel):
+    # one coefficient low, the section at t = 0 starts at t^1 instead of
+    # t^0: every bracket the fault changes must raise
+    want = {
+        (ws, tuple(J)): _form(bracket(validate(ws), J))
+        for ws in SWEEP
+        for J in _proper_subsets(len(ws))
+    }
+    shifted_kernel(-1)
+    for (ws, J), form in want.items():
+        try:
+            got = bracket(validate(ws), J)
+        except InconsistentExpansion:
+            continue
+        assert _form(got) == form, (ws, J)
+
+
+def test_brackets_match_the_inverse_substitution_route():
+    # the expansion at t = 0 gives each bracket, per subset and in the walk,
+    # in the form the route over t = infinity gives: the section at offset
+    # -sum(coins) in x = 1/t, then x = 1/t substituted; (16, 21, 206, 280,
+    # 317) has w = 840 and a clearing order m = 317
+    for ws in SWEEP + [DEGREE_1806, (16, 21, 206, 280, 317)]:
+        wv = validate(ws)
+        n = len(ws)
+        walk = stringy._lattice_brackets(weights.record(wv))
+        for J in _proper_subsets(n):
+            coins = [ws[i] for i in range(n) if i not in J]
+            want = exact_arith.multisection([1], coins, wv.w, -sum(coins))
+            want = _form(want.inverse_substitution())
+            assert _form(bracket(wv, J)) == want, (ws, J)
+            mask = sum(1 << i for i in J)
+            if mask in walk:
+                assert _form(walk[mask]) == want, (ws, J)
 
 
 # ---------------------------------------------------------------------------
