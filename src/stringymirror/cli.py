@@ -34,11 +34,11 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
-from .exact_arith import BiPoly, EFunction, RationalT
+from .exact_arith import BiPoly, EFunction, RationalT, hodge_table
 from .face_epoly import psi
 from .mirror_verify import VerificationReport, verify
 from .orbifold import _orbifold, vafa_euler, vafa_poincare
-from .stringy import _stringy, hodge_table
+from .stringy import _stringy
 from .weights import (
     VectorRecord,
     WeightVector,
@@ -70,58 +70,49 @@ _INTERNAL_ERRORS = (StringyMirrorError, ValueError)
 # rendering
 
 
-def render_bipoly(p: BiPoly) -> str:
-    """Graded rendering; diagonal powers contract to (u*v)^k."""
-    if p.is_zero():
-        return "0"
-
-    def monomial(a: int, b: int) -> str:
-        if a == b:
-            if a == 0:
-                return ""
-            return "u*v" if a == 1 else f"(u*v)^{a}"
-        bits = []
-        if a:
-            bits.append("u" if a == 1 else f"u^{a}")
-        if b:
-            bits.append("v" if b == 1 else f"v^{b}")
-        return "*".join(bits)
-
+def _signed_sum(terms: Iterable[Tuple[int, str]]) -> str:
+    """The sum of the (coefficient, monomial) pairs with a nonzero
+    coefficient, in their order: "-" leads a negative first term, later
+    signs join as " + " and " - ", a unit coefficient is dropped before a
+    monomial, and the empty monomial "" is the constant 1."""
     out = ""
-    for (a, b), c in p.sorted_terms():
-        mono = monomial(a, b)
+    for c, mono in terms:
+        if not c:
+            continue
         mag = abs(c)
         body = mono if (mag == 1 and mono) else (f"{mag}*{mono}" if mono else str(mag))
         if not out:
             out = ("-" if c < 0 else "") + body
         else:
             out += (" - " if c < 0 else " + ") + body
-    return out
+    return out or "0"
+
+
+def _uv_monomial(a: int, b: int) -> str:
+    """u^a v^b, with diagonal powers contracted to (u*v)^k."""
+    if a == b:
+        if a == 0:
+            return ""
+        return "u*v" if a == 1 else f"(u*v)^{a}"
+    bits = []
+    if a:
+        bits.append("u" if a == 1 else f"u^{a}")
+    if b:
+        bits.append("v" if b == 1 else f"v^{b}")
+    return "*".join(bits)
+
+
+def render_bipoly(p: BiPoly) -> str:
+    """Graded rendering; diagonal powers contract to (u*v)^k."""
+    return _signed_sum((c, _uv_monomial(a, b)) for (a, b), c in p.sorted_terms())
 
 
 def render_rational_t(r: RationalT) -> str:
     """Render num/den in t (t stands for the product u*v)."""
     if r.is_zero():
         return "0"
-
-    def poly_str(coeffs) -> str:
-        bits = []
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            if i == 0:
-                bits.append(str(c))
-            else:
-                mono = "t" if i == 1 else f"t^{i}"
-                if c == 1:
-                    bits.append(mono)
-                elif c == -1:
-                    bits.append(f"-{mono}")
-                else:
-                    bits.append(f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-    out = f"({poly_str(r.num)})"
+    powers = ("" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(len(r.num)))
+    out = f"({_signed_sum(zip(r.num, powers))})"
     if r.shift:
         out = f"t^{r.shift} * " + out
     if r.den:
@@ -155,8 +146,6 @@ def _hodge_grid(e: EFunction, dim: int) -> Optional[List[List[int]]]:
 
 def _parse_weights(raw: str) -> WeightVector:
     parts = raw.replace(",", " ").split()
-    if not parts:
-        raise EmptyInput("no weights supplied")
     if not all(_INTEGER_TOKEN.fullmatch(p) for p in parts):
         raise NotWellFormed(f"weights must be integers, got {raw!r}")
     try:
@@ -181,7 +170,7 @@ def _analyze_payload(wv: WeightVector) -> Dict:
             [size, age, n] for (size, age), n in sorted(cen.items())
         ],
         "psi": list(psi(wv)),
-        "milnor": str(milnor_number(wv)) if tr else None,
+        "milnor": str(milnor_number(wv, tr)) if tr else None,
     }
     return payload
 

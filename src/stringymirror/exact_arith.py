@@ -1,6 +1,6 @@
 """Exact arithmetic kernel.
 
-Everything downstream is built from five value types plus a handful of free
+Everything downstream is built from six value types plus a handful of free
 functions, all exact (int / fractions.Fraction, never floats):
 
 * dense polynomials: plain lists/tuples of integer coefficients indexed by
@@ -15,6 +15,9 @@ functions, all exact (int / fractions.Fraction, never floats):
   form ``(shift, num, den)``, which the CLI prints for non-polynomial terms;
 * ``BiPoly``: a two-variable polynomial ``sum c * u**a * v**b`` as a map
   ``(a, b) -> c``;
+* ``HodgeTable``: the grid h^{p,q} that ``hodge_table`` reads off an
+  E-polynomial, E = sum (-1)^(p+q) h^{p,q} u^p v^q; both pipelines import
+  this module, so the stringy and the orbifold grids have this one reader;
 * ``EFunction``: a finite sum of u**a v**b * R(uv) with R a RationalT, the
   shape of every E-function both pipelines build.  Every term is a
   polynomial in u/v times a rational function of t = uv, so it stores a map
@@ -59,6 +62,7 @@ The pipelines do not use them; they are the reference for ``multisection``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import gcd
@@ -68,8 +72,10 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .errors import (
     NegativeExponent,
     NotPolynomial,
+    OutOfRange,
     PoleAtOne,
     ReconstructionFailure,
+    SignPatternViolation,
 )
 
 Factor = Tuple[int, int]  # (m, e) standing for (1 - t**m)**e
@@ -203,7 +209,8 @@ class RationalT:
     divides the remaining numerator, so the factored denominator empties
     out.
 
-    The constructor normalises.  Operations that provably keep the normal
+    The constructor type-checks every coefficient and normalises through
+    ``_peel`` alone.  Operations that provably keep the normal
     form build their result directly, without peeling again:
 
     * ``mul_tpower`` only moves the shift;
@@ -222,15 +229,9 @@ class RationalT:
     __slots__ = ("shift", "num", "den")
 
     def __init__(self, num: Sequence[int], shift: int = 0, den: Iterable[Factor] = ()):
-        facs = dict(_merge_factors(den))
-        coeffs = poly_strip(list(num))
-        lead_zero = 0
-        while lead_zero < len(coeffs) and coeffs[lead_zero] == 0:
-            lead_zero += 1
-        for c in coeffs[lead_zero:]:
-            if not isinstance(c, int):
-                raise TypeError("RationalT numerators must have int coefficients")
-        shift, coeffs, facs = _peel(coeffs, shift, facs)
+        if not all(isinstance(c, int) for c in num):
+            raise TypeError("RationalT numerators must have int coefficients")
+        shift, coeffs, facs = _peel(list(num), shift, dict(_merge_factors(den)))
         self.shift = shift
         self.num: Tuple[int, ...] = tuple(coeffs)
         self.den: Tuple[Factor, ...] = tuple(facs.items())
@@ -716,7 +717,7 @@ def limit_at_one(r: RationalT) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# BiPoly and the mirror transform
+# BiPoly, the mirror transform and the Hodge grid
 
 
 class BiPoly:
@@ -833,6 +834,64 @@ def mirror_transform(p: BiPoly, dim: int) -> BiPoly:
             )
         out[(dim - a, b)] = sign * c
     return BiPoly(out)
+
+
+@dataclass(frozen=True)
+class HodgeTable:
+    """Hodge numbers h^{p,q} for 0 <= p, q <= dimension."""
+
+    dimension: int
+    grid: Tuple[Tuple[int, ...], ...]
+
+    def h(self, p: int, q: int) -> int:
+        if not (0 <= p <= self.dimension and 0 <= q <= self.dimension):
+            raise OutOfRange(f"(p, q) = ({p}, {q}) outside the Hodge grid")
+        return self.grid[p][q]
+
+    def euler(self) -> int:
+        """E(1, 1), the sum of the signed entries."""
+        return sum(self.to_bipoly().terms.values())
+
+    def to_bipoly(self) -> BiPoly:
+        """E = sum (-1)^(p+q) h^{p,q} u^p v^q, the inverse of ``hodge_table``."""
+        return BiPoly(
+            {
+                (p, q): -h if (p + q) % 2 else h
+                for p, row in enumerate(self.grid)
+                for q, h in enumerate(row)
+            }
+        )
+
+
+def hodge_table(p: BiPoly, dim: int) -> HodgeTable:
+    """Read h^{p,q} off an E-polynomial via E = sum (-1)^(p+q) h^{p,q} u^p v^q:
+    the one place the sign rule is read, for the stringy E-function and for
+    the orbifold side alike.
+
+    Raises SignPatternViolation when a coefficient has the wrong sign, an
+    exponent falls outside the grid, or h^{p,q} != h^{q,p}.
+    """
+    if dim < 0:
+        raise ValueError("dim must be non-negative")
+    grid = [[0] * (dim + 1) for _ in range(dim + 1)]
+    for (a, b), c in p.terms.items():
+        if a > dim or b > dim:
+            raise SignPatternViolation(
+                f"monomial u^{a} v^{b} falls outside a dimension-{dim} Hodge grid"
+            )
+        h = -c if (a + b) % 2 else c
+        if h < 0 or h != int(h):
+            raise SignPatternViolation(
+                f"coefficient {c} of u^{a} v^{b} violates the (-1)^(p+q) pattern"
+            )
+        grid[a][b] = int(h)
+    for i in range(dim + 1):
+        for j in range(i):
+            if grid[i][j] != grid[j][i]:
+                raise SignPatternViolation(
+                    f"h^{{{i},{j}}} = {grid[i][j]} but h^{{{j},{i}}} = {grid[j][i]}"
+                )
+    return HodgeTable(dim, tuple(tuple(row) for row in grid))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import InconsistentVerification, OutOfRange
-from .exact_arith import mirror_transform
+from .exact_arith import hodge_table, mirror_transform
 from .orbifold import _orbifold, vafa_euler
-from .stringy import _stringy, hodge_table
+from .stringy import _stringy
 from .weights import WeightVector, _classified, ip_record, transverse
 
 

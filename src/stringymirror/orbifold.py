@@ -45,8 +45,10 @@ Since S = w - a, the two offsets differ by w and G = B / t, B the mirror
 form's multisection: each Poincare-style term is (-1)^size times the
 class's term of ``mirror_orbifold_e``.  Every exponent pair (p, q) of that
 term, (age - 1, size - age - 1) plus a multiple of (1, 1), has p + q =
-size mod 2, so P is the orbifold total of ``mirror_orbifold_e`` with the
-sign (-1)^(p+q) dropped, and ``vafa_poincare`` reads it so.
+size mod 2, so P is the Hodge grid of the orbifold total of
+``mirror_orbifold_e``: ``vafa_poincare`` reads it with
+``exact_arith.hodge_table``, the one reader of the Hodge sign rule, which
+also checks the signs, the grid's range and its symmetry.
 ``q_identity_check`` verifies the term identity, element class by element
 class, against the Poincare-style route t^alpha tbar^beta G(t tbar)
 computed on its own (``_direct_sector``); it is a structural self-test of
@@ -66,7 +68,7 @@ from math import gcd, prod
 from typing import Dict
 
 from .errors import InconsistentSector, NonIntegerCoefficient
-from .exact_arith import BiPoly, EFunction, RationalT, multisection
+from .exact_arith import BiPoly, EFunction, RationalT, hodge_table, multisection
 from .weights import (
     ElementClass,
     Half,
@@ -134,13 +136,14 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
     """Orbifold Hodge-Poincare polynomial P(t, tbar); the entry at (p, q) is
     h^{d-1-p, q} of the hypersurface itself, i.e. h^{p, q} of its mirror.
     Raises NonIntegerCoefficient when a sector Hilbert series fails to be a
-    polynomial with non-negative integer coefficients (non-transverse
-    input).
+    polynomial (non-transverse input).
 
-    P is the orbifold total with the sign (-1)^(p+q) dropped: the sector
-    term of class c is (-1)^size times its term of ``mirror_orbifold_e``
-    (``q_identity_check`` tests this against ``_direct_sector``), whose
-    exponent pairs (p, q) all have p + q = size mod 2."""
+    P is the Hodge grid of the orbifold total, read by ``hodge_table``: the
+    sector term of class c is (-1)^size times its term of
+    ``mirror_orbifold_e`` (``q_identity_check`` tests this against
+    ``_direct_sector``), whose exponent pairs (p, q) all have p + q = size
+    mod 2.  So a wrong sign, an entry outside the grid or an asymmetric
+    grid raises SignPatternViolation."""
     rec = record(wv)
     # the check depends only on the zero set: each one once, at its first l
     first: Dict[int, int] = {}
@@ -153,11 +156,8 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
                 f"sector l={l} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
             )
-    e = _orbifold(rec).total.to_bipoly()
-    total = BiPoly({(p, q): -c if (p + q) % 2 else c for (p, q), c in e.terms.items()})
-    if any(c < 0 for c in total.terms.values()):
-        raise NonIntegerCoefficient(f"negative entries in P(t, tbar) for {wv}")
-    return total
+    grid = hodge_table(_orbifold(rec).total.to_bipoly(), wv.d - 1).grid
+    return BiPoly({(p, q): h for p, row in enumerate(grid) for q, h in enumerate(row)})
 
 
 # ---------------------------------------------------------------------------

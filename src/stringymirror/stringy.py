@@ -41,16 +41,10 @@ weighted brackets (uv-1)^(d+1-|J|) bracket_J they are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from .errors import (
-    InconsistentExpansion,
-    NotPolynomial,
-    OutOfRange,
-    SignPatternViolation,
-)
+from .errors import InconsistentExpansion, NotPolynomial, OutOfRange
 from .exact_arith import (
     BiPoly,
     EFunction,
@@ -263,7 +257,7 @@ def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
 
 
 # ---------------------------------------------------------------------------
-# polynomiality, Euler number, Hodge numbers
+# polynomiality and the Euler number
 
 
 def is_polynomial(e: EFunction) -> bool:
@@ -280,62 +274,3 @@ def stringy_euler(wv: WeightVector) -> Fraction:
     """Exact limit of E_str at u = v = 1 (the stringy Euler number of the
     mirror); finite even when E_str is not a polynomial."""
     return stringy_e(wv).value_at_one()
-
-
-@dataclass(frozen=True)
-class HodgeTable:
-    """Stringy Hodge numbers h^{p,q} for 0 <= p, q <= dimension."""
-
-    dimension: int
-    grid: Tuple[Tuple[int, ...], ...]
-
-    def h(self, p: int, q: int) -> int:
-        if not (0 <= p <= self.dimension and 0 <= q <= self.dimension):
-            raise OutOfRange(f"(p, q) = ({p}, {q}) outside the Hodge grid")
-        return self.grid[p][q]
-
-    def euler(self) -> int:
-        return sum(
-            (-1) ** (p + q) * self.grid[p][q]
-            for p in range(self.dimension + 1)
-            for q in range(self.dimension + 1)
-        )
-
-    def to_bipoly(self) -> BiPoly:
-        return BiPoly(
-            {
-                (p, q): (-1) ** (p + q) * self.grid[p][q]
-                for p in range(self.dimension + 1)
-                for q in range(self.dimension + 1)
-                if self.grid[p][q]
-            }
-        )
-
-
-def hodge_table(p: BiPoly, dim: int) -> HodgeTable:
-    """Read h^{p,q} off an E-polynomial via E = sum (-1)^(p+q) h^{p,q} u^p v^q.
-
-    Raises SignPatternViolation when a coefficient has the wrong sign, an
-    exponent falls outside the grid, or h^{p,q} != h^{q,p}.
-    """
-    if dim < 0:
-        raise ValueError("dim must be non-negative")
-    grid = [[0] * (dim + 1) for _ in range(dim + 1)]
-    for (a, b), c in p.terms.items():
-        if a > dim or b > dim:
-            raise SignPatternViolation(
-                f"monomial u^{a} v^{b} falls outside a dimension-{dim} Hodge grid"
-            )
-        h = c if (a + b) % 2 == 0 else -c
-        if h < 0 or h != int(h):
-            raise SignPatternViolation(
-                f"coefficient {c} of u^{a} v^{b} violates the (-1)^(p+q) pattern"
-            )
-        grid[a][b] = int(h)
-    for i in range(dim + 1):
-        for j in range(i):
-            if grid[i][j] != grid[j][i]:
-                raise SignPatternViolation(
-                    f"h^{{{i},{j}}} = {grid[i][j]} but h^{{{j},{i}}} = {grid[j][i]}"
-                )
-    return HodgeTable(dim, tuple(tuple(row) for row in grid))

@@ -127,10 +127,7 @@ class WeightVector:
 
 def validate(weights: Sequence[int]) -> WeightVector:
     """Build a WeightVector, raising EmptyInput / NotWellFormed."""
-    ws = tuple(weights)
-    if not ws:
-        raise EmptyInput("no weights supplied")
-    return WeightVector(ws)
+    return WeightVector(tuple(weights))
 
 
 # ---------------------------------------------------------------------------

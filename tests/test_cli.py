@@ -15,10 +15,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stringymirror
 from stringymirror import cli, exact_arith, face_epoly, orbifold, weights
-from stringymirror.cli import main
+from stringymirror.cli import main, render_bipoly, render_rational_t
+from stringymirror.exact_arith import BiPoly, RationalT, poly_strip
 from stringymirror.errors import InconsistentCensus
 
 from conftest import _ip_members
@@ -125,7 +127,10 @@ def test_analyze_rejects_malformed(capsys):
     assert code == 2
     assert "error" in err
     assert run(["analyze", "1,x,3"], capsys)[0] == 2
-    assert run(["analyze", "   "], capsys)[0] == 2
+    # the one empty-weights check, in WeightVector
+    code, _, err = run(["analyze", "   "], capsys)
+    assert code == 2
+    assert err == "error: no weights supplied\n"
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +597,56 @@ def _rendered_terms(rendered):
             mono = ""
         terms[mono] = sign * int(coeff)
     return terms
+
+
+def _uv_exponents(mono):
+    """(a, b) of a monomial u^a v^b as ``render_bipoly`` prints it."""
+    if mono.startswith("(u*v)^"):
+        return int(mono[6:]), int(mono[6:])
+    exps = {"u": 0, "v": 0}
+    for factor in filter(None, mono.split("*")):
+        var, _, power = factor.partition("^")
+        exps[var] = int(power or 1)
+    return exps["u"], exps["v"]
+
+
+def _t_exponent(mono):
+    """k of a monomial t^k as ``render_rational_t`` prints it."""
+    return int(mono.partition("^")[2] or 1) if mono else 0
+
+
+# zeros, units and large magnitudes, either sign
+COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**30), 10**30))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(COEFFS, max_size=12))
+@example([-1, 0, 1])
+@example([0, 0, -(10**25), 1])
+@example([0])
+def test_rational_numerator_prints_back_to_its_coefficients(coeffs):
+    rendered = render_rational_t(RationalT(coeffs))
+    got = []
+    if rendered != "0":
+        shift, _, body = rendered.rpartition(" * ")
+        start = _t_exponent(shift)
+        for mono, c in _rendered_terms(body[1:-1]).items():
+            k = start + _t_exponent(mono)
+            got.extend([0] * (k + 1 - len(got)))
+            got[k] = c
+    assert got == poly_strip(list(coeffs))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFS, max_size=12))
+@example({(1, 0): -1, (0, 0): 1})
+@example({(2, 2): -(10**25), (0, 3): 1, (0, 0): -1})
+def test_bipoly_prints_back_to_its_coefficients(terms):
+    rendered = render_bipoly(BiPoly(terms))
+    got = {} if rendered == "0" else {
+        _uv_exponents(mono): c for mono, c in _rendered_terms(rendered).items()
+    }
+    assert got == {key: c for key, c in terms.items() if c}
 
 
 def test_k3_scan_rows_have_the_k3_hodge_numbers(k3_scan_stdout):

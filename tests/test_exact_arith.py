@@ -150,6 +150,14 @@ def test_rational_unhashable():
         hash(RationalT.one())
 
 
+def test_rational_constructor_rejects_non_int_zeros():
+    # every coefficient is type-checked, as mul_poly checks its factor: a
+    # Fraction or float zero is no int, even where the normal form strips it
+    for num in ([Fraction(0), 1], [1, 0.0]):
+        with pytest.raises(TypeError):
+            RationalT(num)
+
+
 def test_inverse_substitution_geometric():
     # 1/(1-t) at t -> 1/t is -t/(1-t)
     geo = RationalT([1], 0, [(1, 1)])

@@ -19,8 +19,8 @@ from stringymirror import (
     validate,
     weights,
 )
-from stringymirror.errors import NonIntegerCoefficient
-from stringymirror.orbifold import _direct_sector
+from stringymirror.errors import NonIntegerCoefficient, SignPatternViolation
+from stringymirror.orbifold import _direct_sector, _orbifold
 from stringymirror.weights import class_index, element_classes, ip_vectors, transverse
 
 from conftest import _ip_members, slow_vafa_poincare
@@ -138,6 +138,18 @@ def test_vafa_poincare_symmetric_nonnegative():
 def test_vafa_poincare_rejects_non_transverse():
     with pytest.raises(NonIntegerCoefficient):
         vafa_poincare(validate(FERMAT_LIKE))
+
+
+def test_vafa_poincare_reads_the_grid_by_the_hodge_sign_rule(monkeypatch):
+    # an orbifold total 1 - u has h^{1,0} = 1 but h^{0,1} = 0: the Hodge
+    # reader rejects the asymmetric grid where a bare sign flip gives 1 + u
+    wv = validate(QUINTIC)
+    rec = weights.record(wv)
+    terms = _orbifold(rec).terms
+    total = EFunction(3, [(0, 0, RationalT.one()), (1, 0, RationalT([-1]))])
+    monkeypatch.setattr(rec, "orbifold", weights.Half(total, terms))
+    with pytest.raises(SignPatternViolation, match=r"h\^\{1,0\} = 1 but h\^\{0,1\} = 0"):
+        vafa_poincare(wv)
 
 
 def _poincare_or_error(fn, wv):
