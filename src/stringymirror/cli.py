@@ -179,18 +179,18 @@ def _row_payload(
     rec: VectorRecord, shown: EFunction, report: Optional[VerificationReport] = None
 ) -> Dict:
     """The row of an IP vector's record: ``e_str`` and ``hodge`` render
-    ``shown``, the E-function the command prints; the rest comes from the
-    stringy half (the class of l = 0 is its first term).  The keys are in
-    the order the text format prints them."""
+    ``shown``, the E-function the command prints; ``report``, when given,
+    supplies only the ``mirror_check`` verdict, and the rest comes from the
+    record in every command: the stringy half (the class of l = 0 is its
+    first term) and ``vafa_euler``.  The keys are in the order the text
+    format prints them."""
     wv = rec.wv
     s = _stringy(rec)
     poly = s.total.is_polynomial()
     if report is None:
         mirror_check = "n/a"
-        euler_str, euler_orb = s.total.value_at_one(), vafa_euler(wv)
     else:
         mirror_check = "pass" if report.passed else "fail"
-        euler_str, euler_orb = report.euler_stringy, report.euler_orbifold
     payload = {
         "weights": list(wv.weights),
         "w": wv.w,
@@ -198,8 +198,8 @@ def _row_payload(
         "transverse": transverse(wv),
         "stringy_polynomial": poly,
         "e_str": render_efunction(shown),
-        "euler_str": str(euler_str),
-        "euler_orb": str(euler_orb),
+        "euler_str": str(s.total.value_at_one()),
+        "euler_orb": str(vafa_euler(wv)),
         "mirror_check": mirror_check,
         "hodge": _hodge_grid(shown, wv.d - 1),
         "untwisted_limit": str(s.terms[0].value_at_one()),

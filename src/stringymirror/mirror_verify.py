@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import InconsistentVerification, OutOfRange
+from .errors import InconsistentVerification
 from .exact_arith import hodge_table, mirror_transform
 from .orbifold import _orbifold, vafa_euler
 from .stringy import _stringy
-from .weights import WeightVector, _classified, ip_record, transverse
+from .weights import WeightVector, _check_element, _classified, ip_record, transverse
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ def per_l_check(wv: WeightVector, l: int) -> bool:
     """Does the face-assembled contribution of the group element l equal the
     orbifold sector term of the same l?"""
     rec = ip_record(wv)
-    if not 0 <= l < wv.w:
-        raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
+    _check_element(wv, l)
     c = _classified(rec).class_of[l]
     return _stringy(rec).terms[c] == _orbifold(rec).terms[c]
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from .errors import InconsistentExpansion, NotPolynomial, OutOfRange
+from .errors import InconsistentExpansion, NotPolynomial
 from .exact_arith import (
     BiPoly,
     EFunction,
@@ -60,6 +60,7 @@ from .weights import (
     Half,
     VectorRecord,
     WeightVector,
+    _check_element,
     _check_subset,
     _classified,
     _complement,
@@ -251,8 +252,7 @@ def stringy_e_per_l(wv: WeightVector, l: int) -> EFunction:
     gets the same object.  The verdict, the classes and the stringy half
     come from one lookup of wv's record."""
     rec = ip_record(wv)
-    if not 0 <= l < wv.w:
-        raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
+    _check_element(wv, l)
     return _stringy(rec).terms[rec.class_of[l]]
 
 

@@ -47,15 +47,15 @@ general integer functionals over the points by an unbounded-knapsack DP
 over the degrees 0..w, O(n w) integer steps per functional.  It serves a
 search for an affinely spanning set of points along integer directions
 orthogonal to the span so far (both extremes of a direction from one
-call), and the exact separation step of a column generation over the
-points found.  Its LP is one revised simplex in plain integers across the
-rounds: it starts from the feasible basis the spanning search already
-found, so there is no phase 1, and each round goes on from the basis the
-last one ended at.  One scaled basis inverse D B^-1 serves both: the
-spanning search reads each direction off one of its rows and swaps each
-point it finds into B by the simplex's own exact pivot (``_pivot_inverse``),
-so the LP starts with its inverse in hand.  The IP test uses neither floats
-nor fractions.
+call), and the pricing step of a column generation over the points found
+(``_column_generation``): one loop of revised-simplex pivots in plain
+integers that maximizes one weight, eps, from the feasible basis the
+spanning search already found, so there is no phase 1, and calls the
+oracle whenever no column improves, the point it returns entering next.
+One scaled basis inverse D B^-1 serves both: the spanning search reads
+each direction off one of its rows and swaps each point it finds into B by
+the loop's own exact pivot (``_pivot_inverse``), so the LP starts with its
+inverse in hand.  The IP test uses neither floats nor fractions.
 """
 
 from __future__ import annotations
@@ -185,9 +185,8 @@ class OrbifoldElement:
 
 def element(wv: WeightVector, l: int) -> OrbifoldElement:
     """The l-th element of Z/wZ with its phases, age and size."""
+    _check_element(wv, l)
     w = wv.w
-    if not 0 <= l < w:
-        raise OutOfRange(f"group element {l} outside 0..{w - 1}")
     theta = tuple(Fraction((l * wi) % w, w) for wi in wv.weights)
     age = sum(theta)
     if age.denominator != 1:
@@ -272,6 +271,12 @@ def _check_subset(wv: WeightVector, J: Iterable[int]) -> int:
     if not all(isinstance(j, int) and 0 <= j <= wv.d for j in members):
         raise OutOfRange(f"subset {sorted(members)} not within 0..{wv.d}")
     return sum(1 << j for j in members)
+
+
+def _check_element(wv: WeightVector, l: int) -> None:
+    """OutOfRange unless l is an element 0..w-1 of Z/wZ."""
+    if not 0 <= l < wv.w:
+        raise OutOfRange(f"group element {l} outside 0..{wv.w - 1}")
 
 
 def _members(mask: int) -> Tuple[int, ...]:
@@ -468,72 +473,59 @@ def _add_column(cols: List[Tuple[int, ...]], u: Tuple[int, ...]):
     cols.append(u)
 
 
-class _Simplex:
-    """Maximize obj.x subject to sum_j x_j cols[j] = b, x >= 0: a revised
-    simplex in integers with Bland's rule, starting from the basis B of the
-    first len(b) columns, whose basic solution must be feasible (there is no
-    phase 1).  ``add`` appends a column, and the next ``solve`` goes on from
-    the last optimal basis: one warm-started LP across the rounds of a
-    column generation.
+def _column_generation(
+    ws: Sequence[int], cols: List[Tuple[int, ...]], A: List[List[int]], D: int
+) -> bool:
+    """Step 3 of ``ip_property``: whether z = sum_j x_j cols[j] has a
+    solution x >= 0 with eps = x_n > 0, n = len(ws), cols[n] the column s.
+    The first n columns are the start basis B = V, whose basic solution is
+    feasible, given with A = D B^-1 and D = |det B| > 0.  Revised-simplex
+    pivots with Bland's rule maximize eps, and the points the oracle
+    returns join cols (``_add_column``).
 
-    It keeps A = D B^-1 with D = |det B| > 0, so D x_B = A b, the dual
-    D y = c_B A and the entering direction D B^-1 a_j are integer vectors,
-    and the ratio test compares cross products.  The caller gives the first
-    (A, D), which ``_interior`` builds in its hull step, and each pivot
-    updates it (``_pivot_inverse``): nothing is inverted here.  An unbounded
-    LP raises InconsistentLP."""
-
-    def __init__(
-        self,
-        cols: Sequence[Tuple[int, ...]],
-        b: Sequence[int],
-        obj: Sequence[int],
-        A: List[List[int]],
-        D: int,
-    ):
-        self.cols = list(cols)
-        self.b = b
-        self.obj = list(obj)
-        self.basis = list(range(len(b)))
-        self.A, self.D = A, D
-
-    def add(self, col: Tuple[int, ...], obj: int) -> None:
-        _add_column(self.cols, col)
-        self.obj.append(obj)
-
-    def solve(self) -> Tuple[int, List[int]]:
-        """(D * value, D * y) at an optimal basis, for its D: y is an exact
-        optimal dual, y.cols[j] >= obj[j] for all j."""
-        cols, obj, basis, b = self.cols, self.obj, self.basis, self.b
-        A, D = self.A, self.D
-        while True:
-            x = [_dot(row, b) for row in A]
-            cb = [obj[j] for j in basis]
-            y = [_dot(cb, col) for col in zip(*A)]
-            enter = next(
-                (
-                    j
-                    for j in range(len(cols))  # Bland: smallest improving index
-                    if j not in basis and D * obj[j] > _dot(y, cols[j])
-                ),
+    Each pivot keeps A = D B^-1 (``_pivot_inverse``), so D x_B = A z and the
+    entering direction D B^-1 u are integer vectors, and the ratio test
+    compares cross products.  The objective is the indicator of s, so the
+    scaled dual D y = c_B A is zero while s is nonbasic, which makes s the
+    one improving column, and the row of A at s once it is basic: then a
+    column u improves when y.u < 0.  When none does the basis is optimal,
+    and eps > 0 gives True.  At eps = 0 the oracle's minimum of y.u prices
+    every point: a value >= 0 gives False, and otherwise its point is the
+    one improving column and enters, as Bland's rule would pick it.  An
+    unbounded LP raises InconsistentLP."""
+    n = len(ws)
+    basis = list(range(n))
+    while True:
+        if n not in basis:
+            enter = n
+        else:
+            y = A[basis.index(n)]
+            enter = next(  # Bland: smallest improving index
+                (j for j, u in enumerate(cols) if j not in basis and _dot(y, u) < 0),
                 None,
             )
             if enter is None:
-                self.A, self.D = A, D
-                return _dot(cb, x), y
-            a = [_dot(row, cols[enter]) for row in A]
-            leave = -1
-            for i, ai in enumerate(a):
-                if ai > 0 and (
-                    leave < 0
-                    or x[i] * a[leave] < x[leave] * ai
-                    or (x[i] * a[leave] == x[leave] * ai and basis[i] < basis[leave])
-                ):
-                    leave = i
-            if leave < 0:
-                raise InconsistentLP("LP unbounded")
-            A, D = _pivot_inverse(A, D, a, leave)
-            basis[leave] = enter
+                if sum(y) > 0:  # D x_s = y.z
+                    return True
+                [(value, u)] = _knapsack_min(ws, _primitive(y))
+                if value >= 0:
+                    return False
+                _add_column(cols, u)
+                enter = len(cols) - 1
+        x = [sum(row) for row in A]  # D x_B = A z
+        a = [_dot(row, cols[enter]) for row in A]
+        leave = -1
+        for i, ai in enumerate(a):
+            if ai > 0 and (
+                leave < 0
+                or x[i] * a[leave] < x[leave] * ai
+                or (x[i] * a[leave] == x[leave] * ai and basis[i] < basis[leave])
+            ):
+                leave = i
+        if leave < 0:
+            raise InconsistentLP("LP unbounded")
+        A, D = _pivot_inverse(A, D, a, leave)
+        basis[leave] = enter
 
 
 def _pivot_inverse(
@@ -602,11 +594,11 @@ def ip_property(wv: WeightVector) -> bool:
        minimum of y.u is then either >= 0 (y supports the whole polytope
        at z, which lies on a proper face: False) or attained at a point
        that is not yet a column, which joins the LP.
-       The LP is one ``_Simplex``, a revised simplex in integers kept
-       across the rounds: each round goes on from the last basis and its
-       scaled inverse, with the new point the one improving column.  It
-       starts from the basis V with step 2's A and D, so it inverts
-       nothing, and it needs no phase 1: z is in V, so x = e_0 is feasible.
+       The LP is one loop, ``_column_generation``: revised-simplex pivots
+       in integers, with the oracle as the pricing step when no column
+       improves and its point the next to enter.  It starts from the
+       basis V with step 2's A and D, so it inverts nothing, and it needs
+       no phase 1: z is in V, so x = e_0 is feasible.
     """
     return _ip_verdict(record(wv))
 
@@ -671,15 +663,7 @@ def _interior(
         A, D = _pivot_inverse(A, D, a, p)
     cols = V + [tuple(map(sum, zip(*V)))]
     cols += [u for u in extra if u not in V]
-    lp = _Simplex(cols, z, [0] * n + [1] + [0] * (len(cols) - n - 1), A, D)
-    while True:
-        eps, y = lp.solve()
-        if eps > 0:
-            return True
-        [(value, u)] = _knapsack_min(ws, _primitive(y))
-        if value >= 0:
-            return False
-        lp.add(u, 0)
+    return _column_generation(ws, cols, A, D)
 
 
 def ip_record(wv: WeightVector) -> VectorRecord:

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, no module
-reads the environment, no module has an ``assert`` statement, and the
+reads the environment, no module has an ``assert`` statement, the
 orbifold pipeline and the stringy (face) pipeline import nothing from each
-other.
+other, and every private module-level definition is used.
 
 Stdlib ``ast`` checks, since the package has no linter.  ``__init__.py`` is
 exempt from the first: its imports are the public re-exports.  The second
@@ -10,7 +10,10 @@ keeps the output a function of the CLI arguments alone: a setting read from
 third keeps every internal guard alive under ``python -O``, which compiles
 ``assert`` statements out: a guard raises a ``StringyMirrorError`` instead.
 The fourth keeps the mirror identity a cross-check of two independent
-computations.
+computations.  The fifth finds dead code: every module-level private
+function and class is referenced somewhere in the package outside its own
+definition, except the ``_cmd_*`` handlers, which ``cli.main`` looks up by
+name.
 """
 
 import ast
@@ -30,18 +33,11 @@ def _annotation_names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def unused_imports(source: str):
-    tree = ast.parse(source)
-    imported = {}
+def _used_names(tree):
+    """Names the tree uses, also inside annotations written as strings."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             used |= _annotation_names(node.annotation)
@@ -49,6 +45,20 @@ def unused_imports(source: str):
             used |= _annotation_names(node.returns)
         elif isinstance(node, ast.AnnAssign):
             used |= _annotation_names(node.annotation)
+    return used
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _used_names(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -144,3 +154,50 @@ def test_halves_share_nothing_past_the_kernel():
     }
     assert imports["orbifold"].isdisjoint({"stringy", "face_epoly"})
     assert "orbifold" not in imports["stringy"] | imports["face_epoly"]
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreferenced_private_definitions(sources):
+    """(module, name) of every module-level private function or class, other
+    than a ``_cmd_*`` handler, whose name no module of ``sources`` (module
+    name to source) uses outside the definition itself: as a name, an
+    attribute or a name in a string annotation."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = node.name if isinstance(node, _DEFINITIONS) else None
+            if own and own.startswith("_") and not own.startswith(("__", "_cmd_")):
+                defined.append((module, own))
+            attributes = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+            used |= (_used_names(node) | attributes) - {own}
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_checker_flags_an_unreferenced_private_definition():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+            "def _cmd_run(args):\n    return 0\n\n"
+            "class _Unused:\n    pass\n\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+            "def public():\n    return _called()\n"
+        ),
+        "b.py": (
+            "from . import c\n\n"
+            "class _Annotated:\n    pass\n\n"
+            "def f(x: '_Annotated') -> int:\n    return c._Reached()\n"
+        ),
+        "c.py": "class _Reached:\n    pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == [
+        ("a.py", "_Unused"), ("a.py", "_recursive")
+    ]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {name: (PACKAGE / name).read_text() for name in ALL_MODULES}
+    assert unreferenced_private_definitions(sources) == []

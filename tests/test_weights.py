@@ -42,7 +42,6 @@ from conftest import (
     slow_ip_property,
     slow_lattice_counts,
     slow_transverse,
-    _solve_linear,
 )
 
 HYP = settings(deadline=None, derandomize=True, max_examples=40)
@@ -554,18 +553,6 @@ def _matmul(P, Q):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*Q)] for row in P]
 
 
-def _scaled_inverse(B):
-    """(D B^-1, D) with D = |det B| != 0, column by column from the
-    reference solver of the test suite."""
-    m = len(B)
-    D = abs(_det(B))
-    F = [[Fraction(x) for x in row] for row in B]
-    inverse = [_solve_linear(F, [Fraction(int(i == k)) for i in range(m)]) for k in range(m)]
-    A = [[D * inverse[k][i] for k in range(m)] for i in range(m)]
-    assert all(x.denominator == 1 for row in A for x in row)
-    return [[int(x) for x in row] for row in A], D
-
-
 def _keeps_the_scaled_inverse(A, D, B):
     m = len(B)
     assert _matmul(A, B) == [[D * (i == k) for k in range(m)] for i in range(m)]
@@ -594,14 +581,17 @@ def test_pivot_update_keeps_the_scaled_inverse(entering, picks):
         _keeps_the_scaled_inverse(A, D, B)
 
 
-@HYP
-@given(
-    # 2 to 6 weights with w <= 60: the gaps between distinct cuts in 1..60
+# 2 to 6 weights with w <= 60: the gaps between distinct cuts in 1..60
+_GAP_WEIGHTS = (
     st.integers(2, 6)
     .flatmap(lambda n: st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
     .map(sorted)
     .map(lambda cuts: [b - a for a, b in zip([0] + cuts, cuts)])
 )
+
+
+@HYP
+@given(_GAP_WEIGHTS)
 @example([1, 1, 1, 1, 1])  # IP
 @example([1, 5, 12, 18])  # IP
 @example([1, 3, 5, 7])  # through the hull to the LP, which rejects it
@@ -610,7 +600,7 @@ def test_hull_pivots_build_the_lp_start_inverse(ws):
     # each hull direction c is a primitive row of D B^-1, so c.z = 0, and
     # the LP starts from the (A, D) the hull's pivots left for its basis
     n = len(ws)
-    knapsack_min, simplex = weights._knapsack_min, weights._Simplex
+    knapsack_min, column_generation = weights._knapsack_min, weights._column_generation
 
     def knapsack_spy(coins, *costs):
         if len(costs) == 2:  # a hull step asks for the minima of c and -c
@@ -620,65 +610,64 @@ def test_hull_pivots_build_the_lp_start_inverse(ws):
             assert sum(c) == 0  # c.z, z the all-ones point
         return knapsack_min(coins, *costs)
 
-    def simplex_spy(cols, b, obj, A, D):
+    def lp_spy(coins, cols, A, D):
         _keeps_the_scaled_inverse(A, D, [list(row[:n]) for row in zip(*cols)])
-        return simplex(cols, b, obj, A, D)
+        return column_generation(coins, cols, A, D)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weights, "_knapsack_min", knapsack_spy)
-        mp.setattr(weights, "_Simplex", simplex_spy)
+        mp.setattr(weights, "_column_generation", lp_spy)
         weights._interior(ws, weights._reach_sets(ws), weights._faces(n))
 
 
+def _lp_runs(ws):
+    """(start columns, A, D, verdict, points added) of each column-generation
+    run of ``_interior`` on ws (none when a face reject decides it)."""
+    column_generation = weights._column_generation
+    runs = []
+
+    def spy(coins, cols, A, D):
+        start = list(cols)
+        verdict = column_generation(coins, cols, A, D)
+        runs.append((start, A, D, verdict, cols[len(start):]))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_column_generation", spy)
+        weights._interior(ws, weights._reach_sets(ws), weights._faces(len(ws)))
+    return runs
+
+
 @HYP
-@given(
-    st.integers(1, 4).flatmap(
-        lambda m: st.tuples(
-            _int_rows(m, m, m),
-            _int_rows(m, 1, 5),
-            st.lists(st.integers(-3, 3), min_size=m + 5, max_size=m + 5),
-        )
-    )
-)
-def test_simplex_warm_start_matches_a_fresh_solve(case):
-    # columns added one at a time, each solve going on from the last basis,
-    # reach the optimum of one solve over all the columns
-    B, more, obj = case
-    assume(_det(B))
-    m = len(B)
-    start = [tuple(row[j] for row in B) for j in range(m)]
-    b = [sum(row) for row in B]  # x = (1, .., 1) on the start basis
-    obj = obj[: m + len(more)]
-
-    def optimum(lp):
-        try:
-            value, _ = lp.solve()
-        except InconsistentLP as exc:
-            assert "unbounded" in str(exc)
-            return None
-        return Fraction(value, lp.D)
-
-    warm = weights._Simplex(start, b, obj[:m], *_scaled_inverse(B))
-    for k, col in enumerate(map(tuple, more)):
-        if col in warm.cols:
-            with pytest.raises(InconsistentLP, match="already a column"):
-                warm.add(col, obj[m + k])
-            return
-        warm.add(col, obj[m + k])
-        value = optimum(warm)
-        fresh = optimum(weights._Simplex(warm.cols, b, warm.obj, *_scaled_inverse(B)))
-        assert value == fresh
-        if value is None:
-            return
+@given(_GAP_WEIGHTS)
+@example([1, 3, 5, 7])  # the oracle adds points, and the LP rejects it
+@example([1, 1, 2, 5, 8])  # the oracle adds points, and the LP certifies it
+def test_simplex_warm_start_matches_a_fresh_solve(ws):
+    # a second run from the same start basis, seeded with every point the
+    # first run's oracle added, reaches the same verdict
+    for start, A, D, verdict, added in _lp_runs(ws):
+        assert weights._column_generation(ws, start + added, A, D) == verdict
 
 
 def test_simplex_guards():
-    lp = weights._Simplex([(1,)], (1,), (0,), [[1]], 1)
-    lp.add((0,), 1)  # a free direction with a positive objective
+    # a 1-D LP whose column s = (0,) is a free direction
     with pytest.raises(InconsistentLP, match="unbounded"):
-        lp.solve()
+        weights._column_generation((1,), [(1,), (0,)], [[1]], 1)
     with pytest.raises(InconsistentLP, match="already a column"):
-        lp.add((1,), 0)
+        weights._add_column([(1,)], (1,))
+    # an oracle that prices with a column the LP already has, z = cols[0]
+    knapsack_min = weights._knapsack_min
+
+    def stale_oracle(coins, *costs):
+        if len(costs) == 1:
+            return [(-1, (1,) * len(coins))]
+        return knapsack_min(coins, *costs)
+
+    ws = [1, 3, 5, 7]  # its LP calls the oracle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_knapsack_min", stale_oracle)
+        with pytest.raises(InconsistentLP, match="already a column"):
+            weights._interior(ws, weights._reach_sets(ws), weights._faces(len(ws)))
 
 
 # ---------------------------------------------------------------------------
