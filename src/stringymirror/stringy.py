@@ -11,10 +11,10 @@ t^k, K the complement of J and M_J(k) the number of u >= 0 on K with
 sum w_k u_k = k w: the residue-0 multisection of 1 / prod_{k in K}
 (1 - s**w_k), t = s**w, computed exactly by ``exact_arith.multisection``.
 At t = infinity it is sum_{k>=1} N_J(k) t^-k, the lattice counts.  Both
-ends are checked: the section must start as M_J(0) = 1, the bracket must
-vanish at infinity, and its t^-1 coefficient must be nonzero exactly when
-w - sum_{k in K} w_k is a sum of those weights, a bit of the vector's
-reach sets (``weights._reach_sets``).  A failure raises InconsistentExpansion.
+ends are checked against exact counts: the section must start as 1 +
+M_J(1) t, and the bracket must vanish at infinity with t^-1 coefficient
+N_J(1).  The walk reads both counts off its cleared products, ``bracket``
+off one count DP.  A failure raises InconsistentExpansion.
 
 The stringy half needs the brackets of all 2^n - n - 1 faces.  It walks
 their complements K depth first over the subset lattice, K after K minus
@@ -54,6 +54,7 @@ from .exact_arith import (
     extend_cleared,
     multisection,
     rational_sum,
+    series_quotient,
 )
 from .face_epoly import _untwisted_numerator, _uv_minus_one_pow, face_terms
 from .weights import (
@@ -65,9 +66,7 @@ from .weights import (
     _classified,
     _complement,
     _members,
-    _reach,
     ip_record,
-    record,
 )
 
 # ---------------------------------------------------------------------------
@@ -77,32 +76,34 @@ from .weights import (
 def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
     t = uv; equals (-1)^|K| sum_{k>=0} M_J(k) t^k at t = 0 (K the complement
-    of J) and sum_{k>=1} N_J(k) t^{-k} when expanded at infinity."""
+    of J) and sum_{k>=1} N_J(k) t^{-k} when expanded at infinity; its
+    check reads M_J(1) and N_J(1) off one count DP over K's coins."""
     K = _complement(wv, _check_subset(wv, J))
-    coins = [wv.weights[j] for j in _members(K)]
-    return _finish(wv, _reach(record(wv)), K, multisection([1], coins, wv.w, 0))
+    coins, w = [wv.weights[j] for j in _members(K)], wv.w
+    counts = series_quotient([1], [(c, 1) for c in coins], w)  # sum(coins) <= w
+    return _finish(wv, K, multisection([1], coins, w, 0), counts[w - sum(coins)], counts[w])
 
 
-def _finish(wv: WeightVector, R: List[int], K: int, section: RationalT) -> RationalT:
+def _finish(wv: WeightVector, K: int, section: RationalT, n1: int, m1: int) -> RationalT:
     """The bracket of the J whose complement has the bitmask K, from
     section = sum_k M_J(k) t^k, negated when |K| is odd.  For a nonempty K
-    the section must start as M_J(0) = 1, the bracket must vanish at
-    t = infinity, and its t^-1 coefficient N_J(1) must be nonzero exactly
-    when w - sum_{k in K} w_k is reachable by the coins of K, bit of the
-    reach set R[K] (``weights._reach_sets``); else InconsistentExpansion."""
+    the section must start as 1 + m1 t, m1 = M_J(1) (its t^1 coefficient is
+    num[1] plus the power of 1 - t once shift = 0 and num[0] = 1), and the
+    bracket must vanish at t = infinity with t^-1 coefficient n1 = N_J(1);
+    else InconsistentExpansion."""
     bt = -section if K.bit_count() % 2 else section
     if K:
-        reached = R[K] >> (wv.w - sum(wv.weights[k] for k in _members(K))) & 1
         top = bt.shift + len(bt.num) - 1 - sum(m * e for m, e in bt.den)
         first = bt.num[-1] * (-1) ** bt.pole_order_at_one() if bt.num and top == -1 else 0
-        start = (section.shift, section.num[:1])
-        if start != (0, (1,)) or top >= 0 or bool(first) != bool(reached):
+        t1 = sum(section.num[1:2]) + dict(section.den).get(1, 0)
+        start = (section.shift, section.num[:1], t1)
+        if start != (0, (1,), m1) or top >= 0 or first != n1:
             J = list(_members(_complement(wv, K)))
             raise InconsistentExpansion(
                 f"bracket of {wv} for J = {J}: its expansion at t = infinity"
-                f" should be sum_k N_J(k) t^-k and its section at t = 0 start as 1,"
-                f" but it has degree {top}, t^-1 coefficient {first} while N_J(1)"
-                f" {'!=' if reached else '='} 0, and (shift, num[:1]) = {start}"
+                f" should be sum_k N_J(k) t^-k and its section at t = 0 start as"
+                f" 1 + {m1} t, but it has degree {top}, t^-1 coefficient {first} while"
+                f" N_J(1) = {n1}, and (shift, num[:1], t^1 coefficient) = {start}"
             )
     return bt
 
@@ -111,29 +112,31 @@ def _lattice_brackets(rec: VectorRecord) -> Dict[int, RationalT]:
     """bracket_J for every J with |J| >= 2, keyed by J's bitmask.
 
     The complements K are walked depth first over the subset lattice, one
-    coin at a time like ``weights._reach_sets`` but on ranked coins: K
-    extends the cleared product of K minus its coin of lowest rank by that
-    one coin (``extend_cleared``), so each bracket costs one coin instead
-    of |K|, and only the products along the current chain are alive.
-    Rank 0 is the coin that lengthens a product most (by m w - c), so the
-    longest products are leaves of the walk, never parents."""
+    ranked coin at a time: K extends the cleared product of K minus its
+    coin of lowest rank by that one coin (``extend_cleared``), so each
+    bracket costs one coin instead of |K|, and only the products along the
+    current chain are alive.  Rank 0 is the coin that lengthens a product
+    most (by m w - c), so the longest products are leaves, never parents."""
     wv = rec.wv
-    R = _reach(rec)
     ws, w, n = wv.weights, wv.w, len(wv.weights)
     full = (1 << n) - 1
     growth = [clearing_order(c, w) * w - c for c in ws]
     rank = sorted(range(n), key=growth.__getitem__, reverse=True)
     out: Dict[int, RationalT] = {}
 
-    def walk(K: int, low: int, P: List[int], ms: List[int]) -> None:
-        out[full ^ K] = _finish(wv, R, K, cleared_section(P, ms, w, 0))
+    def walk(K: int, low: int, P: List[int], ms: List[int], gap: int) -> None:
+        # P[e] counts the points of degree e on K for e < w, P[w] one less per
+        # m = 1, as the product of the 1 - s^(m w) is 1 + O(s^w); gap = w - sum_K
+        n1 = P[gap] if gap < len(P) else 0
+        m1 = (P[w] if w < len(P) else 0) + ms.count(1)
+        out[full ^ K] = _finish(wv, K, cleared_section(P, ms, w, 0), n1, m1)
         if K.bit_count() < n - 2:
             for p in range(low):
                 i = rank[p]
                 Q, m = extend_cleared(P, ws[i], w)
-                walk(K | 1 << i, p, Q, ms + [m])
+                walk(K | 1 << i, p, Q, ms + [m], gap - ws[i])
 
-    walk(0, n, [1], [])
+    walk(0, n, [1], [], w)
     return out
 
 

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, no module
 reads the environment, no module has an ``assert`` statement, the
 orbifold pipeline and the stringy (face) pipeline import nothing from each
-other, and every private module-level definition is used.
+other, every private module-level definition is used, and the reach sets
+stay inside ``weights``.
 
 Stdlib ``ast`` checks, since the package has no linter.  ``__init__.py`` is
 exempt from the first: its imports are the public re-exports.  The second
@@ -13,7 +14,10 @@ The fourth keeps the mirror identity a cross-check of two independent
 computations.  The fifth finds dead code: every module-level private
 function and class is referenced somewhere in the package outside its own
 definition, except the ``_cmd_*`` handlers, which ``cli.main`` looks up by
-name.
+name.  The sixth keeps the reach sets' bit layout one module's business:
+no module but ``weights`` imports or reads ``_reach``, ``_reach_sets`` or
+``_extend_reach``, so the stringy pipeline checks its brackets with counts
+of its own.
 """
 
 import ast
@@ -201,3 +205,31 @@ def test_checker_flags_an_unreferenced_private_definition():
 def test_no_unreferenced_private_definitions():
     sources = {name: (PACKAGE / name).read_text() for name in ALL_MODULES}
     assert unreferenced_private_definitions(sources) == []
+
+
+_REACH_NAMES = {"_reach", "_reach_sets", "_extend_reach"}
+
+
+def reach_set_reads(source):
+    """(line, name) of every import or attribute read of a reach-set helper
+    of ``weights``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hits += [(node.lineno, a.name) for a in node.names if a.name in _REACH_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in _REACH_NAMES:
+            hits.append((node.lineno, node.attr))
+    return sorted(hits)
+
+
+def test_checker_flags_reach_set_reads():
+    source = (
+        "from .weights import _reach, record\nfrom . import weights\n"
+        "R = weights._reach_sets((1, 2))\nS = weights._extend_reach(R, 3, 6)\n"
+    )
+    assert reach_set_reads(source) == [(1, "_reach"), (3, "_reach_sets"), (4, "_extend_reach")]
+
+
+@pytest.mark.parametrize("module", [name for name in ALL_MODULES if name != "weights.py"])
+def test_reach_sets_stay_in_weights(module):
+    assert reach_set_reads((PACKAGE / module).read_text()) == []

@@ -37,7 +37,7 @@ from stringymirror.errors import (
     SignPatternViolation,
 )
 
-from conftest import series_counts, slow_stringy_half
+from conftest import lattice_points, series_counts, slow_series_quotient, slow_stringy_half
 
 QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
@@ -195,21 +195,82 @@ def test_bracket_checks_catch_a_shifted_kernel(shifted_kernel, capsys, shift):
     assert "expansion at t = infinity" in capsys.readouterr().err
 
 
-def test_every_bracket_a_low_shifted_kernel_changes_raises(shifted_kernel):
-    # one coefficient low, the section at t = 0 starts at t^1 instead of
-    # t^0: every bracket the fault changes must raise
+def _changed_and_passing(shifted_kernel, shift):
+    """The number of SWEEP brackets a kernel read ``shift`` places off
+    changes, and the (ws, J) of those it changes that pass the checks."""
     want = {
         (ws, tuple(J)): _form(bracket(validate(ws), J))
         for ws in SWEEP
         for J in _proper_subsets(len(ws))
     }
-    shifted_kernel(-1)
+    shifted_kernel(shift)
+    changed, passing = 0, []
     for (ws, J), form in want.items():
         try:
             got = bracket(validate(ws), J)
         except InconsistentExpansion:
+            changed += 1
             continue
-        assert _form(got) == form, (ws, J)
+        if _form(got) != form:
+            changed += 1
+            passing.append((ws, J))
+    return changed, passing
+
+
+def test_every_bracket_a_low_shifted_kernel_changes_raises(shifted_kernel):
+    # one coefficient low, the section at t = 0 starts at t^1 instead of
+    # t^0: every bracket the fault changes must raise
+    assert _changed_and_passing(shifted_kernel, -1) == (1934, [])
+
+
+def test_a_high_shifted_kernel_passes_only_where_the_first_counts_hold(shifted_kernel):
+    # one coefficient high, a bracket whose complement K holds one coin 1
+    # changes by the residue-1 section D of K's other coins, and the checks
+    # compare M_J(1) and N_J(1) at each end: 19 of the 1,553 wrong brackets
+    # pass, those whose D starts past t^1 at t = 0 and past t^-1 at
+    # infinity, as w + 1 is no sum of the other coins and w - 1 none with
+    # every one of them used
+    changed, passing = _changed_and_passing(shifted_kernel, 1)
+    assert (changed, len(passing)) == (1553, 19)
+    for ws, J in passing:
+        w = sum(ws)
+        K = [ws[i] for i in range(len(ws)) if i not in J]
+        others = [c for c in K if c != 1]
+        counts = slow_series_quotient([1], [(c, 1) for c in others], w + 1)
+        assert K.count(1) == 1, (ws, J)
+        assert counts[w + 1] == counts[w - 1 - sum(others)] == 0, (ws, J)
+
+
+@pytest.mark.parametrize("ws", [K3, FERMAT_LIKE, DEGREE_1806, (21, 41, 249, 581, 851)])
+def test_the_walk_hands_the_checks_the_first_counts(monkeypatch, ws):
+    # the walk reads N_J(1) and M_J(1) off each cleared product; they match
+    # the lattice counts and the points of degree w on K enumerated (the
+    # coin 851 of the last vector has clearing order m = 851)
+    wv = validate(ws)
+    n = len(ws)
+    points = lattice_points(ws)
+    handed = {}
+    finish = stringy._finish
+
+    def spy(wv, K, section, n1, m1):
+        handed[K] = n1, m1
+        return finish(wv, K, section, n1, m1)
+
+    monkeypatch.setattr(stringy, "_finish", spy)
+    stringy._lattice_brackets(weights.record(wv))
+    assert sorted(handed) == [K for K in range(1 << n) if K.bit_count() <= n - 2]
+    for K, (n1, m1) in handed.items():
+        J = [i for i in range(n) if not K >> i & 1]
+        assert n1 == lattice_counts(wv, J, 1)[0], J
+        assert m1 == sum(1 for u in points if not any(u[j] for j in J)), J
+
+
+def test_bracket_builds_no_record():
+    # the checks of a single bracket read one count DP, not the vector's
+    # record: 20 ones has 2^20 subsets
+    weights.record.cache_clear()
+    bracket(validate((1,) * 20), range(2))
+    assert weights.record.cache_info().currsize == 0
 
 
 def test_brackets_match_the_inverse_substitution_route():

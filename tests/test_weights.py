@@ -3,6 +3,7 @@ subgroups, lattice counting, the interior-point and transversality tests,
 and the sector Poincare series."""
 
 from collections import Counter
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, prod
@@ -581,17 +582,32 @@ def test_pivot_update_keeps_the_scaled_inverse(entering, picks):
         _keeps_the_scaled_inverse(A, D, B)
 
 
-# 2 to 6 weights with w <= 60: the gaps between distinct cuts in 1..60
-_GAP_WEIGHTS = (
-    st.integers(2, 6)
-    .flatmap(lambda n: st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
-    .map(sorted)
-    .map(lambda cuts: [b - a for a, b in zip([0] + cuts, cuts)])
-)
+@cache
+def _lp_vectors():
+    """The weights of every column-generation run of the scans of d = 1..5
+    up to w = 10, 60, 40, 20, 12: 426 well-formed vectors past the face
+    rejects and the hull, 127 of them rejected by the LP and 237 given an
+    oracle point."""
+    column_generation = weights._column_generation
+    runs = []
+
+    def spy(coins, cols, A, D):
+        runs.append(tuple(coins))
+        return column_generation(coins, cols, A, D)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weights, "_column_generation", spy)
+        for d, wmax in [(1, 10), (2, 60), (3, 40), (4, 20), (5, 12)]:
+            list(weights.ip_vectors(d, wmax))
+    return runs
+
+
+# 2 to 6 weights that reach the LP, in any order
+_LP_WEIGHTS = st.deferred(lambda: st.sampled_from(_lp_vectors())).flatmap(st.permutations)
 
 
 @HYP
-@given(_GAP_WEIGHTS)
+@given(_LP_WEIGHTS)
 @example([1, 1, 1, 1, 1])  # IP
 @example([1, 5, 12, 18])  # IP
 @example([1, 3, 5, 7])  # through the hull to the LP, which rejects it
@@ -639,7 +655,7 @@ def _lp_runs(ws):
 
 
 @HYP
-@given(_GAP_WEIGHTS)
+@given(_LP_WEIGHTS)
 @example([1, 3, 5, 7])  # the oracle adds points, and the LP rejects it
 @example([1, 1, 2, 5, 8])  # the oracle adds points, and the LP certifies it
 def test_simplex_warm_start_matches_a_fresh_solve(ws):
