@@ -30,13 +30,21 @@ each residue class mod m: ``series_quotient`` for series and
 ``div_one_minus_tm`` for exact polynomial division.  Multiplication by
 1 - t**m (``mul_one_minus_tm``) is one subtraction per coefficient.
 
-The normal form divides out each denominator factor (1 - t**m) that
-divides the numerator, smallest m first, by ``div_one_minus_tm``: O(deg),
-with a one-``sum`` reject when num(1) != 0 and a reject at the first
-residue class mod m whose coefficients do not sum to zero.  Shifts, negation,
-multiplication by a nonzero int and t -> 1/t keep the form normal and skip
-the peeling; a sum of many terms (``rational_sum``) adds integer lists and
-peels the running sum, in the form the left fold of ``+`` gives.
+The arithmetic itself runs on (shift, num, den) triples of plain ints,
+lists and dicts, in one kernel: ``_peel`` makes the normal form,
+``_fold`` sums in the form the left fold of ``+`` gives, ``_product``
+multiplies by a polynomial and peels, and ``_scaled`` multiplies by a
+nonzero int, which needs no peel.  ``rational_sum``,
+``RationalT.mul_poly`` and ``EFunction`` are thin wrappers over them, and
+the stringy half runs on the triples and builds objects only for what its
+record keeps.  The peel divides out each denominator factor (1 - t**m)
+that divides the numerator, smallest m first, by stride-m running sums:
+O(deg) a factor, with num(1) summed once per numerator (num(1) != 0 means
+no factor divides) and a reject at the first residue class mod m whose
+coefficients do not sum to zero.  Shifts, negation, multiplication by a
+nonzero int and t -> 1/t keep the form normal and skip the peeling.
+Limits at t = 1 (``limit_at_one``, ``EFunction.value_at_one``) are
+integers to the end: a numerator and a product of m**e, then one Fraction.
 
 The averaging projector ``[.]_int`` keeps exactly the monomials of a FracPoly
 whose exponent is an integer; it equals the mean over the w-th roots of unity
@@ -65,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import gcd
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -112,18 +120,32 @@ def mul_one_minus_tm(a: Sequence[int], m: int) -> List[int]:
 def div_one_minus_tm(a: Sequence[int], m: int) -> Optional[List[int]]:
     """Quotient of a by (1 - t**m), or None when a remainder is left.
 
-    ``a`` must be stripped (no trailing zeros).  From a = (1 - t**m) q,
-    q[i] = a[i] + q[i - m]: along each residue class mod m the quotient is
-    a running sum of a, and the division is exact iff every class sums to
-    zero (a vanishes at each m-th root of unity).  Those sums are tested
-    first, one class at a time, so a failing division stops at the first
-    nonzero class without building the quotient; the running sums at the
-    top m positions are then the (zero) class sums and are dropped.  When
-    len(a) <= m every class holds at most one coefficient, and the top one
-    is nonzero.
-    """
+    ``a`` must be stripped (no trailing zeros).  No 1 - t**m divides an a
+    with a(1) != 0, as t = 1 is a root of it; otherwise ``_div_one_minus_tm``
+    divides."""
     if sum(a):  # a(1) != 0: the root t = 1 of 1 - t**m is missing
         return None
+    return _div_one_minus_tm(a, m)
+
+
+def _div_one_minus_tm(a: Sequence[int], m: int) -> Optional[List[int]]:
+    """``div_one_minus_tm`` for a stripped a with a(1) = 0, which the caller
+    has summed (``_peel`` once per numerator, ``_limit_parts`` before each
+    division).
+
+    From a = (1 - t**m) q, q[i] = a[i] + q[i - m]: along each residue class
+    mod m the quotient is a running sum of a, and the division is exact iff
+    every class sums to zero (a vanishes at each m-th root of unity).  The
+    class sums are tested one class at a time, so a failing division stops
+    at the first nonzero class without building the quotient; the running
+    sums at the top m positions are then the (zero) class sums and are
+    dropped.  When len(a) <= m every class holds at most one coefficient,
+    and the top one is nonzero.  For m = 1 the quotient is one running
+    sum."""
+    if m == 1:
+        q = list(accumulate(a))
+        del q[-1:]  # a(1) = 0
+        return q
     for r in range(1, m):  # with a(1) = 0, class 0 sums to zero with these
         if sum(a[r::m]):
             return None
@@ -148,7 +170,8 @@ def series_quotient(num: Sequence[int], den: Iterable[Factor], n: int) -> List[i
     t = 0.  The one stride-m kernel for 1/(1 - t**m) series: h = g / (1 -
     t**m) has h[i] = g[i] + h[i - m], a running sum ``accumulate`` over the
     slice g[r::m] for each residue r < min(m, n + 1)."""
-    g = list(num[: n + 1]) + [0] * max(0, n + 1 - len(num))
+    g = list(num[: n + 1])
+    g.extend(repeat(0, n + 1 - len(g)))
     for m, e in den:
         for _ in range(e):
             for r in range(min(m, n + 1)):
@@ -165,10 +188,34 @@ def _merge_factors(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
     return tuple(sorted(acc.items()))
 
 
-def _peel(coeffs: List[int], shift: int, facs: Dict[int, int]):
+# ---------------------------------------------------------------------------
+# the (shift, num, den) kernel
+#
+# A rational function t**shift * num / prod (1 - t**m)**den[m] is worked on
+# as a triple (shift, num, den): num a list (or tuple) of ints, den a dict
+# m -> e.  ``_peel`` makes the normal form of ``RationalT``, ``_fold`` sums,
+# ``_product`` multiplies by a polynomial and ``_scaled`` by a nonzero int;
+# ``rational_sum``, ``RationalT.mul_poly`` and ``EFunction`` wrap them, and
+# the stringy half runs on them and builds objects only for what its record
+# keeps.  A triple is never changed in place once made: each step builds
+# its own lists.
+
+Triple = Tuple[int, Sequence[int], Dict[int, int]]
+
+
+def _check_ints(coeffs: Iterable) -> None:
+    if not all(map(isinstance, coeffs, repeat(int))):
+        raise TypeError("RationalT numerators must have int coefficients")
+
+
+def _peel(coeffs: List[int], shift: int, facs: Mapping[int, int]) -> Triple:
     """The normal form (see ``RationalT``) of
     t**shift * coeffs / prod (1 - t**m)**facs[m], as (shift, num, den) with
-    num a list and den a dict in increasing m; consumes ``coeffs``."""
+    num a list and den a new dict in increasing m; consumes ``coeffs``.
+
+    The factors are tried smallest m first, each as often as it divides.
+    No 1 - t**m divides a numerator N with N(1) != 0, so N(1) is summed
+    once per numerator and a nonzero one ends the peeling."""
     poly_strip(coeffs)
     if not coeffs:
         return 0, coeffs, {}
@@ -178,18 +225,83 @@ def _peel(coeffs: List[int], shift: int, facs: Dict[int, int]):
     if lead_zero:
         shift += lead_zero
         del coeffs[:lead_zero]
+    at_one = sum(coeffs)
     den = {}
     for m in sorted(facs):
         e = facs[m]
-        while e > 0:
-            q = div_one_minus_tm(coeffs, m)
+        while e and not at_one:
+            q = _div_one_minus_tm(coeffs, m)
             if q is None:
                 break
             coeffs = q
             e -= 1
+            at_one = sum(coeffs)
         if e:
             den[m] = e
     return shift, coeffs, den
+
+
+def _fold(terms: Iterable[Triple], start: Optional[Triple] = None) -> Triple:
+    """The sum of normal-form triples, in the form the left fold of ``+``
+    gives; from the running sum ``start`` when given, so a fold can go on
+    where another stopped.
+
+    Each step brings the running sum and the next term onto their
+    union-max denominator (for each m the larger exponent of 1 - t**m),
+    adds the numerators as plain integer lists aligned at the smaller shift
+    and peels.  Zero terms are skipped, as ``+`` skips them, and a single
+    nonzero term comes back as it is.
+
+    The fold order is kept on purpose: the greedy-peel form depends on the
+    denominator it is peeled over, so peeling once over the union of all
+    the terms' denominators can give another form of the same value.
+    """
+    shift, num, den = start or (0, (), {})
+    own = False  # whether num and den are this fold's own to change
+    for t_shift, term, t_den in terms:
+        if not term:
+            continue
+        if not num:  # the start, or a running sum that cancelled: 0 + t is t
+            shift, num, den, own = t_shift, term, t_den, False
+            continue
+        if not own:
+            num, den, own = list(num), dict(den), True
+        for m, e in t_den.items():
+            have = den.get(m, 0)
+            if e > have:
+                for _ in range(e - have):
+                    num = mul_one_minus_tm(num, m)
+                den[m] = e
+        for m, e in den.items():
+            for _ in range(e - t_den.get(m, 0)):
+                term = mul_one_minus_tm(term, m)
+        if t_shift < shift:
+            num[:0] = [0] * (shift - t_shift)
+            shift = t_shift
+        lo = t_shift - shift
+        hi = lo + len(term)
+        if hi > len(num):
+            num.extend([0] * (hi - len(num)))
+        num[lo:hi] = map(add, num[lo:hi], term)
+        shift, num, den = _peel(num, shift, den)
+    return shift, num, den
+
+
+def _scaled(t: Triple, c: int) -> Triple:
+    """c * t for a nonzero int c, without a peel: 1 - t**m is primitive, so
+    by Gauss's lemma it divides c * num iff it divides num."""
+    shift, num, den = t
+    return shift, [c * x for x in num], den
+
+
+def _product(t: Triple, poly: Sequence[int]) -> Triple:
+    """t * poly(t) for a normal-form t, peeled over t's own denominator:
+    it is merged and sorted already, so only the product is checked.  A
+    nonzero constant poly keeps the form (``_scaled``)."""
+    shift, num, den = t
+    if len(poly) == 1 and poly[0] and num:
+        return t if poly[0] == 1 else _scaled(t, poly[0])
+    return _peel(poly_mul(num, poly), shift, den)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +326,8 @@ class RationalT:
     form build their result directly, without peeling again:
 
     * ``mul_tpower`` only moves the shift;
-    * ``-r`` and ``r * k`` for a nonzero int k: 1 - t**m is primitive, so
-      by Gauss's lemma it divides k * num iff it divides num;
+    * ``-r`` and ``r * k`` for a nonzero int k (``_scaled``): 1 - t**m is
+      primitive, so by Gauss's lemma it divides k * num iff it divides num;
     * ``inverse_substitution``: the reversed numerator vanishes at the same
       roots of unity as num.
 
@@ -229,8 +341,7 @@ class RationalT:
     __slots__ = ("shift", "num", "den")
 
     def __init__(self, num: Sequence[int], shift: int = 0, den: Iterable[Factor] = ()):
-        if not all(isinstance(c, int) for c in num):
-            raise TypeError("RationalT numerators must have int coefficients")
+        _check_ints(num)
         shift, coeffs, facs = _peel(list(num), shift, dict(_merge_factors(den)))
         self.shift = shift
         self.num: Tuple[int, ...] = tuple(coeffs)
@@ -244,6 +355,9 @@ class RationalT:
         out.num = num
         out.den = den
         return out
+
+    def _triple(self) -> Triple:
+        return self.shift, self.num, dict(self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -299,7 +413,7 @@ class RationalT:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalT._normal(tuple(-c for c in self.num), self.shift, self.den)
+        return self * -1
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -317,9 +431,7 @@ class RationalT:
         if isinstance(other, int):
             if not other or not self.num:
                 return RationalT.zero()
-            return RationalT._normal(
-                tuple(c * other for c in self.num), self.shift, self.den
-            )
+            return _rational(_scaled(self._triple(), other))
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -342,10 +454,8 @@ class RationalT:
     def mul_poly(self, coeffs: Sequence[int]) -> "RationalT":
         """self * coeffs(t), peeled over self's denominator: the normal form
         leaves den merged and sorted, so only the product is checked."""
-        if not all(isinstance(c, int) for c in coeffs):
-            raise TypeError("RationalT numerators must have int coefficients")
-        shift, num, den = _peel(poly_mul(self.num, coeffs), self.shift, dict(self.den))
-        return RationalT._normal(tuple(num), shift, tuple(den.items()))
+        _check_ints(coeffs)
+        return _rational(_product(self._triple(), coeffs))
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -409,49 +519,17 @@ class RationalT:
         return "RationalT(" + "*".join(parts) + ")"
 
 
-def rational_sum(terms: Iterable[RationalT]) -> RationalT:
-    """The sum of RationalTs, in the form the left fold of ``+`` gives.
-
-    Each step brings the running sum and the next term onto their
-    union-max denominator (for each m the larger exponent of 1 - t**m),
-    adds the numerators as plain integer lists aligned at the smaller shift
-    and peels.  The running sum stays a (shift, list, dict) triple, so no
-    RationalT is built, validated or re-peeled between steps.  Zero terms
-    are skipped, as ``+`` skips them, and a single nonzero term comes back
-    as it is.
-
-    The fold order is kept on purpose: the greedy-peel form depends on the
-    denominator it is peeled over, so peeling once over the union of all
-    the terms' denominators can give another form of the same value.
-    """
-    rs = [r for r in terms if r.num]
-    if len(rs) < 2:
-        return rs[0] if rs else RationalT.zero()
-    shift, num, den = 0, [], {}
-    for r in rs:
-        if not num:  # the start, or a running sum that cancelled: 0 + r is r
-            shift, num, den = r.shift, list(r.num), dict(r.den)
-            continue
-        term = r.num
-        own = dict(r.den)
-        for m, e in own.items():
-            have = den.get(m, 0)
-            for _ in range(e - have):
-                num = mul_one_minus_tm(num, m)
-            den[m] = max(e, have)
-        for m, e in den.items():
-            for _ in range(e - own.get(m, 0)):
-                term = mul_one_minus_tm(term, m)
-        if r.shift < shift:
-            num[:0] = [0] * (shift - r.shift)
-            shift = r.shift
-        start = r.shift - shift
-        end = start + len(term)
-        if end > len(num):
-            num.extend([0] * (end - len(num)))
-        num[start:end] = map(add, num[start:end], term)
-        shift, num, den = _peel(num, shift, den)
+def _rational(t: Triple) -> RationalT:
+    """The RationalT of a normal-form triple."""
+    shift, num, den = t
     return RationalT._normal(tuple(num), shift, tuple(den.items()))
+
+
+def rational_sum(terms: Iterable[RationalT]) -> RationalT:
+    """The sum of RationalTs, in the form the left fold of ``+`` gives
+    (``_fold``): the running sum stays a triple, so no RationalT is built,
+    validated or re-peeled between steps."""
+    return _rational(_fold(r._triple() for r in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +698,31 @@ def clearing_order(c: int, w: int) -> int:
 def extend_cleared(P: Sequence[int], c: int, w: int) -> Tuple[List[int], int]:
     """(P * (1 - s**(m w)) / (1 - s**c), m) with m = ``clearing_order(c, w)``:
     one more coin c cleared into a factor 1 - t**m of t = s**w.  The
-    quotient is a polynomial: one ``mul_one_minus_tm`` and one
-    ``series_quotient`` up to its degree."""
+    quotient Q is a polynomial of degree deg P + m w - c.  With G the
+    series P / (1 - s**c) up to that degree (``series_quotient``), Q = G -
+    s**(m w) G: one subtraction for each of the top deg P - c + 1
+    coefficients."""
     m = clearing_order(c, w)
-    Q = mul_one_minus_tm(P, m * w)
-    return series_quotient(Q, [(c, 1)], len(Q) - 1 - c), m
+    mw = m * w
+    Q = series_quotient(P, [(c, 1)], len(P) - 1 + mw - c)
+    if len(Q) > mw:
+        Q[mw:] = map(sub, Q[mw:], Q)
+    return Q, m
 
 
-def cleared_section(P: Sequence[int], ms: Sequence[int], w: int, offset: int) -> RationalT:
+def cleared_section(P: Sequence[int], ms: Sequence[int], w: int, offset: int) -> Triple:
     """sum over k of c[k w + offset] t**k, where c[e] is the coefficient of
-    s**e in P(s) / prod (1 - t**m) over ms, t = s**w: with r = offset mod
-    w, the coefficients at e = r + j w are those of P[r::w](t) / prod
-    (1 - t**m), and e = r + j w is k = j + (r - offset) / w."""
+    s**e in P(s) / prod (1 - t**m) over ms, t = s**w, as a normal-form
+    triple: with r = offset mod w, the coefficients at e = r + j w are
+    those of P[r::w](t) / prod (1 - t**m), and e = r + j w is
+    k = j + (r - offset) / w."""
     r = offset % w
-    return RationalT(P[r::w], (r - offset) // w, [(m, 1) for m in ms])
+    section = P[r::w]
+    _check_ints(section)
+    den: Dict[int, int] = {}
+    for m in ms:
+        den[m] = den.get(m, 0) + 1
+    return _peel(section, (r - offset) // w, den)
 
 
 def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) -> RationalT:
@@ -649,7 +738,7 @@ def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) 
     for c in coins:
         P, m = extend_cleared(P, c, w)
         ms.append(m)
-    return cleared_section(P, ms, w, offset)
+    return _rational(cleared_section(P, ms, w, offset))
 
 
 def series_to_rational(
@@ -696,24 +785,24 @@ def rational_from_counts(counts: Sequence[int], denom: Iterable[Factor]) -> Rati
     return series_to_rational((0, *counts), facs, bound)
 
 
-def limit_at_one(r: RationalT) -> Fraction:
-    """Exact limit of r at t = 1; PoleAtOne when the limit is infinite.
+def _limit_parts(r: RationalT) -> Tuple[int, int]:
+    """(n, D) with n / D the limit of r at t = 1; PoleAtOne when it is
+    infinite.
 
     Each denominator factor is (1 - t**m) = (1 - t)(1 + ... + t**(m-1)); the
-    numerator is divided by (1 - t) once per factor (``div_one_minus_tm``)
-    and what remains is evaluated at 1.
-    """
-    if r.is_zero():
-        return Fraction(0)
-    num = list(r.num)
-    scale = Fraction(1)
-    for m, e in r.den:
-        scale /= Fraction(m) ** e
+    numerator is divided by (1 - t) once per factor (one running sum each)
+    and what remains is evaluated at 1, over D = prod m**e."""
+    num = r.num
     for _ in range(r.pole_order_at_one()):
-        num = div_one_minus_tm(num, 1)
-        if num is None:
+        if sum(num):
             raise PoleAtOne(f"{r!r} has a pole at t = 1")
-    return Fraction(sum(num)) * scale
+        num = _div_one_minus_tm(num, 1)
+    return sum(num), prod(m**e for m, e in r.den)
+
+
+def limit_at_one(r: RationalT) -> Fraction:
+    """Exact limit of r at t = 1; PoleAtOne when the limit is infinite."""
+    return Fraction(*_limit_parts(r))
 
 
 # ---------------------------------------------------------------------------
@@ -902,26 +991,37 @@ class EFunction:
     """Finite sum of u^a v^b * R_{a,b}(uv) with min(a, b) = 0.
 
     Construction folds min(a, b) into the rational part as a power of
-    t = uv, sums the parts of each key in one ``rational_sum`` and drops
-    vanishing parts, so the key set is canonical.  Equality
-    compares the canonical maps; the rational parts compare semantically.
+    t = uv, sums the parts of each key in one ``_fold`` and drops
+    vanishing parts, so the key set is canonical.  ``_of`` builds one from
+    entries whose parts are triples of the kernel.  Equality compares the
+    canonical maps; the rational parts compare semantically.
     """
 
     __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension: int, entries: Iterable[Tuple[int, int, RationalT]]):
-        acc: Dict[Tuple[int, int], List[RationalT]] = {}
-        for a, b, r in entries:
+        self._collect(dimension, ((a, b, r._triple()) for a, b, r in entries))
+
+    @classmethod
+    def _of(cls, dimension: int, entries: Iterable[Tuple[int, int, Triple]]) -> "EFunction":
+        """The EFunction of entries (a, b, t) with normal-form triples t."""
+        out = object.__new__(cls)
+        out._collect(dimension, entries)
+        return out
+
+    def _collect(self, dimension: int, entries: Iterable[Tuple[int, int, Triple]]) -> None:
+        acc: Dict[Tuple[int, int], List[Triple]] = {}
+        for a, b, (shift, num, den) in entries:
             if a < 0 or b < 0:
                 raise ValueError(f"EFunction exponents must be >= 0, got ({a}, {b})")
             m = min(a, b)
-            acc.setdefault((a - m, b - m), []).append(r.mul_tpower(m))
+            acc.setdefault((a - m, b - m), []).append((shift + m, num, den))
         self.dimension = dimension
         self.terms = {}
         for key, parts in acc.items():
-            total = rational_sum(parts)
-            if not total.is_zero():
-                self.terms[key] = total
+            total = _fold(parts)
+            if total[1]:
+                self.terms[key] = _rational(total)
 
     def iter_entries(self) -> Iterator[Tuple[int, int, RationalT]]:
         for (a, b), r in self.terms.items():
@@ -964,8 +1064,12 @@ class EFunction:
         return BiPoly(out)
 
     def value_at_one(self) -> Fraction:
-        """Exact limit at u = v = 1 (PoleAtOne if infinite)."""
-        return sum((limit_at_one(r) for r in self.terms.values()), Fraction(0))
+        """Exact limit at u = v = 1 (PoleAtOne if infinite): the terms'
+        limits n / D summed in integers over the lcm of the D, then one
+        Fraction."""
+        parts = [_limit_parts(r) for r in self.terms.values()]
+        common = lcm(*(d for _, d in parts))
+        return Fraction(sum(n * (common // d) for n, d in parts), common)
 
     def __repr__(self):
         bits = [f"u^{a} v^{b} * {r!r}" for (a, b), r in sorted(self.terms.items())]

@@ -20,10 +20,16 @@ The stringy half needs the brackets of all 2^n - n - 1 faces.  It walks
 their complements K depth first over the subset lattice, K after K minus
 one coin, and extends the parent's cleared product by that coin
 (``exact_arith.extend_cleared``) instead of clearing every coin of K
-again.  Each face term E_J * weighted_J is one ``mul_poly`` per key: the
-coefficients of E_J folding onto one key make one polynomial in t, which
-gives the form that summing the parts one by one gives, as they share
-weighted_J's denominator.  The sums across faces keep their order and
+again; the walk is a loop over a stack, so it leaves no reference cycle.
+From the brackets to the sums the build runs on the (shift, num, den)
+triples of the ``exact_arith`` kernel (``_product``, ``_fold``), and
+EFunctions are made only for what the record keeps.  Each face term
+E_J * weighted_J is one product per key: the coefficients of E_J folding
+onto one key make one polynomial in t, which gives the form that summing
+the parts one by one gives, as they share weighted_J's denominator.
+(t - 1)^k and the untwisted numerator U are made once per |J|, and the
+product of weighted_J with U is both a part of E^(0) and, when G_J = {0}
+and E_J is U, J's face term.  The sums across faces keep their order and
 grouping, since the printed form of a sum depends on both.
 
 The same object supports the per-element decomposition
@@ -42,22 +48,29 @@ weighted brackets (uv-1)^(d+1-|J|) bracket_J they are built from.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from itertools import chain, combinations
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import InconsistentExpansion, NotPolynomial
 from .exact_arith import (
     BiPoly,
     EFunction,
     RationalT,
+    Triple,
+    _check_ints,
+    _fold,
+    _product,
+    _rational,
+    _scaled,
     cleared_section,
     clearing_order,
     extend_cleared,
     multisection,
-    rational_sum,
     series_quotient,
 )
 from .face_epoly import _untwisted_numerator, _uv_minus_one_pow, face_terms
 from .weights import (
+    ElementClass,
     Half,
     VectorRecord,
     WeightVector,
@@ -81,23 +94,24 @@ def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     K = _complement(wv, _check_subset(wv, J))
     coins, w = [wv.weights[j] for j in _members(K)], wv.w
     counts = series_quotient([1], [(c, 1) for c in coins], w)  # sum(coins) <= w
-    return _finish(wv, K, multisection([1], coins, w, 0), counts[w - sum(coins)], counts[w])
+    section = multisection([1], coins, w, 0)._triple()
+    return _rational(_finish(wv, K, section, counts[w - sum(coins)], counts[w]))
 
 
-def _finish(wv: WeightVector, K: int, section: RationalT, n1: int, m1: int) -> RationalT:
-    """The bracket of the J whose complement has the bitmask K, from
-    section = sum_k M_J(k) t^k, negated when |K| is odd.  For a nonempty K
-    the section must start as 1 + m1 t, m1 = M_J(1) (its t^1 coefficient is
-    num[1] plus the power of 1 - t once shift = 0 and num[0] = 1), and the
-    bracket must vanish at t = infinity with t^-1 coefficient n1 = N_J(1);
-    else InconsistentExpansion."""
-    bt = -section if K.bit_count() % 2 else section
+def _finish(wv: WeightVector, K: int, section: Triple, n1: int, m1: int) -> Triple:
+    """The bracket of the J whose complement has the bitmask K, from the
+    triple section = sum_k M_J(k) t^k, negated when |K| is odd.  For a
+    nonempty K the section must start as 1 + m1 t, m1 = M_J(1) (its t^1
+    coefficient is num[1] plus the power of 1 - t once shift = 0 and
+    num[0] = 1), and the bracket must vanish at t = infinity with t^-1
+    coefficient n1 = N_J(1); else InconsistentExpansion."""
+    shift, num, den = section
+    bt = _scaled(section, -1) if K.bit_count() % 2 else section
     if K:
-        top = bt.shift + len(bt.num) - 1 - sum(m * e for m, e in bt.den)
-        first = bt.num[-1] * (-1) ** bt.pole_order_at_one() if bt.num and top == -1 else 0
-        t1 = sum(section.num[1:2]) + dict(section.den).get(1, 0)
-        start = (section.shift, section.num[:1], t1)
-        if start != (0, (1,), m1) or top >= 0 or first != n1:
+        top = shift + len(num) - 1 - sum(m * e for m, e in den.items())
+        first = bt[1][-1] * (-1) ** sum(den.values()) if num and top == -1 else 0
+        start = (shift, list(num[:1]), sum(num[1:2]) + den.get(1, 0))
+        if start != (0, [1], m1) or top >= 0 or first != n1:
             J = list(_members(_complement(wv, K)))
             raise InconsistentExpansion(
                 f"bracket of {wv} for J = {J}: its expansion at t = infinity"
@@ -108,35 +122,38 @@ def _finish(wv: WeightVector, K: int, section: RationalT, n1: int, m1: int) -> R
     return bt
 
 
-def _lattice_brackets(rec: VectorRecord) -> Dict[int, RationalT]:
-    """bracket_J for every J with |J| >= 2, keyed by J's bitmask.
+def _lattice_brackets(rec: VectorRecord) -> Dict[int, Triple]:
+    """bracket_J for every J with |J| >= 2 as a triple, keyed by J's bitmask.
 
     The complements K are walked depth first over the subset lattice, one
     ranked coin at a time: K extends the cleared product of K minus its
     coin of lowest rank by that one coin (``extend_cleared``), so each
     bracket costs one coin instead of |K|, and only the products along the
     current chain are alive.  Rank 0 is the coin that lengthens a product
-    most (by m w - c), so the longest products are leaves, never parents."""
+    most (by m w - c), so the longest products are leaves, never parents.
+    The walk is a loop over a stack of pending extensions, each holding its
+    parent's product and the coin to add."""
     wv = rec.wv
     ws, w, n = wv.weights, wv.w, len(wv.weights)
     full = (1 << n) - 1
     growth = [clearing_order(c, w) * w - c for c in ws]
     rank = sorted(range(n), key=growth.__getitem__, reverse=True)
-    out: Dict[int, RationalT] = {}
-
-    def walk(K: int, low: int, P: List[int], ms: List[int], gap: int) -> None:
+    out: Dict[int, Triple] = {}
+    # (K, low, P, ms, gap) of the parent, and the coin it is extended by
+    # (-1 for the empty K, which is no extension)
+    stack = [(0, n, [1], (), w, -1)]
+    while stack:
+        K, low, P, ms, gap, i = stack.pop()
+        if i >= 0:
+            P, m = extend_cleared(P, ws[i], w)
+            K, ms, gap = K | 1 << i, ms + (m,), gap - ws[i]
         # P[e] counts the points of degree e on K for e < w, P[w] one less per
         # m = 1, as the product of the 1 - s^(m w) is 1 + O(s^w); gap = w - sum_K
         n1 = P[gap] if gap < len(P) else 0
         m1 = (P[w] if w < len(P) else 0) + ms.count(1)
         out[full ^ K] = _finish(wv, K, cleared_section(P, ms, w, 0), n1, m1)
         if K.bit_count() < n - 2:
-            for p in range(low):
-                i = rank[p]
-                Q, m = extend_cleared(P, ws[i], w)
-                walk(K | 1 << i, p, Q, ms + [m], gap - ws[i])
-
-    walk(0, n, [1], [], w)
+            stack.extend((K, p, P, ms, gap, rank[p]) for p in reversed(range(low)))
     return out
 
 
@@ -148,24 +165,31 @@ def _face_masks(wv: WeightVector) -> List[int]:
     """The index bitmasks of the subsets J with |J| >= 2, ordered by size and
     then by their sorted members."""
     n = len(wv.weights)
-    masks = [mask for mask in range(1 << n) if mask.bit_count() >= 2]
-    masks.sort(key=lambda mask: (mask.bit_count(), _members(mask)))
-    return masks
+    return [
+        sum(1 << i for i in J) for k in range(2, n + 1) for J in combinations(range(n), k)
+    ]
 
 
 def _face_entries(
-    face: Dict[Tuple[int, int], int], base: RationalT
-) -> List[Tuple[int, int, RationalT]]:
-    """The face term E_J * base of J, one entry per key u^a v^b with
-    min(a, b) = 0, from E_J's coefficients ``face`` and J's weighted
-    bracket ``base``.
+    classes: Sequence[ElementClass], mask: int, base: Triple, base_u: Triple
+) -> List[Tuple[int, int, Triple]]:
+    """The face term E_J * base of the J with bitmask ``mask``, one entry
+    per key u^a v^b with min(a, b) = 0, from E_J's coefficients
+    (``face_terms``) and J's weighted bracket ``base``.  When G_J = {0}
+    (no element class has its support in J), E_J is the untwisted
+    numerator U on the diagonal, and the face term is ``base_u``, the
+    product base * U that E^(0) has made already.
 
-    The coefficients of E_J whose keys fold onto one key (a - m, b - m),
-    m = min(a, b), make one integer polynomial in t, and the entry is
-    base times it: one peel over base's denominator.  That is the form the
-    fold of the parts c t^m base gives as well, since they all share
-    base's denominator: the fold's last pre-peel state is the whole sum
-    over it."""
+    Otherwise the coefficients of E_J whose keys fold onto one key
+    (a - m, b - m), m = min(a, b), make one integer polynomial in t, and
+    the entry is base times it (``_product``: one peel over base's
+    denominator).  That is the form the fold of the parts c t^m base gives
+    as well, since they all share base's denominator: the fold's last
+    pre-peel state is the whole sum over it."""
+    if not any(c.support and c.support & mask == c.support for c in classes):
+        return [(0, 0, base_u)]
+    face = face_terms(classes, mask)
+    _check_ints(face.values())
     polys: Dict[Tuple[int, int], List[int]] = {}
     for (a, b), c in face.items():
         m = min(a, b)
@@ -175,59 +199,67 @@ def _face_entries(
     entries = []
     for (a, b), poly in polys.items():
         low = next(i for i, c in enumerate(poly) if c)
-        poly = poly[low:]
-        r = base * poly[0] if len(poly) == 1 else base.mul_poly(poly)
-        entries.append((a, b, r.mul_tpower(low)))
+        s, q, qden = _product(base, poly[low:])
+        entries.append((a, b, (s + low, q, qden)))
     return entries
 
 
-def _weighted(rec: VectorRecord) -> Dict[int, RationalT]:
+def _weighted(rec: VectorRecord) -> Dict[int, Triple]:
     """(uv - 1)^(d+1-|J|) * bracket_J for every |J| >= 2, the factor every
-    assembly shares, keyed by J's bitmask in face order."""
+    assembly shares, keyed by J's bitmask in face order; (uv - 1)^k is made
+    once per k."""
     d = rec.wv.d
     brackets = _lattice_brackets(rec)
+    powers = {k: _uv_minus_one_pow(d + 1 - k) for k in range(2, d + 2)}
+    _check_ints(chain.from_iterable(powers.values()))
     return {
-        mask: brackets[mask].mul_poly(_uv_minus_one_pow(d + 1 - mask.bit_count()))
+        mask: _product(brackets[mask], powers[mask.bit_count()])
         for mask in _face_masks(rec.wv)
     }
 
 
+def _untwisted(rec: VectorRecord, weighted: Dict[int, Triple]) -> Dict[int, Triple]:
+    """base * U for every J, base J's weighted bracket and U the untwisted
+    numerator of E_J, made once per |J|: the parts of E^(0), and the face
+    terms of the J with G_J = {0}."""
+    us = {k: _untwisted_numerator(k) for k in range(2, rec.wv.d + 2)}
+    _check_ints(chain.from_iterable(us.values()))
+    return {mask: _product(base, us[mask.bit_count()]) for mask, base in weighted.items()}
+
+
 def _stringy(rec: VectorRecord) -> Half:
     """The stringy half of a vector's record, built on first use: E_str and
-    E^(l) for one l per element class."""
+    E^(l) for one l per element class.  The build runs on triples; the
+    EFunctions the record keeps are made at the end."""
     if rec.stringy is None:
         wv = rec.wv
+        dim = wv.d - 1
         weighted = _weighted(rec)
+        untwisted = _untwisted(rec, weighted)
         classes = _classified(rec).classes
-        # one entry per face term and key, in the order of J: the printed
-        # form of each key's sum follows this grouping and order
-        total = EFunction(
-            wv.d - 1,
-            (
-                e
-                for mask, base in weighted.items()
-                for e in _face_entries(face_terms(classes, mask), base)
-            ),
-        )
-        # E^(0) sums over J in face order, a twisted class over the J holding
-        # its support in increasing mask order, once per distinct support
-        twisted: Dict[int, RationalT] = {}
+        # each key of E_str sums its face terms in the order of J: the
+        # printed form of the sum follows this grouping and order
+        parts: Dict[Tuple[int, int], List[Triple]] = {}
+        for mask, base in weighted.items():
+            for a, b, t in _face_entries(classes, mask, base, untwisted[mask]):
+                parts.setdefault((a, b), []).append(t)
+        total = EFunction._of(dim, ((a, b, _fold(ts)) for (a, b), ts in parts.items()))
+        # a twisted class sums over the J holding its support in increasing
+        # mask order, once per distinct support
+        twisted: Dict[int, Triple] = {}
         terms = []
         for c in classes:
             if not c.support:  # l = 0
-                entries = [
-                    (0, 0, base.mul_poly(_untwisted_numerator(mask.bit_count())))
-                    for mask, base in weighted.items()
-                ]
+                entry = (0, 0, _fold(untwisted.values()))
             else:
                 if c.support not in twisted:
-                    twisted[c.support] = rational_sum(
-                        weighted[mask] * (-1 if mask.bit_count() % 2 else 1)
+                    twisted[c.support] = _fold(
+                        _scaled(weighted[mask], -1) if mask.bit_count() % 2 else weighted[mask]
                         for mask in range(c.support, 1 << len(wv.weights))
                         if mask & c.support == c.support
                     )
-                entries = [(c.age - 1, c.size - c.age - 1, twisted[c.support])]
-            terms.append(EFunction(wv.d - 1, entries))
+                entry = (c.age - 1, c.size - c.age - 1, twisted[c.support])
+            terms.append(EFunction._of(dim, [entry]))
         rec.stringy = Half(total, tuple(terms))
     return rec.stringy
 
@@ -236,11 +268,13 @@ def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
     """The assembled contribution of each face subset J (|J| >= 2)."""
     rec = ip_record(wv)
     classes = _classified(rec).classes
+    weighted = _weighted(rec)
+    untwisted = _untwisted(rec, weighted)
     return {
-        frozenset(_members(mask)): EFunction(
-            wv.d - 1, _face_entries(face_terms(classes, mask), base)
+        frozenset(_members(mask)): EFunction._of(
+            wv.d - 1, _face_entries(classes, mask, base, untwisted[mask])
         )
-        for mask, base in _weighted(rec).items()
+        for mask, base in weighted.items()
     }
 
 

@@ -474,6 +474,22 @@ def test_high_degree_stdout_matches_the_benchmark_reference(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+def test_every_request_matches_the_benchmark_reference(capsys):
+    # every vector_requests request (448 vectors x 4 commands x 3 formats)
+    # in this one process, against the short digest (64 bits of sha256) of
+    # its stdout in the benchmark's output reference: the bytes of every
+    # printed form the E-function commands make, not only the scans'
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    digests = json.loads(reference.read_text())["requests"]
+    assert len(digests) == 5376
+    wrong = []
+    for key, digest in digests.items():
+        code, out, _ = run(key.split(" "), capsys)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest()[:16] != digest:
+            wrong.append(key)
+    assert wrong == []
+
+
 def test_parser_reused_and_handlers_looked_up_per_call(capsys, monkeypatch):
     assert run(["analyze", "1,1,1,1,1"], capsys)[0] == 0
     parser = cli._parser

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stringymirror import (
     BiPoly,
+    EFunction,
     FracPoly,
     RationalT,
     integral_project,
@@ -19,6 +20,7 @@ from stringymirror import (
     reynolds_factor_property,
 )
 from stringymirror.exact_arith import (
+    _peel,
     div_one_minus_tm,
     expand_factors,
     mul_one_minus_tm,
@@ -76,6 +78,7 @@ def _dense_one_minus_tm(m):
 @example([1, 2], 3, "1 - t")  # a(1) = 0 and len(a) <= m
 @example([2, 1], 4, "1 - t")
 @example([1, 0, 1], 2, "1 - t")  # a(1) = 0, class 1 of 2 sums to -2
+@example([1, 0, 1], 2, "")  # classes 1 .. m-1 sum to zero, class 0 does not
 @example([1, 2, 0, 3, 1], 3, "1 - t")
 def test_stride_division_matches_dense(coeffs, m, factor):
     # a third of the draws are multiples of 1 - t^m and a third multiples
@@ -279,6 +282,55 @@ def test_rational_sum_matches_fold(terms):
         assert _form(terms[0] + terms[1]) == _form(folded)
 
 
+def _greedy_peel(num, shift, den):
+    """The normal form by long division: strip the zeros at both ends, then
+    for each m in increasing order divide 1 - t^m out (``poly_div_exact``)
+    as often as it divides and the denominator holds it."""
+    coeffs = poly_strip(list(num))
+    if not coeffs:
+        return 0, (), ()
+    while coeffs[0] == 0:
+        del coeffs[0]
+        shift += 1
+    left = []
+    for m, e in sorted(den.items()):
+        while e:
+            q = poly_div_exact(coeffs, _dense_one_minus_tm(m))
+            if q is None:
+                break
+            coeffs = poly_strip(q)
+            e -= 1
+        if e:
+            left.append((m, e))
+    return shift, tuple(coeffs), tuple(left)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4),
+    st.lists(st.integers(1, 6), max_size=4),
+    st.integers(0, 2),
+    st.integers(-3, 3),
+)
+@example([1, 1], {1: 1, 2: 1}, [], 0, 0)  # 1 + t is no multiple of 1 - t
+@example([1], {2: 1, 3: 1}, [3, 1], 1, 0)  # 1 - t^2 comes first and does not divide
+@example([0, 0, 2, -2], {1: 3}, [], 0, -1)  # leading zeros into the shift
+@example([], {1: 1}, [1], 0, 4)  # zero
+def test_peel_matches_greedy_long_division(num, den, factors, zeros, shift):
+    # a numerator that carries some of the denominator's factors (and
+    # others), with zeros at both ends: the stride-m peel with its N(1)
+    # test and its one running sum for 1 - t gives the greedy form that
+    # long division gives
+    coeffs = [0] * zeros + poly_mul(num, expand_factors((m, 1) for m in factors))
+    coeffs += [0] * zeros
+    got_shift, got_num, got_den = _peel(list(coeffs), shift, dict(den))
+    assert (got_shift, tuple(got_num), tuple(got_den.items())) == _greedy_peel(
+        coeffs, shift, den
+    )
+    assert list(got_den) == sorted(got_den)
+
+
 def test_rational_sum_keeps_the_fold_form():
     # 1/(1-t^2) - t^2/(1-t^2) = 1, then + 1/(1-t) gives (2 - t)/(1 - t); one
     # peel over (1-t)(1-t^2) would give (1 + t)(2 - t)/(1 - t^2) instead
@@ -477,6 +529,60 @@ def test_limit_pole_raises():
 
 def test_limit_of_zero():
     assert limit_at_one(RationalT.zero()) == 0
+
+
+def _limit_by_factors(num, den):
+    """The limit at t = 1 of num / prod (1 - t^m)^e, one factor at a time:
+    a synthetic division of num by 1 - t and one Fraction division by m
+    per factor, PoleAtOne when num(1) != 0 before a division."""
+    num = [Fraction(c) for c in num]
+    value = Fraction(1)
+    for m, e in den:
+        for _ in range(e):
+            if sum(num):
+                raise PoleAtOne("pole")
+            quotient, run = [], Fraction(0)
+            for c in num[:-1]:
+                run += c
+                quotient.append(run)
+            num = quotient
+            value /= m
+    return sum(num) * value
+
+
+@st.composite
+def limit_cases(draw):
+    """(num, shift, den): a numerator carrying 0 to 4 factors 1 - t over a
+    denominator of up to 3 factors, so the limit is finite or a pole."""
+    num = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        num = mul_one_minus_tm(num, 1)
+    den = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 2)), max_size=3))
+    return num, draw(st.integers(-2, 3)), den
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(limit_cases(), min_size=1, max_size=3))
+@example([([1, -1], 0, [(5, 1)]), ([1, 0, 0, -1], 1, [(1, 1)])])  # 1/5 + 3
+@example([([1], 0, [(1, 1)])])  # pole
+def test_limits_in_integers_match_per_factor_fractions(cases):
+    # limit_at_one and value_at_one make one Fraction from an integer
+    # numerator and a product of m^e; the reference divides factor by
+    # factor, from the numerator and denominator as given, before peeling
+    terms = [RationalT(num, shift, den) for num, shift, den in cases]
+    try:
+        want = [_limit_by_factors(num, den) for num, _, den in cases]
+    except PoleAtOne:
+        want = None
+    if want is None:
+        with pytest.raises(PoleAtOne):
+            for r in terms:
+                limit_at_one(r)
+        return
+    assert [limit_at_one(r) for r in terms] == want
+    e = EFunction(2, [(i, 0, r) for i, r in enumerate(terms)])
+    assert e.value_at_one() == sum(want)
+    assert isinstance(e.value_at_one(), Fraction)
 
 
 # ---------------------------------------------------------------------------

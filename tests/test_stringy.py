@@ -2,6 +2,7 @@
 sum, the per-element decomposition, polynomiality, Hodge tables, and the
 stringy Euler number."""
 
+import gc
 from fractions import Fraction
 from math import gcd
 
@@ -111,14 +112,20 @@ def test_bracket_matches_certified_counts(ws):
 
 
 def _form(r):
+    """(shift, num, den) as tuples, of a RationalT or of a (shift, num list,
+    den dict) triple as the walk hands its brackets on."""
+    if isinstance(r, tuple):
+        shift, num, den = r
+        return shift, tuple(num), tuple(den.items())
     return r.shift, r.num, r.den
 
 
-def _first_coefficient_at_infinity(r):
-    """The t^-1 coefficient of r's expansion at t = infinity, for r
-    vanishing there."""
-    top = r.shift + len(r.num) - 1 - sum(m * e for m, e in r.den)
-    return r.num[-1] * (-1) ** sum(e for _, e in r.den) if top == -1 else 0
+def _first_coefficient_at_infinity(form):
+    """The t^-1 coefficient at t = infinity of the function of the form
+    (shift, num, den), for one vanishing there."""
+    shift, num, den = form
+    top = shift + len(num) - 1 - sum(m * e for m, e in den)
+    return num[-1] * (-1) ** sum(e for _, e in den) if top == -1 else 0
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -143,7 +150,7 @@ def test_lattice_brackets_match_per_subset_brackets(ws):
         J = [i for i in range(n) if mask >> i & 1]
         assert _form(r) == _form(bracket(wv, J)), J
         if len(J) < n:
-            assert _first_coefficient_at_infinity(r) == lattice_counts(wv, J, 1)[0], J
+            assert _first_coefficient_at_infinity(_form(r)) == lattice_counts(wv, J, 1)[0], J
 
 
 _section = exact_arith.cleared_section
@@ -162,8 +169,10 @@ def _proper_subsets(n):
 
 @pytest.fixture
 def shifted_kernel(monkeypatch):
-    """Patch the section kernel to read its coefficients ``shift`` places
-    off, for every route to a bracket; the records built under it are
+    """Patch the section kernel ``cleared_section`` to read its
+    coefficients ``shift`` places off, for every route to a bracket: the
+    walk calls it for each of its triples, and ``multisection``, which
+    ``bracket`` calls, wraps its triple.  The records built under it are
     dropped on both sides."""
 
     def patch(shift):
@@ -265,6 +274,29 @@ def test_the_walk_hands_the_checks_the_first_counts(monkeypatch, ws):
         assert m1 == sum(1 for u in points if not any(u[j] for j in J)), J
 
 
+@pytest.mark.parametrize("ws", [QUINTIC, DEGREE_1806, (1, 2, 3, 10, 15)])
+def test_a_fresh_stringy_half_leaves_no_cyclic_garbage(ws):
+    # the walk is a loop over a stack of pending extensions, not a closure
+    # that refers to itself, so a build leaves nothing for the cyclic
+    # collector: no bracket, product or triple outlives it in a cycle
+    weights.record.cache_clear()
+    rec = weights.ip_record(validate(ws))
+    weights._classified(rec)
+    gc.collect()
+    gc.disable()
+    try:
+        stringy._stringy(rec)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert rec.stringy is not None
+    assert garbage == []
+
+
 def test_bracket_builds_no_record():
     # the checks of a single bracket read one count DP, not the vector's
     # record: 20 ones has 2^20 subsets
@@ -351,8 +383,11 @@ FOLD_ORDER_SENSITIVE = [
 ]
 
 
-@pytest.mark.parametrize("ws", FOLD_ORDER_SENSITIVE)
+@pytest.mark.parametrize("ws", FOLD_ORDER_SENSITIVE + [DEGREE_1806] + SWEEP)
 def test_printed_forms_match_face_by_face_assembly(ws):
+    # every term the record stores, E_str and one E^(l) per class, in the
+    # form of the face-by-face assembly: the walk's triples, the shared
+    # E^(0) products and folds and the twisted sums change no peel
     wv = validate(ws)
     total, per_class = slow_stringy_half(wv)
     assert _forms(stringy_e(wv)) == _forms(total)
