@@ -30,21 +30,22 @@ each residue class mod m: ``series_quotient`` for series and
 ``div_one_minus_tm`` for exact polynomial division.  Multiplication by
 1 - t**m (``mul_one_minus_tm``) is one subtraction per coefficient.
 
-The arithmetic itself runs on (shift, num, den) triples of plain ints,
-lists and dicts, in one kernel: ``_peel`` makes the normal form,
-``_fold`` sums in the form the left fold of ``+`` gives, ``_product``
-multiplies by a polynomial and peels, and ``_scaled`` multiplies by a
-nonzero int, which needs no peel.  ``rational_sum``,
-``RationalT.mul_poly`` and ``EFunction`` are thin wrappers over them, and
-the stringy half runs on the triples and builds objects only for what its
-record keeps.  The peel divides out each denominator factor (1 - t**m)
-that divides the numerator, smallest m first, by stride-m running sums:
-O(deg) a factor, with num(1) summed once per numerator (num(1) != 0 means
-no factor divides) and a reject at the first residue class mod m whose
-coefficients do not sum to zero.  Shifts, negation, multiplication by a
-nonzero int and t -> 1/t keep the form normal and skip the peeling.
-Limits at t = 1 (``limit_at_one``, ``EFunction.value_at_one``) are
-integers to the end: a numerator and a product of m**e, then one Fraction.
+The arithmetic runs on (shift, num, den) triples of plain ints, lists and
+dicts, in one kernel: ``_peel`` makes the normal form, ``_fold`` sums in
+the form the left fold of ``+`` gives, ``_product`` multiplies by a
+polynomial and peels, and ``_scaled`` multiplies by a nonzero int, which
+needs no peel.  Both halves, the stringy face assembly and the orbifold
+sector sum, run on the triples and build objects only for what their
+records keep; ``rational_sum``, ``RationalT.mul_poly`` and ``EFunction``
+wrap the kernel for the public API.  The peel divides out each factor
+(1 - t**m) that divides the numerator, smallest m first, by stride-m
+running sums: O(deg) a factor, with num(1) summed once per numerator
+(num(1) != 0 means no factor divides) and a reject at the first residue
+class mod m whose coefficients do not sum to zero.  Shifts, negation,
+multiplication by a nonzero int and t -> 1/t keep the form normal and
+skip the peeling.  Limits at t = 1 (``limit_at_one``,
+``EFunction.value_at_one``) are integers to the end: a numerator and a
+product of m**e, then one Fraction.
 
 The averaging projector ``[.]_int`` keeps exactly the monomials of a FracPoly
 whose exponent is an integer; it equals the mean over the w-th roots of unity
@@ -52,11 +53,11 @@ substituted for t**(1/w), which is what makes it commute with multiplication
 by integral polynomials (``reynolds_factor_property``).
 
 ``multisection`` is the one route from a rational function of s = t**(1/w)
-to the rational function of t made of every w-th coefficient: both the
-stringy brackets and the orbifold sectors are such projections.  It is
-exact: each denominator factor 1 - s**c divides some 1 - t**m, so clearing
-them leaves a polynomial numerator to split by residue mod w.  Clearing
-goes one coin at a time (``extend_cleared``) and the split is
+to the triple of the rational function of t made of every w-th
+coefficient: the stringy brackets and the orbifold sectors are such
+projections.  It is exact: each factor 1 - s**c divides some 1 - t**m, so
+clearing them leaves a polynomial numerator to split by residue mod w.
+Clearing goes one coin at a time (``extend_cleared``) and the split is
 ``cleared_section``, so a caller that needs the projections of many
 products sharing factors (the stringy brackets over the subset lattice)
 extends one cleared product per subset instead of rebuilding each.
@@ -137,22 +138,21 @@ def _div_one_minus_tm(a: Sequence[int], m: int) -> Optional[List[int]]:
     mod m the quotient is a running sum of a, and the division is exact iff
     every class sums to zero (a vanishes at each m-th root of unity).  The
     class sums are tested one class at a time, so a failing division stops
-    at the first nonzero class without building the quotient; the running
-    sums at the top m positions are then the (zero) class sums and are
-    dropped.  When len(a) <= m every class holds at most one coefficient,
-    and the top one is nonzero.  For m = 1 the quotient is one running
-    sum."""
+    at the first nonzero class without building the quotient; the top m
+    running sums would be the (zero) class sums and are not taken.  When
+    len(a) <= m every class holds at most one coefficient, and the top one
+    is nonzero.  These are ``series_quotient``'s running sums, kept here: on
+    the peel's hot path most divisions are short and by 1 - t, where a call
+    into it costs more than the sums."""
     if m == 1:
-        q = list(accumulate(a))
-        del q[-1:]  # a(1) = 0
-        return q
+        return list(accumulate(a[:-1]))
     for r in range(1, m):  # with a(1) = 0, class 0 sums to zero with these
         if sum(a[r::m]):
             return None
-    q = [0] * len(a)
+    n = len(a) - m
+    q = [0] * n
     for r in range(m):
-        q[r::m] = accumulate(a[r::m])
-    del q[len(a) - m :]  # the class sums, all zero
+        q[r::m] = accumulate(a[r:n:m])
     return q
 
 
@@ -193,12 +193,8 @@ def _merge_factors(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
 #
 # A rational function t**shift * num / prod (1 - t**m)**den[m] is worked on
 # as a triple (shift, num, den): num a list (or tuple) of ints, den a dict
-# m -> e.  ``_peel`` makes the normal form of ``RationalT``, ``_fold`` sums,
-# ``_product`` multiplies by a polynomial and ``_scaled`` by a nonzero int;
-# ``rational_sum``, ``RationalT.mul_poly`` and ``EFunction`` wrap them, and
-# the stringy half runs on them and builds objects only for what its record
-# keeps.  A triple is never changed in place once made: each step builds
-# its own lists.
+# m -> e (the module docstring names the steps).  A triple is never changed
+# in place once made: each step builds its own lists.
 
 Triple = Tuple[int, Sequence[int], Dict[int, int]]
 
@@ -241,10 +237,8 @@ def _peel(coeffs: List[int], shift: int, facs: Mapping[int, int]) -> Triple:
     return shift, coeffs, den
 
 
-def _fold(terms: Iterable[Triple], start: Optional[Triple] = None) -> Triple:
-    """The sum of normal-form triples, in the form the left fold of ``+``
-    gives; from the running sum ``start`` when given, so a fold can go on
-    where another stopped.
+def _fold(terms: Iterable[Triple]) -> Triple:
+    """The sum of normal-form triples, in the form the left fold of ``+`` gives.
 
     Each step brings the running sum and the next term onto their
     union-max denominator (for each m the larger exponent of 1 - t**m),
@@ -256,12 +250,12 @@ def _fold(terms: Iterable[Triple], start: Optional[Triple] = None) -> Triple:
     denominator it is peeled over, so peeling once over the union of all
     the terms' denominators can give another form of the same value.
     """
-    shift, num, den = start or (0, (), {})
+    shift, num, den = 0, (), {}
     own = False  # whether num and den are this fold's own to change
     for t_shift, term, t_den in terms:
         if not term:
             continue
-        if not num:  # the start, or a running sum that cancelled: 0 + t is t
+        if not num:  # nothing summed yet, or a sum that cancelled: 0 + t is t
             shift, num, den, own = t_shift, term, t_den, False
             continue
         if not own:
@@ -577,8 +571,6 @@ class FracPoly:
         return FracPoly(new_w, {e * k: c for e, c in self.terms.items()})
 
     def _common(self, other: "FracPoly"):
-        from math import lcm
-
         w = lcm(self.w, other.w)
         return self.rescaled(w), other.rescaled(w)
 
@@ -725,10 +717,10 @@ def cleared_section(P: Sequence[int], ms: Sequence[int], w: int, offset: int) ->
     return _peel(section, (r - offset) // w, den)
 
 
-def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) -> RationalT:
+def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) -> Triple:
     """sum over k of c[k w + offset] t**k, where c[e] is the coefficient of
     s**e in num(s) / prod (1 - s**c) over the coins c (zero for e < 0), as
-    a rational function of t = s**w.
+    a normal-form triple of a rational function of t = s**w.
 
     Each coin is cleared in turn (``extend_cleared``), so the series is
     P / prod (1 - t**m) with P a polynomial in s, and ``cleared_section``
@@ -738,7 +730,7 @@ def multisection(num: Sequence[int], coins: Sequence[int], w: int, offset: int) 
     for c in coins:
         P, m = extend_cleared(P, c, w)
         ms.append(m)
-    return _rational(cleared_section(P, ms, w, offset))
+    return cleared_section(P, ms, w, offset)
 
 
 def series_to_rational(

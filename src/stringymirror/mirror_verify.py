@@ -11,6 +11,9 @@ past the arithmetic kernel, so agreement is a genuine cross-check of both.
 When both sides are polynomials the report also records, Hodge entry by
 Hodge entry, that h^{p,q}_str(mirror) = h^{d-1-p,q}_orb(X), obtained by
 undoing the (-u)^(d-1), u -> 1/u transform on the orbifold side.
+
+The verdict also needs E_str(1, 1) = (-1)^(d-1) ``vafa_euler``, which reads
+no element classes: a fault in the one table both halves read moves both.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.global_identity and not self.per_l_failures
+        sign = -1 if len(self.weights) % 2 else 1  # (-1)^(d-1), d + 1 weights
+        euler_agrees = self.euler_stringy == sign * self.euler_orbifold
+        return self.global_identity and not self.per_l_failures and euler_agrees
 
 
 def per_l_check(wv: WeightVector, l: int) -> bool:

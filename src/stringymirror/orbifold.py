@@ -55,20 +55,21 @@ computed on its own (``_direct_sector``); it is a structural self-test of
 the two offsets, not a mirror statement.
 
 Every other sum over Z/wZ runs over the element classes of ``weights``: a
-term depends on l only through Z(l), age and size.  The sector terms and their
-total are kept in the orbifold half of the vector's record
-(``weights.record``).
+term depends on l only through Z(l), age and size.  The half is built on the
+``exact_arith`` kernel's triples; only the sector terms and their total,
+kept in the vector's record (``weights.record``), are EFunctions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Dict
 
 from .errors import InconsistentSector, NonIntegerCoefficient
-from .exact_arith import BiPoly, EFunction, RationalT, hodge_table, multisection
+from .exact_arith import BiPoly, EFunction, Triple, _peel, _scaled, hodge_table, multisection
 from .weights import (
     ElementClass,
     Half,
@@ -129,7 +130,7 @@ def _direct_sector(wv: WeightVector, c: ElementClass) -> EFunction:
         )
     num, coins = sector_hilbert(wv, _complement(wv, c.support))
     G = multisection(num, coins, wv.w, twisted_sum % wv.w)
-    return EFunction(wv.d - 1, [(alpha, beta, G)])
+    return EFunction._of(wv.d - 1, [(alpha, beta, G)])
 
 
 def vafa_poincare(wv: WeightVector) -> BiPoly:
@@ -151,7 +152,7 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
         first.setdefault(_complement(wv, c.support), c.first)
     for zero, l in first.items():
         num, coins = sector_hilbert(wv, zero)
-        if not RationalT(num, 0, [(m, 1) for m in coins]).is_polynomial():
+        if _peel(num, 0, Counter(coins))[2]:  # a denominator factor is left
             raise NonIntegerCoefficient(
                 f"sector l={l} of {wv} has a non-polynomial Hilbert series; "
                 "the weight vector is not transverse"
@@ -164,10 +165,10 @@ def vafa_poincare(wv: WeightVector) -> BiPoly:
 # the mirror-side orbifold E-function
 
 
-def _projected_sector(wv: WeightVector, zero: int) -> RationalT:
-    """[ prod_{i in Z} ((uv)^{q_i} - uv) / (1 - (uv)^{q_i}) ]_int as a
-    rational function of t = uv, for the zero set Z given as a bitmask: the
-    multisection of U_l at offset -a."""
+def _projected_sector(wv: WeightVector, zero: int) -> Triple:
+    """[ prod_{i in Z} ((uv)^{q_i} - uv) / (1 - (uv)^{q_i}) ]_int as the
+    triple of a rational function of t = uv, for the zero set Z given as a
+    bitmask: the multisection of U_l at offset -a."""
     num, coins = sector_hilbert(wv, zero)
     return multisection(num, coins, wv.w, -sum(coins))
 
@@ -182,10 +183,11 @@ class OrbifoldEResult:
 
 
 def _orbifold(rec: VectorRecord) -> Half:
-    """The orbifold half of a vector's record, built on first use."""
+    """The orbifold half of a vector's record, built on first use, on the
+    kernel's triples: EFunctions are made only for what the record keeps."""
     if rec.orbifold is None:
         wv = rec.wv
-        projected: Dict[int, RationalT] = {}
+        projected: Dict[int, Triple] = {}
         terms = []
         entries = []
         for c in _classified(rec).classes:
@@ -195,12 +197,12 @@ def _orbifold(rec: VectorRecord) -> Half:
             B = projected[zero]
             if c.support:
                 sign = -1 if c.size % 2 else 1
-                a, b, r = c.age - 1, c.size - c.age - 1, B * sign
-            else:  # l = 0
-                a, b, r = 0, 0, B.mul_tpower(-1)
-            terms.append(EFunction(wv.d - 1, [(a, b, r)]))
-            entries.append((a, b, r * c.count))
-        rec.orbifold = Half(EFunction(wv.d - 1, entries), tuple(terms))
+                a, b, r = c.age - 1, c.size - c.age - 1, _scaled(B, sign)
+            else:  # l = 0: B / t
+                a, b, r = 0, 0, (B[0] - 1, B[1], B[2])
+            terms.append(EFunction._of(wv.d - 1, [(a, b, r)]))
+            entries.append((a, b, _scaled(r, c.count)))
+        rec.orbifold = Half(EFunction._of(wv.d - 1, entries), tuple(terms))
     return rec.orbifold
 
 

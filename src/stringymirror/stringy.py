@@ -94,7 +94,7 @@ def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     K = _complement(wv, _check_subset(wv, J))
     coins, w = [wv.weights[j] for j in _members(K)], wv.w
     counts = series_quotient([1], [(c, 1) for c in coins], w)  # sum(coins) <= w
-    section = multisection([1], coins, w, 0)._triple()
+    section = multisection([1], coins, w, 0)
     return _rational(_finish(wv, K, section, counts[w - sum(coins)], counts[w]))
 
 

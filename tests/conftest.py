@@ -46,7 +46,7 @@ from stringymirror import (
     subgroup,
     validate,
 )
-from stringymirror.exact_arith import expand_factors, poly_strip, rational_sum
+from stringymirror.exact_arith import _rational, expand_factors, poly_strip, rational_sum
 from stringymirror.weights import element_classes
 from stringymirror.errors import (
     DivisionNotExact,
@@ -460,7 +460,7 @@ def slow_mirror_orbifold_e(wv) -> Tuple[EFunction, Dict[int, EFunction]]:
     for l in range(wv.w):
         if zs[l] not in projected:
             zero = sum(1 << i for i in zs[l])
-            projected[zs[l]] = orbifold._projected_sector(wv, zero)
+            projected[zs[l]] = _rational(orbifold._projected_sector(wv, zero))
         B = projected[zs[l]]
         if l == 0:
             ef = EFunction(wv.d - 1, [(0, 0, B.mul_tpower(-1))])

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import stringymirror
 from stringymirror import cli, exact_arith, face_epoly, orbifold, weights
 from stringymirror.cli import main, render_bipoly, render_rational_t
-from stringymirror.exact_arith import BiPoly, RationalT, poly_strip
+from stringymirror.exact_arith import BiPoly, EFunction, RationalT, poly_strip
 from stringymirror.errors import InconsistentCensus
 
 from conftest import _ip_members
@@ -445,6 +445,36 @@ def test_orbifold_renders_only_the_orbifold_half(capsys, monkeypatch):
     assert rendered[0] is half.total
     assert all(e is term for e, term in zip(rendered[1:], half.terms))
     assert json.loads(out)["hodge"][1][1] == 101
+
+
+# every arithmetic step of both halves runs on the kernel's triples: these
+# build or combine RationalT and EFunction objects one at a time
+OBJECT_ARITHMETIC = [
+    (RationalT, "__init__"),
+    (RationalT, "__mul__"),
+    (RationalT, "mul_tpower"),
+    (RationalT, "mul_poly"),
+    (EFunction, "__init__"),
+]
+
+
+def test_cli_paths_do_no_object_arithmetic(capsys, monkeypatch):
+    calls = []
+    for cls, name in OBJECT_ARITHMETIC:
+        real = getattr(cls, name)
+
+        def spy(*args, _real=real, _name=f"{cls.__name__}.{name}"):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cls, name, spy)
+    weights.record.cache_clear()  # so every half is built under the spies
+    for command in ("stringy", "orbifold", "mirror-check"):
+        for ws in ("1,1,1,1,1", "1,1,2,4,5", "1,2,3,10,15", HIGH_DEGREE):
+            assert run([command, "--per-l", ws], capsys)[0] == 0
+    assert run(["scan", "--dim", "3", "--wmax", "30", "--format", "json"], capsys)[0] == 0
+    weights.record.cache_clear()
+    assert calls == []
 
 
 def test_per_l_equal_follows_the_failures_of_a_whole_class(capsys, monkeypatch):

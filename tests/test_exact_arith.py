@@ -21,6 +21,7 @@ from stringymirror import (
 )
 from stringymirror.exact_arith import (
     _peel,
+    _rational,
     div_one_minus_tm,
     expand_factors,
     mul_one_minus_tm,
@@ -488,7 +489,7 @@ def multisection_cases(draw):
 @example(([3, 1], [1, 5, 7, 11, 13], 12, 23))
 def test_multisection_matches_truncated_reconstruction(case):
     num, coins, w, offset = case
-    got = multisection(num, coins, w, offset)
+    got = _rational(multisection(num, coins, w, offset))
     want = reference_multisection(num, coins, w, offset)
     assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den)
 
@@ -497,7 +498,7 @@ def test_multisection_of_counts():
     # 1 / (1 - s^2)(1 - s^3) at w = 6, offset -5: the multisection counts
     # the solutions of 2a + 3b = 6k with a, b >= 1: k - 1 of them, so the
     # sum is t^2 / (1 - t)^2
-    r = multisection([1], [2, 3], 6, -5)
+    r = _rational(multisection([1], [2, 3], 6, -5))
     assert (r.shift, r.num, r.den) == (2, (1,), ((1, 2),))
 
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from stringymirror import per_l_check, validate, verify
+from stringymirror import cli, per_l_check, validate, verify, weights
 from stringymirror.errors import NotIP, OutOfRange
+from stringymirror.weights import ip_vectors
 
 QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
@@ -90,3 +91,46 @@ def test_per_l_check_guards():
 def test_global_identity_is_per_l_aggregate():
     report = verify(validate(OCTIC))
     assert report.global_identity == (not report.per_l_failures)
+
+
+@pytest.fixture
+def fresh_records():
+    """Drop the cached records before and after, so a fault put into one
+    stays in its test."""
+    weights.record.cache_clear()
+    yield
+    weights.record.cache_clear()
+
+
+def _drop_an_element(wv):
+    """Take one element off the last twisted class of wv's record with more
+    than one, before either half is built: both halves read the faulted
+    table, and ``vafa_euler`` reads no classes."""
+    rec = weights._classified(weights.record(wv))
+    classes = list(rec.classes)
+    i = max(i for i, c in enumerate(classes) if c.support and c.count > 1)
+    classes[i] = classes[i]._replace(count=classes[i].count - 1)
+    rec.classes = tuple(classes)
+
+
+@pytest.mark.parametrize("ws", [(1, 1, 1, 2), FERMAT_LIKE], ids=str)
+def test_a_class_count_fault_fails_the_verdict(fresh_records, capsys, ws):
+    # the fault moves both halves alike, so the identity still holds, in
+    # total and per element: only the Euler number sees it
+    wv = validate(ws)
+    _drop_an_element(wv)
+    report = verify(wv)
+    assert report.global_identity and not report.per_l_failures
+    assert report.euler_stringy != (-1) ** (wv.d - 1) * report.euler_orbifold
+    assert not report.passed
+    assert cli.main(["mirror-check", ",".join(map(str, ws))]) == 0
+    assert "mirror_check: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dim, wmax", [(2, 40), (3, 80), (4, 24), (5, 16)])
+def test_euler_numbers_agree_over_small_scans(dim, wmax):
+    # E_str(1, 1) = (-1)^(d-1) vafa_euler on every IP row, polynomial or not
+    for wv in ip_vectors(dim, wmax):
+        report = verify(wv)
+        assert report.euler_stringy == (-1) ** (dim - 1) * report.euler_orbifold, wv
+        assert report.passed, wv

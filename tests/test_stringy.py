@@ -172,8 +172,9 @@ def shifted_kernel(monkeypatch):
     """Patch the section kernel ``cleared_section`` to read its
     coefficients ``shift`` places off, for every route to a bracket: the
     walk calls it for each of its triples, and ``multisection``, which
-    ``bracket`` calls, wraps its triple.  The records built under it are
-    dropped on both sides."""
+    ``bracket`` calls, returns its triple and reaches it through
+    ``exact_arith``.  The records built under it are dropped on both
+    sides."""
 
     def patch(shift):
         def _shifted_section(P, ms, w, offset):
@@ -317,7 +318,7 @@ def test_brackets_match_the_inverse_substitution_route():
         for J in _proper_subsets(n):
             coins = [ws[i] for i in range(n) if i not in J]
             want = exact_arith.multisection([1], coins, wv.w, -sum(coins))
-            want = _form(want.inverse_substitution())
+            want = _form(exact_arith._rational(want).inverse_substitution())
             assert _form(bracket(wv, J)) == want, (ws, J)
             mask = sum(1 << i for i in J)
             if mask in walk:
