@@ -7,7 +7,7 @@ functions, all exact (int / fractions.Fraction, never floats):
   exponent (``poly_strip``, ``poly_mul`` and the (1 - t**m) helpers below);
 * ``FracPoly``: a polynomial whose exponents live in (1/w)Z, stored as a map
   ``e -> c`` meaning ``c * t**(e/w)`` (public API; both pipelines project
-  through ``multisection`` instead);
+  through ``cleared_section`` instead);
 * ``RationalT``: a one-variable rational function in the factored shape
   ``t**shift * num(t) / prod (1 - t**m)**e``.  Keeping the denominator as a
   multiset of ``(1 - t**m)`` factors keeps degrees small and makes the order
@@ -52,15 +52,15 @@ whose exponent is an integer; it equals the mean over the w-th roots of unity
 substituted for t**(1/w), which is what makes it commute with multiplication
 by integral polynomials (``reynolds_factor_property``).
 
-``multisection`` is the one route from a rational function of s = t**(1/w)
-to the triple of the rational function of t made of every w-th
-coefficient: the stringy brackets and the orbifold sectors are such
-projections.  It is exact: each factor 1 - s**c divides some 1 - t**m, so
-clearing them leaves a polynomial numerator to split by residue mod w.
-Clearing goes one coin at a time (``extend_cleared``) and the split is
-``cleared_section``, so a caller that needs the projections of many
-products sharing factors (the stringy brackets over the subset lattice)
-extends one cleared product per subset instead of rebuilding each.
+The stringy brackets and the orbifold sectors are projections of a
+rational function of s = t**(1/w) to the rational function of t made of
+every w-th coefficient.  They are exact: each factor 1 - s**c divides some
+1 - t**m, so clearing them leaves a polynomial numerator to split by
+residue mod w.  Clearing goes one coin at a time (``extend_cleared``) and
+the split is ``cleared_section``.  ``multisection`` does both for the
+orbifold sectors; the stringy brackets share factors over the subset
+lattice, so ``stringy`` extends one cleared product per subset and cuts
+its section in ``stringy._finish``.
 
 ``rational_from_counts`` and ``series_to_rational`` turn a finite run of
 series coefficients with a known denominator into a certified RationalT:

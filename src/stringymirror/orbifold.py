@@ -66,7 +66,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Dict
+from typing import Dict, Tuple
 
 from .errors import InconsistentSector, NonIntegerCoefficient
 from .exact_arith import BiPoly, EFunction, Triple, _peel, _scaled, hodge_table, multisection
@@ -117,10 +117,10 @@ def vafa_euler(wv: WeightVector) -> Fraction:
 # the Poincare polynomial
 
 
-def _direct_sector(wv: WeightVector, c: ElementClass) -> EFunction:
+def _direct_sector(wv: WeightVector, c: ElementClass) -> Tuple[int, int, Triple]:
     """[ U_l * (t tbar)^{g} (t/tbar)^{beta} ]_int for the elements l of class
     c: t^alpha tbar^beta G(t tbar), G the multisection of U_l at the offset
-    S mod w (S the sum of the weights off Z(l))."""
+    S mod w (S the sum of the weights off Z(l)), as (alpha, beta, G)."""
     twisted_sum = sum(wv.weights[i] for i in _members(c.support))
     alpha = c.age - twisted_sum // wv.w
     beta = alpha - (2 * c.age - c.size)
@@ -129,8 +129,7 @@ def _direct_sector(wv: WeightVector, c: ElementClass) -> EFunction:
             f"sector {c.first} of {wv} has a negative exponent pair ({alpha}, {beta})"
         )
     num, coins = sector_hilbert(wv, _complement(wv, c.support))
-    G = multisection(num, coins, wv.w, twisted_sum % wv.w)
-    return EFunction._of(wv.d - 1, [(alpha, beta, G)])
+    return alpha, beta, multisection(num, coins, wv.w, twisted_sum % wv.w)
 
 
 def vafa_poincare(wv: WeightVector) -> BiPoly:
@@ -226,9 +225,7 @@ def q_identity_check(wv: WeightVector) -> bool:
     through its element class, so one l per class is checked."""
     rec = record(wv)
     for c, term in zip(_classified(rec).classes, _orbifold(rec).terms):
-        direct = _direct_sector(wv, c)
-        # term - (-1)^size * direct
-        diff = term + direct if c.size % 2 else term - direct
-        if not diff.is_zero():
+        alpha, beta, G = _direct_sector(wv, c)
+        if term != EFunction._of(wv.d - 1, [(alpha, beta, _scaled(G, (-1) ** c.size))]):
             return False
     return True

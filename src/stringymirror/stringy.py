@@ -9,12 +9,13 @@ The projected product (the "bracket") is one rational function of t = uv.
 At t = 0, 1/(t^q - 1) = -1/(1 - t^q) makes it (-1)^|K| sum_{k>=0} M_J(k)
 t^k, K the complement of J and M_J(k) the number of u >= 0 on K with
 sum w_k u_k = k w: the residue-0 multisection of 1 / prod_{k in K}
-(1 - s**w_k), t = s**w, computed exactly by ``exact_arith.multisection``.
-At t = infinity it is sum_{k>=1} N_J(k) t^-k, the lattice counts.  Both
-ends are checked against exact counts: the section must start as 1 +
-M_J(1) t, and the bracket must vanish at infinity with t^-1 coefficient
-N_J(1).  The walk reads both counts off its cleared products, ``bracket``
-off one count DP.  A failure raises InconsistentExpansion.
+(1 - s**w_k), t = s**w.  At t = infinity it is sum_{k>=1} N_J(k) t^-k,
+the lattice counts.  Every bracket takes one route: K's coins are cleared
+into factors 1 - t**m (``exact_arith.extend_cleared``), and ``_finish``
+cuts the section off the cleared product (``exact_arith.cleared_section``)
+and checks both ends against counts it reads off the same product: the
+section must start as 1 + M_J(1) t, and the bracket must vanish at
+infinity with t^-1 coefficient N_J(1), else InconsistentExpansion.
 
 The stringy half needs the brackets of all 2^n - n - 1 faces.  It walks
 their complements K depth first over the subset lattice, K after K minus
@@ -65,8 +66,6 @@ from .exact_arith import (
     cleared_section,
     clearing_order,
     extend_cleared,
-    multisection,
-    series_quotient,
 )
 from .face_epoly import _untwisted_numerator, _uv_minus_one_pow, face_terms
 from .weights import (
@@ -89,22 +88,30 @@ from .weights import (
 def bracket(wv: WeightVector, J: Iterable[int]) -> RationalT:
     """[ prod_{j not in J} 1/((uv)^{q_j} - 1) ]_int as a rational function of
     t = uv; equals (-1)^|K| sum_{k>=0} M_J(k) t^k at t = 0 (K the complement
-    of J) and sum_{k>=1} N_J(k) t^{-k} when expanded at infinity; its
-    check reads M_J(1) and N_J(1) off one count DP over K's coins."""
+    of J) and sum_{k>=1} N_J(k) t^{-k} when expanded at infinity.  K's coins
+    are cleared in index order, and ``_finish`` does the rest."""
     K = _complement(wv, _check_subset(wv, J))
-    coins, w = [wv.weights[j] for j in _members(K)], wv.w
-    counts = series_quotient([1], [(c, 1) for c in coins], w)  # sum(coins) <= w
-    section = multisection([1], coins, w, 0)
-    return _rational(_finish(wv, K, section, counts[w - sum(coins)], counts[w]))
+    P, ms, gap = [1], (), wv.w
+    for i in _members(K):
+        P, m = extend_cleared(P, wv.weights[i], wv.w)
+        ms, gap = ms + (m,), gap - wv.weights[i]
+    return _rational(_finish(wv, K, P, ms, gap))
 
 
-def _finish(wv: WeightVector, K: int, section: Triple, n1: int, m1: int) -> Triple:
-    """The bracket of the J whose complement has the bitmask K, from the
-    triple section = sum_k M_J(k) t^k, negated when |K| is odd.  For a
-    nonempty K the section must start as 1 + m1 t, m1 = M_J(1) (its t^1
-    coefficient is num[1] plus the power of 1 - t once shift = 0 and
-    num[0] = 1), and the bracket must vanish at t = infinity with t^-1
-    coefficient n1 = N_J(1); else InconsistentExpansion."""
+def _finish(wv: WeightVector, K: int, P: List[int], ms: Tuple[int, ...], gap: int) -> Triple:
+    """The bracket of the J whose complement has the bitmask K, off K's
+    cleared product: P(s) / prod (1 - t**m) over ms is 1 / prod_{k in K}
+    (1 - s**w_k), t = s**w, and gap = w - sum_K.  As prod (1 - t**m) is 1 +
+    O(s**w), n1 = N_J(1) is P[gap] and m1 = M_J(1) is P[w] plus the number
+    of m = 1.  The section ``cleared_section`` cuts, negated when |K| is
+    odd, must start as 1 + m1 t (its t^1 coefficient is num[1] plus the
+    power of 1 - t once shift = 0 and num[0] = 1), and the bracket must
+    vanish at t = infinity with t^-1 coefficient n1; else
+    InconsistentExpansion."""
+    w = wv.w
+    n1 = P[gap] if gap < len(P) else 0
+    m1 = (P[w] if w < len(P) else 0) + ms.count(1)
+    section = cleared_section(P, ms, w, 0)
     shift, num, den = section
     bt = _scaled(section, -1) if K.bit_count() % 2 else section
     if K:
@@ -147,11 +154,7 @@ def _lattice_brackets(rec: VectorRecord) -> Dict[int, Triple]:
         if i >= 0:
             P, m = extend_cleared(P, ws[i], w)
             K, ms, gap = K | 1 << i, ms + (m,), gap - ws[i]
-        # P[e] counts the points of degree e on K for e < w, P[w] one less per
-        # m = 1, as the product of the 1 - s^(m w) is 1 + O(s^w); gap = w - sum_K
-        n1 = P[gap] if gap < len(P) else 0
-        m1 = (P[w] if w < len(P) else 0) + ms.count(1)
-        out[full ^ K] = _finish(wv, K, cleared_section(P, ms, w, 0), n1, m1)
+        out[full ^ K] = _finish(wv, K, P, ms, gap)
         if K.bit_count() < n - 2:
             stack.extend((K, p, P, ms, gap, rank[p]) for p in reversed(range(low)))
     return out

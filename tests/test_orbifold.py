@@ -35,7 +35,8 @@ RATIONAL_SECTOR = (1, 2, 3, 10, 15)  # non-transverse: U_l is not a polynomial
 
 def _sector_bipoly(wv, l):
     """The direct sector of l's element class, as a polynomial in (t, tbar)."""
-    return _direct_sector(wv, element_classes(wv)[class_index(wv)[l]]).to_bipoly()
+    entry = _direct_sector(wv, element_classes(wv)[class_index(wv)[l]])
+    return EFunction._of(wv.d - 1, [entry]).to_bipoly()
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +259,25 @@ def test_mirror_orbifold_equals_stringy(ws):
 @pytest.mark.parametrize("ws", [QUINTIC, K3, OCTIC, FERMAT_LIKE, DEGREE_1806, RATIONAL_SECTOR])
 def test_q_identity(ws):
     assert q_identity_check(validate(ws))
+
+
+FAULTS = {
+    "negated": lambda a, b, r: (a, b, -r),
+    "times uv": lambda a, b, r: (a + 1, b + 1, r),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("ws", [QUINTIC, FERMAT_LIKE, RATIONAL_SECTOR])
+def test_a_wrong_class_term_fails_the_q_identity(monkeypatch, ws, fault):
+    # each class's term of the orbifold half is compared with its direct
+    # sector: a fault in the record's term of any one class is seen
+    wv = validate(ws)
+    rec = weights.record(wv)
+    half = _orbifold(rec)
+    assert q_identity_check(wv)
+    for i, term in enumerate(half.terms):
+        wrong = EFunction(wv.d - 1, [FAULTS[fault](*e) for e in term.iter_entries()])
+        terms = half.terms[:i] + (wrong,) + half.terms[i + 1 :]
+        monkeypatch.setattr(rec, "orbifold", half._replace(terms=terms))
+        assert not q_identity_check(wv), i

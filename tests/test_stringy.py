@@ -27,6 +27,7 @@ from stringymirror import (
     stringy_terms,
     to_polynomial,
     validate,
+    verify,
 )
 from stringymirror import cli, exact_arith, stringy, weights
 from stringymirror.errors import (
@@ -170,11 +171,10 @@ def _proper_subsets(n):
 @pytest.fixture
 def shifted_kernel(monkeypatch):
     """Patch the section kernel ``cleared_section`` to read its
-    coefficients ``shift`` places off, for every route to a bracket: the
-    walk calls it for each of its triples, and ``multisection``, which
-    ``bracket`` calls, returns its triple and reaches it through
-    ``exact_arith``.  The records built under it are dropped on both
-    sides."""
+    coefficients ``shift`` places off, for every route to a bracket: both
+    ``bracket`` and the walk reach it through ``stringy._finish``, which
+    calls it as ``stringy.cleared_section``.  The records built under it
+    are dropped on both sides."""
 
     def patch(shift):
         def _shifted_section(P, ms, w, offset):
@@ -182,7 +182,6 @@ def shifted_kernel(monkeypatch):
 
         weights.record.cache_clear()
         monkeypatch.setattr(stringy, "cleared_section", _shifted_section)
-        monkeypatch.setattr(exact_arith, "cleared_section", _shifted_section)
 
     yield patch
     weights.record.cache_clear()
@@ -251,28 +250,107 @@ def test_a_high_shifted_kernel_passes_only_where_the_first_counts_hold(shifted_k
         assert counts[w + 1] == counts[w - 1 - sum(others)] == 0, (ws, J)
 
 
-@pytest.mark.parametrize("ws", [K3, FERMAT_LIKE, DEGREE_1806, (21, 41, 249, 581, 851)])
-def test_the_walk_hands_the_checks_the_first_counts(monkeypatch, ws):
-    # the walk reads N_J(1) and M_J(1) off each cleared product; they match
-    # the lattice counts and the points of degree w on K enumerated (the
-    # coin 851 of the last vector has clearing order m = 851)
+LARGE_M = (21, 41, 249, 581, 851)  # the coin 851 has clearing order m = 851
+
+
+def _check_the_first_counts(monkeypatch, ws, route):
+    """Run ``route`` on ws with ``stringy._finish`` spied, and check what
+    it is handed: K's cleared product P and gap = w - sum_K, for each K the
+    route reaches, and N_J(1) = P[gap] and M_J(1) = P[w] + #{m = 1} read
+    off it match the lattice counts and the points of degree w on K
+    enumerated.  Returns the K reached, in order."""
     wv = validate(ws)
-    n = len(ws)
+    n, w = len(ws), wv.w
     points = lattice_points(ws)
     handed = {}
     finish = stringy._finish
 
-    def spy(wv, K, section, n1, m1):
-        handed[K] = n1, m1
-        return finish(wv, K, section, n1, m1)
+    def spy(wv, K, P, ms, gap):
+        n1, at_w = (P[e] if e < len(P) else 0 for e in (gap, w))
+        handed[K] = gap, n1, at_w + ms.count(1)
+        return finish(wv, K, P, ms, gap)
 
     monkeypatch.setattr(stringy, "_finish", spy)
-    stringy._lattice_brackets(weights.record(wv))
-    assert sorted(handed) == [K for K in range(1 << n) if K.bit_count() <= n - 2]
-    for K, (n1, m1) in handed.items():
+    route(wv)
+    for K, (gap, n1, m1) in handed.items():
         J = [i for i in range(n) if not K >> i & 1]
+        assert gap == sum(ws[j] for j in J), J
         assert n1 == lattice_counts(wv, J, 1)[0], J
         assert m1 == sum(1 for u in points if not any(u[j] for j in J)), J
+    return sorted(handed)
+
+
+FIRST_COUNTS = [K3, FERMAT_LIKE, DEGREE_1806, LARGE_M]
+
+
+@pytest.mark.parametrize("ws", FIRST_COUNTS)
+def test_the_walk_hands_the_checks_the_first_counts(monkeypatch, ws):
+    # the walk reads both counts off each cleared product it extends
+    n = len(ws)
+
+    def walk(wv):
+        stringy._lattice_brackets(weights.record(wv))
+
+    reached = _check_the_first_counts(monkeypatch, ws, walk)
+    assert reached == [K for K in range(1 << n) if K.bit_count() <= n - 2]
+
+
+@pytest.mark.parametrize("ws", FIRST_COUNTS)
+def test_bracket_hands_the_checks_the_first_counts(monkeypatch, ws):
+    # ``bracket`` clears its complement's coins in index order and takes
+    # the walk's step: every proper nonempty J, one K each
+    n = len(ws)
+
+    def every_bracket(wv):
+        for J in _proper_subsets(n):
+            bracket(wv, J)
+
+    reached = _check_the_first_counts(monkeypatch, ws, every_bracket)
+    assert reached == list(range(1, (1 << n) - 1))
+
+
+def _anchor(wv):
+    """wv's ``verify`` report and the Hodge grid of its stringy E-function."""
+    return verify(wv), hodge_table(to_polynomial(stringy_e(wv)), wv.d - 1)
+
+
+def _counting_section(cut):
+    """The section kernel, appending |K| (the length of ms) to ``cut`` on
+    each call."""
+
+    def spy(P, ms, w, offset):
+        cut.append(len(ms))
+        return _section(P, ms, w, offset)
+
+    return spy
+
+
+@pytest.fixture(scope="module")
+def large_m():
+    """LARGE_M's stringy half built on a fresh record with the section
+    kernel ``stringy.cleared_section`` spied, and what ``_anchor`` reads off
+    the same record: the suite's costliest walk runs once for both.  ``cut``
+    holds |K| of each section the walk cuts."""
+    wv, cut = validate(LARGE_M), []
+    weights.record.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stringy, "cleared_section", _counting_section(cut))
+        stringy_e(wv)
+    return wv, cut, _anchor(wv)
+
+
+def test_each_bracket_cuts_its_section_once(large_m, monkeypatch):
+    # ``_finish`` is the one caller of the section kernel in ``stringy``:
+    # the walk cuts one section per K with |K| <= n - 2, 1 + 5 + 10 + 10,
+    # the 10 leaves with |K| = 3 among them, and ``bracket`` one per call
+    wv, cut, _ = large_m
+    assert (len(cut), cut.count(3)) == (26, 10)
+    calls = []
+    monkeypatch.setattr(stringy, "cleared_section", _counting_section(calls))
+    for J in _proper_subsets(len(LARGE_M)):
+        before = len(calls)
+        bracket(wv, J)
+        assert calls[before:] == [len(LARGE_M) - len(J)], J
 
 
 @pytest.mark.parametrize("ws", [QUINTIC, DEGREE_1806, (1, 2, 3, 10, 15)])
@@ -299,8 +377,9 @@ def test_a_fresh_stringy_half_leaves_no_cyclic_garbage(ws):
 
 
 def test_bracket_builds_no_record():
-    # the checks of a single bracket read one count DP, not the vector's
-    # record: 20 ones has 2^20 subsets
+    # a single bracket clears its own complement's coins, and reads its
+    # checks' counts off that product, not the vector's record: 20 ones
+    # has 2^20 subsets
     weights.record.cache_clear()
     bracket(validate((1,) * 20), range(2))
     assert weights.record.cache_info().currsize == 0
@@ -558,3 +637,22 @@ def test_hodge_table_out_of_grid():
 def test_hodge_table_roundtrip():
     table = hodge_table(K3_POLY, 2)
     assert table.to_bipoly() == K3_POLY
+
+
+# ---------------------------------------------------------------------------
+# literature anchors: the two ends of the CY3 Euler range, chi = -+960, a
+# mirror pair across two weight vectors (Klemm-Schimmrigk hep-th/9204060,
+# Kreuzer-Skarke hep-th/9205004)
+
+ANCHORS = {(1, 1, 12, 28, 42): (960, 491, 11), LARGE_M: (-960, 11, 491)}
+
+
+@pytest.mark.parametrize("ws", ANCHORS, ids=str)
+def test_the_ends_of_the_cy3_euler_range(large_m, ws):
+    # the record of LARGE_M is the spy test's
+    _, _, anchor = large_m
+    report, grid = anchor if ws == LARGE_M else _anchor(validate(ws))
+    euler, h11, h12 = ANCHORS[ws]
+    assert report.passed and report.hodge_pairs_match
+    assert report.euler_stringy == euler
+    assert (grid.h(1, 1), grid.h(1, 2)) == (h11, h12)
