@@ -543,6 +543,8 @@ class FracPoly:
     def __init__(self, w: int, terms: Mapping[int, object]):
         if w < 1:
             raise ValueError("exponent denominator must be >= 1")
+        if any(e != int(e) for e in terms):
+            raise ValueError("FracPoly exponent numerators must be integers")
         self.w = w
         self.terms: Dict[int, object] = {
             int(e): c for e, c in terms.items() if c != 0
@@ -809,10 +811,13 @@ class BiPoly:
     def __init__(self, terms: Mapping[Tuple[int, int], object]):
         clean: Dict[Tuple[int, int], object] = {}
         for (a, b), c in terms.items():
+            key = (int(a), int(b))
+            if key != (a, b):
+                raise ValueError(f"BiPoly exponents must be integers, got ({a}, {b})")
             if a < 0 or b < 0:
                 raise ValueError("BiPoly exponents must be non-negative")
             if c != 0:
-                clean[(int(a), int(b))] = c
+                clean[key] = c
         self.terms = clean
 
     @classmethod

@@ -22,16 +22,14 @@ their complements K depth first over the subset lattice, K after K minus
 one coin, and extends the parent's cleared product by that coin
 (``exact_arith.extend_cleared``) instead of clearing every coin of K
 again; the walk is a loop over a stack, so it leaves no reference cycle.
-From the brackets to the sums the build runs on the (shift, num, den)
-triples of the ``exact_arith`` kernel (``_product``, ``_fold``), and
-EFunctions are made only for what the record keeps.  Each face term
-E_J * weighted_J is one product per key: the coefficients of E_J folding
-onto one key make one polynomial in t, which gives the form that summing
-the parts one by one gives, as they share weighted_J's denominator.
-(t - 1)^k and the untwisted numerator U are made once per |J|, and the
-product of weighted_J with U is both a part of E^(0) and, when G_J = {0}
-and E_J is U, J's face term.  The sums across faces keep their order and
-grouping, since the printed form of a sum depends on both.
+From the brackets on, the build runs on the (shift, num, den) triples of
+the ``exact_arith`` kernel; EFunctions are made only for what the record
+keeps.  One pass over the faces in face order (by |J|, then by sorted
+members) makes base_J = (uv - 1)^(d+1-|J|) bracket_J and base_J U, U the
+untwisted numerator of E_J.  J's face term E_J base_J is base_J U when
+G_J = {0}, else one product per key.  E_str is the face-order sum of the
+face terms, folded per key by ``EFunction._of``: a sum's printed form
+depends on its order and grouping.
 
 The same object supports the per-element decomposition
 
@@ -164,15 +162,6 @@ def _lattice_brackets(rec: VectorRecord) -> Dict[int, Triple]:
 # assembly
 
 
-def _face_masks(wv: WeightVector) -> List[int]:
-    """The index bitmasks of the subsets J with |J| >= 2, ordered by size and
-    then by their sorted members."""
-    n = len(wv.weights)
-    return [
-        sum(1 << i for i in J) for k in range(2, n + 1) for J in combinations(range(n), k)
-    ]
-
-
 def _face_entries(
     classes: Sequence[ElementClass], mask: int, base: Triple, base_u: Triple
 ) -> List[Tuple[int, int, Triple]]:
@@ -181,7 +170,7 @@ def _face_entries(
     (``face_terms``) and J's weighted bracket ``base``.  When G_J = {0}
     (no element class has its support in J), E_J is the untwisted
     numerator U on the diagonal, and the face term is ``base_u``, the
-    product base * U that E^(0) has made already.
+    product base * U ``_weighted`` made for E^(0).
 
     Otherwise the coefficients of E_J whose keys fold onto one key
     (a - m, b - m), m = min(a, b), make one integer polynomial in t, and
@@ -207,27 +196,23 @@ def _face_entries(
     return entries
 
 
-def _weighted(rec: VectorRecord) -> Dict[int, Triple]:
-    """(uv - 1)^(d+1-|J|) * bracket_J for every |J| >= 2, the factor every
-    assembly shares, keyed by J's bitmask in face order; (uv - 1)^k is made
-    once per k."""
+def _weighted(rec: VectorRecord) -> Tuple[Dict[int, Triple], Dict[int, Triple]]:
+    """base_J = (uv - 1)^(d+1-|J|) * bracket_J and base_J * U for every
+    |J| >= 2, U the untwisted numerator of E_J, keyed by J's bitmask in
+    face order; (uv - 1)^k and U are made once per |J|."""
     d = rec.wv.d
     brackets = _lattice_brackets(rec)
-    powers = {k: _uv_minus_one_pow(d + 1 - k) for k in range(2, d + 2)}
-    _check_ints(chain.from_iterable(powers.values()))
-    return {
-        mask: _product(brackets[mask], powers[mask.bit_count()])
-        for mask in _face_masks(rec.wv)
-    }
-
-
-def _untwisted(rec: VectorRecord, weighted: Dict[int, Triple]) -> Dict[int, Triple]:
-    """base * U for every J, base J's weighted bracket and U the untwisted
-    numerator of E_J, made once per |J|: the parts of E^(0), and the face
-    terms of the J with G_J = {0}."""
-    us = {k: _untwisted_numerator(k) for k in range(2, rec.wv.d + 2)}
-    _check_ints(chain.from_iterable(us.values()))
-    return {mask: _product(base, us[mask.bit_count()]) for mask, base in weighted.items()}
+    weighted: Dict[int, Triple] = {}
+    untwisted: Dict[int, Triple] = {}
+    for k in range(2, d + 2):
+        power = _uv_minus_one_pow(d + 1 - k)
+        u = _untwisted_numerator(k)
+        _check_ints(power + u)
+        for J in combinations(range(d + 1), k):
+            mask = sum(1 << i for i in J)
+            weighted[mask] = _product(brackets[mask], power)
+            untwisted[mask] = _product(weighted[mask], u)
+    return weighted, untwisted
 
 
 def _stringy(rec: VectorRecord) -> Half:
@@ -237,16 +222,14 @@ def _stringy(rec: VectorRecord) -> Half:
     if rec.stringy is None:
         wv = rec.wv
         dim = wv.d - 1
-        weighted = _weighted(rec)
-        untwisted = _untwisted(rec, weighted)
+        weighted, untwisted = _weighted(rec)
         classes = _classified(rec).classes
         # each key of E_str sums its face terms in the order of J: the
         # printed form of the sum follows this grouping and order
-        parts: Dict[Tuple[int, int], List[Triple]] = {}
-        for mask, base in weighted.items():
-            for a, b, t in _face_entries(classes, mask, base, untwisted[mask]):
-                parts.setdefault((a, b), []).append(t)
-        total = EFunction._of(dim, ((a, b, _fold(ts)) for (a, b), ts in parts.items()))
+        entries = chain.from_iterable(
+            _face_entries(classes, mask, weighted[mask], untwisted[mask]) for mask in weighted
+        )
+        total = EFunction._of(dim, entries)
         # a twisted class sums over the J holding its support in increasing
         # mask order, once per distinct support
         twisted: Dict[int, Triple] = {}
@@ -268,11 +251,11 @@ def _stringy(rec: VectorRecord) -> Half:
 
 
 def stringy_terms(wv: WeightVector) -> Dict[FrozenSet[int], EFunction]:
-    """The assembled contribution of each face subset J (|J| >= 2)."""
+    """The assembled contribution of each face subset J (|J| >= 2); their
+    sum in face order is ``stringy_e``."""
     rec = ip_record(wv)
     classes = _classified(rec).classes
-    weighted = _weighted(rec)
-    untwisted = _untwisted(rec, weighted)
+    weighted, untwisted = _weighted(rec)
     return {
         frozenset(_members(mask)): EFunction._of(
             wv.d - 1, _face_entries(classes, mask, base, untwisted[mask])

@@ -2,7 +2,9 @@
 integrality projector, certified reconstruction, limits, and the mirror
 substitution on bivariate polynomials."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -22,8 +24,11 @@ from stringymirror import (
 from stringymirror.exact_arith import (
     _peel,
     _rational,
+    cleared_section,
+    clearing_order,
     div_one_minus_tm,
     expand_factors,
+    extend_cleared,
     mul_one_minus_tm,
     multisection,
     poly_mul,
@@ -494,6 +499,58 @@ def test_multisection_matches_truncated_reconstruction(case):
     assert (got.shift, got.num, got.den) == (want.shift, want.num, want.den)
 
 
+def peeled_first_section(num, coins, w, offset):
+    """The section by another route: peel num by its coins first, clear
+    only the coins left in the denominator, cut the section at offset minus
+    the peeled shift, and re-peel a nonzero section over the clearing
+    orders of all the coins."""
+    shift, P, left = _peel(list(num), 0, Counter(coins))
+    ms = []
+    for c, e in left.items():
+        for _ in range(e):
+            P, m = extend_cleared(P, c, w)
+            ms.append(m)
+    sec_shift, sec, sec_den = cleared_section(P, ms, w, offset - shift)
+    if not sec:
+        return sec_shift, sec, sec_den
+    full = Counter(clearing_order(c, w) for c in coins)
+    for m, e in full.items():
+        for _ in range(e - sec_den.get(m, 0)):
+            sec = mul_one_minus_tm(sec, m)
+    return _peel(sec, sec_shift, full)
+
+
+@st.composite
+def section_order_cases(draw):
+    w = draw(st.integers(1, 30))
+    coins = draw(st.lists(st.integers(1, 25), max_size=4))
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    # some of the coins' factors 1 - s^c multiplied in, for the peel to take
+    for c, keep in zip(coins, draw(st.lists(st.booleans(), min_size=4, max_size=4))):
+        if keep:
+            num = poly_mul(num, [1] + [0] * (c - 1) + [-1])
+    offset = draw(st.integers(-w, 2 * w - 1))
+    return num, coins, w, offset
+
+
+def _exact(t):
+    shift, num, den = t
+    return shift, list(num), list(den.items())
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(section_order_cases())
+def test_a_section_prints_the_same_by_any_route(case):
+    # a normal form is fixed by the value and the denominator it is peeled
+    # over, so neither the order the coins are cleared in nor peeling the
+    # numerator first changes the triple
+    num, coins, w, offset = case
+    want = _exact(multisection(num, coins, w, offset))
+    for order in set(permutations(coins)):
+        assert _exact(multisection(num, list(order), w, offset)) == want, order
+    assert _exact(peeled_first_section(num, coins, w, offset)) == want
+
+
 def test_multisection_of_counts():
     # 1 / (1 - s^2)(1 - s^3) at w = 6, offset -5: the multisection counts
     # the solutions of 2a + 3b = 6k with a, b >= 1: k - 1 of them, so the
@@ -602,6 +659,30 @@ def test_bipoly_arithmetic():
 def test_bipoly_rejects_negative_exponents():
     with pytest.raises(ValueError):
         BiPoly({(-1, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FracPoly(2, {Fraction(1, 2): 1}),
+        lambda: BiPoly({(Fraction(1, 2), 0): 3}),
+        lambda: BiPoly({(0.5, 1): 3}),
+    ],
+    ids=["fracpoly", "bipoly-fraction", "bipoly-float"],
+)
+def test_non_integer_exponents_are_rejected(make):
+    # truncating them would turn 1/2 into 0 and change the value
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_integer_valued_exponents_are_kept():
+    f = FracPoly(2, {Fraction(2): 1, 4.0: 3})
+    assert f == FracPoly(2, {2: 1, 4: 3})
+    assert all(type(e) is int for e in f.terms)
+    p = BiPoly({(Fraction(2), 1.0): 3})
+    assert p == BiPoly({(2, 1): 3})
+    assert all(type(a) is type(b) is int for a, b in p.terms)
 
 
 def test_mirror_transform_point():

@@ -3,7 +3,9 @@ sum, the per-element decomposition, polynomiality, Hodge tables, and the
 stringy Euler number."""
 
 import gc
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -26,6 +28,7 @@ from stringymirror import (
     stringy_euler,
     stringy_terms,
     to_polynomial,
+    vafa_euler,
     validate,
     verify,
 )
@@ -477,6 +480,15 @@ def test_printed_forms_match_face_by_face_assembly(ws):
         assert _forms(stringy_e_per_l(wv, c.first)) == _forms(want), c
 
 
+@pytest.mark.parametrize("ws", FOLD_ORDER_SENSITIVE + [DEGREE_1806] + SWEEP)
+def test_e_str_is_the_face_order_fold_of_its_face_terms(ws):
+    # the face terms in face order (by |J|, then by sorted members), summed
+    # by ``+`` from the left, print as E_str does
+    wv = validate(ws)
+    total = reduce(operator.add, stringy_terms(wv).values())
+    assert repr(total) == repr(stringy_e(wv))
+
+
 @pytest.mark.parametrize("ws", [K3, OCTIC, FERMAT_LIKE])
 def test_every_term_has_finite_limit(ws):
     for term in stringy_terms(validate(ws)).values():
@@ -602,6 +614,20 @@ def test_hodge_table_quintic_mirror():
     assert table.h(2, 1) == 1
     assert table.h(0, 0) == table.h(3, 3) == 1
     assert table.h(1, 2) == 1
+
+
+@pytest.mark.parametrize(
+    "ws, chi", [(QUINTIC, 200), (K3, 24), (OCTIC, 168), ((1, 1, 12, 28, 42), 960)]
+)
+def test_hodge_table_euler_is_both_euler_numbers(ws, chi):
+    # the alternating sum of the Hodge numbers of the mirror is the limit of
+    # E_str at u = v = 1 and, up to the sign (-1)^(d-1), the orbifold Euler
+    # number of the hypersurface
+    wv = validate(ws)
+    table = hodge_table(to_polynomial(stringy_e(wv)), wv.d - 1)
+    assert table.euler() == chi
+    assert stringy_euler(wv) == chi
+    assert (-1) ** (wv.d - 1) * vafa_euler(wv) == chi
 
 
 def test_hodge_table_constant():
