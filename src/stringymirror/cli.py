@@ -34,7 +34,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EmptyInput, NotIP, NotWellFormed, OutOfRange, StringyMirrorError
-from .exact_arith import BiPoly, EFunction, RationalT, hodge_table
+from .exact_arith import EFunction, hodge_table, render_bipoly, render_rational_t
 from .face_epoly import psi
 from .mirror_verify import VerificationReport, verify
 from .orbifold import _orbifold, vafa_euler, vafa_poincare
@@ -68,59 +68,6 @@ _INTERNAL_ERRORS = (StringyMirrorError, ValueError)
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _signed_sum(terms: Iterable[Tuple[int, str]]) -> str:
-    """The sum of the (coefficient, monomial) pairs with a nonzero
-    coefficient, in their order: "-" leads a negative first term, later
-    signs join as " + " and " - ", a unit coefficient is dropped before a
-    monomial, and the empty monomial "" is the constant 1."""
-    out = ""
-    for c, mono in terms:
-        if not c:
-            continue
-        mag = abs(c)
-        body = mono if (mag == 1 and mono) else (f"{mag}*{mono}" if mono else str(mag))
-        if not out:
-            out = ("-" if c < 0 else "") + body
-        else:
-            out += (" - " if c < 0 else " + ") + body
-    return out or "0"
-
-
-def _uv_monomial(a: int, b: int) -> str:
-    """u^a v^b, with diagonal powers contracted to (u*v)^k."""
-    if a == b:
-        if a == 0:
-            return ""
-        return "u*v" if a == 1 else f"(u*v)^{a}"
-    bits = []
-    if a:
-        bits.append("u" if a == 1 else f"u^{a}")
-    if b:
-        bits.append("v" if b == 1 else f"v^{b}")
-    return "*".join(bits)
-
-
-def render_bipoly(p: BiPoly) -> str:
-    """Graded rendering; diagonal powers contract to (u*v)^k."""
-    return _signed_sum((c, _uv_monomial(a, b)) for (a, b), c in p.sorted_terms())
-
-
-def render_rational_t(r: RationalT) -> str:
-    """Render num/den in t (t stands for the product u*v)."""
-    if r.is_zero():
-        return "0"
-    powers = ("" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(len(r.num)))
-    out = f"({_signed_sum(zip(r.num, powers))})"
-    if r.shift:
-        out = f"t^{r.shift} * " + out
-    if r.den:
-        den = " * ".join(
-            f"(1 - t^{m})" + (f"^{e}" if e > 1 else "") for m, e in r.den
-        )
-        out += f" / ({den})"
-    return out
 
 
 def render_efunction(e: EFunction):
@@ -158,7 +105,7 @@ def _parse_weights(raw: str) -> WeightVector:
 def _analyze_payload(wv: WeightVector) -> Dict:
     cen = census(wv)
     tr = transverse(wv)
-    payload = {
+    return {
         "weights": list(wv.weights),
         "w": wv.w,
         "d": wv.d,
@@ -172,7 +119,6 @@ def _analyze_payload(wv: WeightVector) -> Dict:
         "psi": list(psi(wv)),
         "milnor": str(milnor_number(wv, tr)) if tr else None,
     }
-    return payload
 
 
 def _row_payload(

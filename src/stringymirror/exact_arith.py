@@ -12,9 +12,9 @@ functions, all exact (int / fractions.Fraction, never floats):
   ``t**shift * num(t) / prod (1 - t**m)**e``.  Keeping the denominator as a
   multiset of ``(1 - t**m)`` factors keeps degrees small and makes the order
   of the pole at t = 1 readable.  Values are kept in a greedy-peel normal
-  form ``(shift, num, den)``, which the CLI prints for non-polynomial terms;
+  form ``(shift, num, den)``, which ``render_rational_t`` prints;
 * ``BiPoly``: a two-variable polynomial ``sum c * u**a * v**b`` as a map
-  ``(a, b) -> c``;
+  ``(a, b) -> c``, which ``render_bipoly`` prints;
 * ``HodgeTable``: the grid h^{p,q} that ``hodge_table`` reads off an
   E-polynomial, E = sum (-1)^(p+q) h^{p,q} u^p v^q; both pipelines import
   this module, so the stringy and the orbifold grids have this one reader;
@@ -24,6 +24,11 @@ functions, all exact (int / fractions.Fraction, never floats):
   (a, b) -> R(t) with min(a, b) = 0: the monomial key u**a v**b rides on the
   off-diagonal degree a - b, so distinct keys can never cancel and equality
   may be tested key by key.
+
+Printed forms: ``_signed_sum`` writes every sum of signed monomials, as in
+``1 - 3*t``; ``render_bipoly`` and ``render_rational_t`` write the
+polynomials in u, v and the rational functions of t with it.  The CLI
+prints with those, and each repr wraps the writer of its type.
 
 Every division by 1 - t**m is a stride-m running sum, ``accumulate`` over
 each residue class mod m: ``series_quotient`` for series and
@@ -299,6 +304,63 @@ def _product(t: Triple, poly: Sequence[int]) -> Triple:
 
 
 # ---------------------------------------------------------------------------
+# printed forms
+
+
+def _signed_sum(terms: Iterable[Tuple[int, str]]) -> str:
+    """The sum of the (coefficient, monomial) pairs with a nonzero
+    coefficient, in their order: "-" leads a negative first term, later
+    signs join as " + " and " - ", a unit coefficient is dropped before a
+    monomial, and the empty monomial "" is the constant 1."""
+    out = ""
+    for c, mono in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = mono if (mag == 1 and mono) else (f"{mag}*{mono}" if mono else str(mag))
+        if not out:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out or "0"
+
+
+def _uv_monomial(a: int, b: int) -> str:
+    """u^a v^b, with diagonal powers contracted to (u*v)^k."""
+    if a == b:
+        if a == 0:
+            return ""
+        return "u*v" if a == 1 else f"(u*v)^{a}"
+    bits = []
+    if a:
+        bits.append("u" if a == 1 else f"u^{a}")
+    if b:
+        bits.append("v" if b == 1 else f"v^{b}")
+    return "*".join(bits)
+
+
+def render_bipoly(p: BiPoly) -> str:
+    """Graded rendering; diagonal powers contract to (u*v)^k."""
+    return _signed_sum((c, _uv_monomial(a, b)) for (a, b), c in p.sorted_terms())
+
+
+def render_rational_t(r: RationalT) -> str:
+    """Render num/den in t (t stands for the product u*v)."""
+    if r.is_zero():
+        return "0"
+    powers = ("" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(len(r.num)))
+    out = f"({_signed_sum(zip(r.num, powers))})"
+    if r.shift:
+        out = f"t^{r.shift} * " + out
+    if r.den:
+        den = " * ".join(
+            f"(1 - t^{m})" + (f"^{e}" if e > 1 else "") for m, e in r.den
+        )
+        out += f" / ({den})"
+    return out
+
+
+# ---------------------------------------------------------------------------
 # RationalT
 
 
@@ -496,21 +558,7 @@ class RationalT:
         return RationalT._normal(new_num, -self.shift - deg + total_m, self.den)
 
     def __repr__(self):
-        if self.is_zero():
-            return "RationalT(0)"
-        num = " + ".join(
-            f"{c}*t^{i}" if i else str(c) for i, c in enumerate(self.num) if c
-        )
-        parts = []
-        if self.shift:
-            parts.append(f"t^{self.shift}")
-        parts.append(f"({num})")
-        if self.den:
-            den = "*".join(
-                f"(1-t^{m})" + (f"^{e}" if e > 1 else "") for m, e in self.den
-            )
-            return "RationalT(" + "*".join(parts) + "/" + den + ")"
-        return "RationalT(" + "*".join(parts) + ")"
+        return f"RationalT({render_rational_t(self)})"
 
 
 def _rational(t: Triple) -> RationalT:
@@ -651,14 +699,9 @@ class FracPoly:
         return sorted(Fraction(e, self.w) for e in self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "FracPoly(0)"
-        bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            q = Fraction(e, self.w)
-            bits.append(f"{c}*t^({q})" if q else str(c))
-        return "FracPoly(" + " + ".join(bits) + ")"
+        terms = sorted(self.terms.items())
+        monomials = ((c, f"t^({Fraction(e, self.w)})" if e else "") for e, c in terms)
+        return f"FracPoly({_signed_sum(monomials)})"
 
 
 def integral_project(f: FracPoly) -> FracPoly:
@@ -897,10 +940,7 @@ class BiPoly:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], -kv[0][0]))
 
     def __repr__(self):
-        if not self.terms:
-            return "BiPoly(0)"
-        bits = [f"{c}*u^{a}*v^{b}" for (a, b), c in self.sorted_terms()]
-        return "BiPoly(" + " + ".join(bits) + ")"
+        return f"BiPoly({render_bipoly(self)})"
 
 
 def mirror_transform(p: BiPoly, dim: int) -> BiPoly:
@@ -1069,5 +1109,6 @@ class EFunction:
         return Fraction(sum(n * (common // d) for n, d in parts), common)
 
     def __repr__(self):
-        bits = [f"u^{a} v^{b} * {r!r}" for (a, b), r in sorted(self.terms.items())]
-        return "EFunction(" + ("0" if not bits else " + ".join(bits)) + ")"
+        terms = sorted(self.terms.items())
+        bits = " + ".join(f"u^{a} v^{b} * {render_rational_t(r)}" for (a, b), r in terms)
+        return f"EFunction({bits or 0})"

@@ -314,17 +314,10 @@ def lattice_counts(wv: WeightVector, J: Iterable[int], K: int) -> Tuple[int, ...
         raise OutOfRange("K must be >= 1")
     w = wv.w
     coins = [wv.weights[j] for j in _members(_complement(wv, _check_subset(wv, J)))]
-    if not coins:
-        # only the zero vector, which never has degree k*w for k >= 1
-        return (0,) * K
+    # base <= w <= k*w; with no coins the series is 1, 0 at every k*w
     base = sum(coins)  # from the mandatory 1 in each active coordinate
-    top = K * w - base
-    if top < 0:
-        return (0,) * K
-    dp = series_quotient([1], [(c, 1) for c in coins], top)
-    return tuple(
-        dp[k * w - base] if k * w >= base else 0 for k in range(1, K + 1)
-    )
+    dp = series_quotient([1], [(c, 1) for c in coins], K * w - base)
+    return tuple(dp[k * w - base] for k in range(1, K + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,24 @@ def test_verify_agreement_guard_fires_under_optimize():
     assert proc.stdout == ""
 
 
+def _close_stdout_after(argv, lines):
+    """Run the CLI in a child whose reader takes ``lines`` lines of stdout
+    and then closes the pipe, as ``| head`` does; stdout is block-buffered,
+    as it is on a pipe by default.  The lines read, the exit code and
+    stderr."""
+    src = os.path.dirname(os.path.dirname(stringymirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringymirror.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    read = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    return read, proc.returncode, err
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [
@@ -314,37 +332,39 @@ def test_verify_agreement_guard_fires_under_optimize():
 )
 def test_closed_stdout_ends_the_command_quietly(argv, lines):
     # the reader stops early, as ``| head -1`` does: exit 0 and no
-    # traceback, neither from main nor from the flush at exit; stdout is
-    # block-buffered, as it is on a pipe by default
-    src = os.path.dirname(os.path.dirname(stringymirror.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "stringymirror.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    for _ in range(lines):
-        assert json.loads(proc.stdout.readline())["weights"]
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0, err
+    # traceback, neither from main nor from the flush at exit
+    read, code, err = _close_stdout_after(argv, lines)
+    assert all(json.loads(line)["weights"] for line in read)
+    assert code == 0, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--dim", "4", "--wmax", "40"],
+        ["scan", "--dim", "4", "--wmax", "40", "--format", "json"],
+        # 1806 lines of per-element terms: more than a pipe buffer holds
+        ["mirror-check", "--per-l", "1,42,258,602,903"],
+    ],
+    ids=["scan-csv", "scan-json", "mirror-check-per-l"],
+)
+def test_reader_leaving_after_one_line_ends_the_command_cleanly(argv):
+    # the command is still writing when the reader closes the pipe, so a
+    # later write fails: that must end it with exit 0 and nothing at all on
+    # stderr
+    [line], code, err = _close_stdout_after(argv, 1)
+    assert line
+    assert code == 0, err
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
 def test_help_into_closed_stdout_ends_quietly(argv):
     # argparse prints the help inside main: its flush into a pipe the reader
     # already closed must end with exit 0 and nothing on stderr
-    src = os.path.dirname(os.path.dirname(stringymirror.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "stringymirror.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 0, err
+    _, code, err = _close_stdout_after(argv, 0)
+    assert code == 0, err
     assert err == ""
 
 
@@ -360,6 +380,24 @@ def test_internal_value_error_is_internal_error(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal error" in err and "need at least" in err
+
+
+def test_a_face_division_fault_is_internal_error(capsys):
+    # a twisted class of the quintic's record put at age 0: E_J's division
+    # by uv is not exact, and the guard ends the command with exit 4, also
+    # under -O, and no traceback
+    weights.record.cache_clear()
+    try:
+        rec = weights._classified(weights.record(weights.validate((1, 1, 1, 1, 1))))
+        c = rec.classes
+        rec.classes = (c[0], c[1]._replace(age=0)) + c[2:]
+        code, out, err = run(["stringy", "1,1,1,1,1"], capsys)
+    finally:
+        weights.record.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "not exact" in err
+    assert "Traceback" not in err
 
 
 def test_bad_weight_token_is_input_error(capsys):

@@ -4,8 +4,9 @@ and the age histogram psi."""
 import pytest
 
 from stringymirror import BiPoly, census, face_e, psi, validate
-from stringymirror.errors import SubsetTooSmall
-from stringymirror.face_epoly import _untwisted_numerator, _uv_minus_one_pow
+from stringymirror.errors import DivisionNotExact, SubsetTooSmall
+from stringymirror.face_epoly import _untwisted_numerator, _uv_minus_one_pow, face_terms
+from stringymirror.weights import element_classes
 
 QUINTIC = (1, 1, 1, 1, 1)
 K3 = (1, 5, 12, 18)
@@ -114,3 +115,12 @@ def test_untwisted_numerator_times_t_restores_the_binomial(k):
     times_t = [0] + _untwisted_numerator(k)
     times_t[0] += (-1) ** (k - 1)
     assert times_t == _uv_minus_one_pow(k - 1)
+
+
+def test_a_twisted_class_of_age_zero_breaks_the_division_by_uv():
+    # a twisted class at age 0 puts a u^0 v^5 term into the quintic's face
+    # numerator: the guard must raise, also under -O
+    classes = list(element_classes(validate(QUINTIC)))
+    classes[1] = classes[1]._replace(age=0)
+    with pytest.raises(DivisionNotExact, match=r"u\^0 v\^5"):
+        face_terms(classes, 0b11111)

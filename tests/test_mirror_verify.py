@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from stringymirror import cli, per_l_check, validate, verify, weights
-from stringymirror.errors import NotIP, OutOfRange
+from stringymirror.errors import InconsistentVerification, NotIP, OutOfRange
+from stringymirror.stringy import _stringy
 from stringymirror.weights import ip_vectors
 
 QUINTIC = (1, 1, 1, 1, 1)
@@ -125,6 +126,19 @@ def test_a_class_count_fault_fails_the_verdict(fresh_records, capsys, ws):
     assert not report.passed
     assert cli.main(["mirror-check", ",".join(map(str, ws))]) == 0
     assert "mirror_check: fail" in capsys.readouterr().out
+
+
+def test_swapped_class_terms_fail_the_agreement_guard(fresh_records):
+    # two of the quintic's stringy class terms trade places in its record:
+    # the total still agrees with the orbifold total, but the elements of
+    # both classes fail, and the guard must raise, also under -O
+    wv = validate(QUINTIC)
+    rec = weights.record(wv)
+    half = _stringy(rec)
+    t = half.terms
+    rec.stringy = half._replace(terms=(t[0], t[2], t[1]) + t[3:])
+    with pytest.raises(InconsistentVerification, match="True disagrees with 2 per-element"):
+        verify(wv)
 
 
 @pytest.mark.parametrize("dim, wmax", [(2, 40), (3, 80), (4, 24), (5, 16)])

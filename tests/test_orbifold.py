@@ -19,7 +19,7 @@ from stringymirror import (
     validate,
     weights,
 )
-from stringymirror.errors import NonIntegerCoefficient, SignPatternViolation
+from stringymirror.errors import InconsistentSector, NonIntegerCoefficient, SignPatternViolation
 from stringymirror.orbifold import _direct_sector, _orbifold
 from stringymirror.weights import class_index, element_classes, ip_vectors, transverse
 
@@ -281,3 +281,14 @@ def test_a_wrong_class_term_fails_the_q_identity(monkeypatch, ws, fault):
         terms = half.terms[:i] + (wrong,) + half.terms[i + 1 :]
         monkeypatch.setattr(rec, "orbifold", half._replace(terms=terms))
         assert not q_identity_check(wv), i
+
+
+def test_a_full_support_class_of_age_zero_has_no_direct_sector():
+    # the quintic's class of l = 1 (full support, size 5) put at age 0:
+    # its exponent pair is (0 - 5 // 5, -1 - (0 - 5)) = (-1, 4), and the
+    # guard must raise, also under -O
+    wv = validate(QUINTIC)
+    c = element_classes(wv)[1]
+    assert c.support == 0b11111
+    with pytest.raises(InconsistentSector, match=r"\(-1, 4\)"):
+        _direct_sector(wv, c._replace(age=0))
