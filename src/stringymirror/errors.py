@@ -69,9 +69,11 @@ class NonIntegerMilnor(StringyMirrorError):
 
 
 class NonIntegerCoefficient(StringyMirrorError):
-    """A sector Hilbert series expected to be a polynomial with non-negative
+    """A polynomial expected to have integer coefficients has another: a
+    sector Hilbert series expected to be a polynomial with non-negative
     integer coefficients is not one (the transversality claim was false, or
-    there is an internal bug)."""
+    there is an internal bug), or a numerator one of the pipelines built
+    holds a coefficient that is not an int."""
 
 
 class InconsistentLP(StringyMirrorError):

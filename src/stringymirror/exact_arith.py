@@ -85,6 +85,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from .errors import (
     NegativeExponent,
+    NonIntegerCoefficient,
     NotPolynomial,
     OutOfRange,
     PoleAtOne,
@@ -204,9 +205,12 @@ def _merge_factors(factors: Iterable[Factor]) -> Tuple[Factor, ...]:
 Triple = Tuple[int, Sequence[int], Dict[int, int]]
 
 
-def _check_ints(coeffs: Iterable) -> None:
+def _check_ints(coeffs: Iterable, error: type = NonIntegerCoefficient) -> None:
+    """Raise error unless every coefficient is an int: NonIntegerCoefficient,
+    an internal fault, for the pipelines' own polynomials, and TypeError for
+    a caller's numerator (``RationalT``, ``RationalT.mul_poly``)."""
     if not all(map(isinstance, coeffs, repeat(int))):
-        raise TypeError("RationalT numerators must have int coefficients")
+        raise error("numerator coefficients must be ints")
 
 
 def _peel(coeffs: List[int], shift: int, facs: Mapping[int, int]) -> Triple:
@@ -303,6 +307,33 @@ def _product(t: Triple, poly: Sequence[int]) -> Triple:
     return _peel(poly_mul(num, poly), shift, den)
 
 
+def _reflected(t: Triple) -> Triple:
+    """t(1/t) for a normal-form t, in normal form without a peel: (1 - t**-m)
+    = -t**-m (1 - t**m), so each factor keeps its m and gives a sign and a
+    power of t, and the reversed numerator vanishes at the same roots of
+    unity as the numerator.  Applying it twice is the identity.  The
+    numerator comes back a tuple, as a RationalT holds it, so ``_same``
+    matches an equal form without a product."""
+    shift, num, den = t
+    if not num:
+        return t
+    sign = -1 if sum(den.values()) % 2 else 1
+    top = sum(m * e for m, e in den.items()) - len(num) + 1
+    return top - shift, tuple(sign * c for c in reversed(num)), den
+
+
+def _same(a: Triple, b: Triple) -> bool:
+    """Whether two triples name the same rational function: each numerator
+    times the other's expanded denominator, with the shifts aligned, so two
+    structurally different forms of one function compare equal."""
+    (s1, n1, d1), (s2, n2, d2) = a, b
+    if s1 == s2 and n1 == n2 and d1 == d2:
+        return True
+    x = poly_mul(n1, expand_factors(d2.items()))
+    y = poly_mul(n2, expand_factors(d1.items()))
+    return [0] * (s1 - s2) + x == [0] * (s2 - s1) + y
+
+
 # ---------------------------------------------------------------------------
 # printed forms
 
@@ -397,20 +428,11 @@ class RationalT:
     __slots__ = ("shift", "num", "den")
 
     def __init__(self, num: Sequence[int], shift: int = 0, den: Iterable[Factor] = ()):
-        _check_ints(num)
+        _check_ints(num, TypeError)
         shift, coeffs, facs = _peel(list(num), shift, dict(_merge_factors(den)))
         self.shift = shift
         self.num: Tuple[int, ...] = tuple(coeffs)
         self.den: Tuple[Factor, ...] = tuple(facs.items())
-
-    @classmethod
-    def _normal(cls, num: Tuple[int, ...], shift: int, den: Tuple[Factor, ...]) -> "RationalT":
-        """A value whose (shift, num, den) is already in normal form."""
-        out = object.__new__(cls)
-        out.shift = shift
-        out.num = num
-        out.den = den
-        return out
 
     def _triple(self) -> Triple:
         return self.shift, self.num, dict(self.den)
@@ -444,9 +466,6 @@ class RationalT:
         if not self.is_polynomial():
             raise NotPolynomial(f"{self!r} is not a polynomial")
         return tuple([0] * self.shift + list(self.num))
-
-    def expanded_den(self) -> List[int]:
-        return expand_factors(self.den)
 
     def pole_order_at_one(self) -> int:
         return sum(e for _, e in self.den)
@@ -505,23 +524,20 @@ class RationalT:
         """Multiply by t**k (k may be negative: Laurent shift)."""
         if self.is_zero() or not k:
             return self
-        return RationalT._normal(self.num, self.shift + k, self.den)
+        shift, num, den = self._triple()
+        return _rational((shift + k, num, den))
 
     def mul_poly(self, coeffs: Sequence[int]) -> "RationalT":
         """self * coeffs(t), peeled over self's denominator: the normal form
         leaves den merged and sorted, so only the product is checked."""
-        _check_ints(coeffs)
+        _check_ints(coeffs, TypeError)
         return _rational(_product(self._triple(), coeffs))
 
     def __eq__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.num == rhs.num and self.shift == rhs.shift and self.den == rhs.den:
-            return True
-        n1 = poly_mul(self.num, rhs.expanded_den())
-        n2 = poly_mul(rhs.num, self.expanded_den())
-        return [0] * (self.shift - rhs.shift) + n1 == [0] * (rhs.shift - self.shift) + n2
+        return _same(self._triple(), rhs._triple())
 
     __hash__ = None  # semantic equality; not hashable
 
@@ -542,29 +558,22 @@ class RationalT:
         return ([0] * start + g)[: n + 1]
 
     def inverse_substitution(self) -> "RationalT":
-        """The rational function value(1/t), in the same factored shape.
-
-        Uses (1 - t**-m) = -t**-m (1 - t**m): each denominator factor keeps
-        its m, contributing a sign and a power of t.  Applying this twice is
-        the identity.
-        """
-        if self.is_zero():
-            return self
-        deg = len(self.num) - 1
-        total_m = sum(m * e for m, e in self.den)
-        total_e = sum(e for _, e in self.den)
-        sign = -1 if total_e % 2 else 1
-        new_num = tuple(sign * c for c in reversed(self.num))
-        return RationalT._normal(new_num, -self.shift - deg + total_m, self.den)
+        """The rational function value(1/t), in the same factored shape
+        (``_reflected``)."""
+        return _rational(_reflected(self._triple()))
 
     def __repr__(self):
         return f"RationalT({render_rational_t(self)})"
 
 
 def _rational(t: Triple) -> RationalT:
-    """The RationalT of a normal-form triple."""
+    """The RationalT of a normal-form triple, built without a peel."""
     shift, num, den = t
-    return RationalT._normal(tuple(num), shift, tuple(den.items()))
+    out = object.__new__(RationalT)
+    out.shift = shift
+    out.num = tuple(num)
+    out.den = tuple(den.items())
+    return out
 
 
 def rational_sum(terms: Iterable[RationalT]) -> RationalT:

@@ -12,8 +12,11 @@ When both sides are polynomials the report also records, Hodge entry by
 Hodge entry, that h^{p,q}_str(mirror) = h^{d-1-p,q}_orb(X), obtained by
 undoing the (-u)^(d-1), u -> 1/u transform on the orbifold side.
 
-The verdict also needs E_str(1, 1) = (-1)^(d-1) ``vafa_euler``, which reads
-no element classes: a fault in the one table both halves read moves both.
+The verdict also needs two checks that read no element classes, since a
+fault in the one table both halves read moves both: E_str(1, 1) = (-1)^(d-1)
+``vafa_euler``, and stringy Poincare duality, E_str(u, v) = (uv)^D
+E_str(1/u, 1/v) with D = d - 1 (Batyrev, alg-geom/9711008), key by key.
+A wrong age moves a twisted class's term off its dual key.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import InconsistentVerification
-from .exact_arith import hodge_table, mirror_transform
+from .exact_arith import EFunction, _reflected, _same, hodge_table, mirror_transform
 from .orbifold import _orbifold, vafa_euler
 from .stringy import _stringy
 from .weights import WeightVector, _check_element, _classified, ip_record, transverse
@@ -40,12 +43,27 @@ class VerificationReport:
     hodge_pairs_match: bool
     euler_stringy: Fraction
     euler_orbifold: Fraction
+    self_dual: bool
 
     @property
     def passed(self) -> bool:
         sign = -1 if len(self.weights) % 2 else 1  # (-1)^(d-1), d + 1 weights
-        euler_agrees = self.euler_stringy == sign * self.euler_orbifold
-        return self.global_identity and not self.per_l_failures and euler_agrees
+        agrees = self.global_identity and not self.per_l_failures and self.self_dual
+        return agrees and self.euler_stringy == sign * self.euler_orbifold
+
+
+def _self_dual(e: EFunction) -> bool:
+    """Whether e(u, v) = (uv)^D e(1/u, 1/v), D = e.dimension, key by key:
+    the entry (a, b, R) with m = max(a, b) has the dual (m - a, m - b,
+    t^(D - m) R(1/t)), and e must hold each dual as it is."""
+    dual = {}
+    for (a, b), r in e.terms.items():
+        shift, num, den = _reflected(r._triple())
+        m = max(a, b)
+        dual[m - a, m - b] = (shift + e.dimension - m, num, den)
+    return dual.keys() == e.terms.keys() and all(
+        _same(dual[key], r._triple()) for key, r in e.terms.items()
+    )
 
 
 def per_l_check(wv: WeightVector, l: int) -> bool:
@@ -97,4 +115,5 @@ def verify(wv: WeightVector) -> VerificationReport:
         hodge_pairs_match=hodge_ok,
         euler_stringy=s.total.value_at_one(),
         euler_orbifold=vafa_euler(wv),
+        self_dual=_self_dual(s.total),
     )

@@ -13,7 +13,8 @@ element we record
 Well-formedness forces size(l) >= 2 and 1 <= age(l) <= size(l) - 1 for all
 l != 0.  Every per-element formula depends on l only through its support
 {i : theta~_i(l) != 0}, age and size, so the elements are grouped into
-classes (``element_classes``), computed in integers: the phase w theta~_i(l)
+classes (``element_classes``), computed in integers one element at a time:
+the support of l is that of the divisor gcd(l, w), the phase w theta~_i(l)
 is l w_i mod w and the age is the phase sum divided by w.  ``element`` keeps
 the ``Fraction`` phases for single elements.
 
@@ -26,7 +27,9 @@ says whether the degree s <= w is a non-negative integer combination of
 the weights w_k, k in K, built by shift-or steps one weight at a time
 (``_reach_sets``): the subsets holding the last weight extend those of the
 others by one coin (``_extend_reach``), so a scan shares the sets of a
-weight prefix across every last weight (``ip_vectors``).
+weight prefix across every last weight (``ip_vectors``).  Both verdicts
+come from one reach-set pass (``_verdicts``), and the record keeps the
+verdicts, not the sets.
 
 An index subset, whether a support, a face J or a zero set, is an index
 bitmask throughout the package (bit i set for i in the subset);
@@ -36,36 +39,20 @@ a mask's indices.  Only the public results ``FaceSubgroup.J``,
 
 ``ip_property`` decides whether the all-ones exponent vector lies in the
 interior of the degree-w monomial polytope without listing its lattice
-points (there are roughly w^d of them).  After the free reject 2 w_i > w
-(z on the face u_i = 1), the reach sets give the face rejects, cheapest
-first: z on a face sum_{j in J} u_j = |J| for a proper index subset J,
-found by adding coins of J to the reach set of the other weights one round
-at a time.  The minimum tests run before the maximum tests, smallest J
-first; for one index it is a single bit, whether the other weights reach
-w, and that rejects most candidates of a scan.  Then one oracle minimizes
-general integer functionals over the points by an unbounded-knapsack DP
-over the degrees 0..w, O(n w) integer steps per functional.  It serves a
-search for an affinely spanning set of points along integer directions
-orthogonal to the span so far (both extremes of a direction from one
-call), and the pricing step of a column generation over the points found
-(``_column_generation``): one loop of revised-simplex pivots in plain
-integers that maximizes one weight, eps, from the feasible basis the
-spanning search already found, so there is no phase 1, and calls the
-oracle whenever no column improves, the point it returns entering next.
-One scaled basis inverse D B^-1 serves both: the spanning search reads
-each direction off one of its rows and swaps each point it finds into B by
-the loop's own exact pivot (``_pivot_inverse``), so the LP starts with its
-inverse in hand.  The IP test uses neither floats nor fractions.
+points (there are roughly w^d of them): face rejects read off the reach
+sets, cheapest first, then an exact column generation priced by an
+unbounded-knapsack oracle, in plain integers (its docstring has the steps).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
-from operator import mul
+from itertools import count, repeat
+from math import gcd, isqrt, lcm, prod
+from operator import mod, mul
 from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -150,13 +137,14 @@ class Half(NamedTuple):
 
 @dataclass(eq=False)
 class VectorRecord:
-    """Everything computed for one weight vector, each part filled on first
-    use.  The fields up to ``class_of`` are this module's; ``stringy`` and
-    ``orbifold`` hold the halves those modules build, each from its own
-    pipeline: neither half reads the other."""
+    """The answers computed for one weight vector, each table built on
+    first use by one function in one pass: both verdicts from one set of
+    reach sets (``_verdicts``), the element classes one element at a time
+    (``_classified``).  The fields up to ``class_of`` are this module's;
+    ``stringy`` and ``orbifold`` hold the halves those modules build, each
+    from its own pipeline: neither half reads the other."""
 
     wv: WeightVector
-    reach: Optional[List[int]] = None
     ip: Optional[bool] = None
     transverse: Optional[bool] = None
     classes: Optional[Tuple[ElementClass, ...]] = None
@@ -208,29 +196,37 @@ class ElementClass(NamedTuple):
 
 
 def _classified(rec: VectorRecord) -> VectorRecord:
-    """rec with its element classes and the class of each l, in integers:
-    the phase l * w_i % w is w theta~_i(l), and the class key is (support
-    bitmask, age = phase sum // w), built a weight at a time."""
+    """rec with its element classes and the class of each l, from one walk
+    over l in integers.  l fixes i iff w / gcd(w, w_i) divides l, so the
+    support bitmask of l is that of the divisor gcd(l, w); the phase
+    l * w_i % w is w theta~_i(l), and the phase sum is w age.  Each key
+    (support, phase sum) takes the next class index when first met, so the
+    classes come in the order of their smallest elements; the counts and
+    those elements are read off the class of each l."""
     if rec.classes is None:
         ws = rec.wv.weights
         w = rec.wv.w
-        phases = [[l * wi % w for l in range(w)] for wi in ws]
-        bits = [[1 << i if p else 0 for p in col] for i, col in enumerate(phases)]
-        totals = list(map(sum, zip(*phases)))
-        bad = next((l for l, t in enumerate(totals) if t % w), None)
-        if bad is not None:
-            age = Fraction(totals[bad], w)
-            raise InconsistentCensus(
-                f"element {bad} of {rec.wv} has a non-integral age {age}"
-            )
-        keys = list(zip(map(sum, zip(*bits)), (t // w for t in totals)))
-        index = {key: c for c, key in enumerate(dict.fromkeys(keys))}
-        count = Counter(keys)
-        rec.classes = tuple(
-            ElementClass(mask, age, mask.bit_count(), count[mask, age], keys.index((mask, age)))
-            for mask, age in index
-        )
-        rec.class_of = tuple(map(index.__getitem__, keys))
+        orders = [w // gcd(w, wi) for wi in ws]
+        small = [g for g in range(1, isqrt(w) + 1) if not w % g]
+        support = {
+            g: sum(1 << i for i, o in enumerate(orders) if g % o)
+            for g in small + [w // g for g in small]
+        }
+        supports = map(support.__getitem__, map(gcd, range(w), repeat(w)))
+        sums = map(sum, zip(*(map(mod, range(0, w * wi, wi), repeat(w)) for wi in ws)))
+        index = defaultdict(count().__next__)  # a new key takes the next index
+        class_of = tuple(map(index.__getitem__, zip(supports, sums)))
+        tally = Counter(class_of)
+        classes: List[ElementClass] = []
+        first = 0
+        for (mask, total), c in index.items():
+            first = class_of.index(c, first)
+            if total % w:
+                raise InconsistentCensus(
+                    f"element {first} of {rec.wv} has a non-integral age {Fraction(total, w)}"
+                )
+            classes.append(ElementClass(mask, total // w, mask.bit_count(), tally[c], first))
+        rec.classes, rec.class_of = tuple(classes), class_of
     return rec
 
 
@@ -388,13 +384,6 @@ def _reach_sets(ws: Sequence[int]) -> List[int]:
     for c in ws:
         R += _extend_reach(R, c, w)
     return R
-
-
-def _reach(rec: VectorRecord) -> List[int]:
-    """``_reach_sets`` of rec's weights, computed once for both verdicts."""
-    if rec.reach is None:
-        rec.reach = _reach_sets(rec.wv.weights)
-    return rec.reach
 
 
 def _comb(w: int, d: int) -> int:
@@ -593,17 +582,19 @@ def ip_property(wv: WeightVector) -> bool:
        basis V with step 2's A and D, so it inverts nothing, and it needs
        no phase 1: z is in V, so x = e_0 is feasible.
     """
-    return _ip_verdict(record(wv))
+    return _verdicts(record(wv)).ip
 
 
-def _ip_verdict(rec: VectorRecord) -> bool:
+def _verdicts(rec: VectorRecord) -> VectorRecord:
+    """rec with its IP and transversality verdicts, both read off one
+    ``_reach_sets`` pass, which the record does not keep."""
     if rec.ip is None:
         ws = rec.wv.weights
-        # 2 w_i > w puts z on the face u_i = 1; tested before any reach set
-        rec.ip = 2 * max(ws) <= rec.wv.w and _interior(
-            ws, _reach(rec), _faces(len(ws))
-        )
-    return rec.ip
+        R = _reach_sets(ws)
+        # 2 w_i > w puts z on the face u_i = 1, with no face test
+        rec.ip = 2 * max(ws) <= rec.wv.w and _interior(ws, R, _faces(len(ws)))
+        rec.transverse = _quasi_smooth(ws, R)
+    return rec
 
 
 def _interior(
@@ -662,8 +653,8 @@ def _interior(
 def ip_record(wv: WeightVector) -> VectorRecord:
     """wv's record, or NotIP unless wv has the IP property: one lookup
     serves the verdict and whatever the caller reads from the record next."""
-    rec = record(wv)
-    if not _ip_verdict(rec):
+    rec = _verdicts(record(wv))
+    if not rec.ip:
         raise NotIP(f"{wv} fails the IP property; no mirror construction")
     return rec
 
@@ -699,9 +690,10 @@ def ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
     with copies of d.  Only a survivor gets its reach sets,
     the prefix's, cut to w, followed by the same extended by the coin d
     (``_reach_sets``), and ``_interior`` gives the verdict.  Only an IP
-    vector gets a record, seeded with its reach sets and verdict, and the
-    record before it is dropped first (and with it whatever was built from
-    it), so a scan holds one record at a time."""
+    vector gets a record, seeded with both verdicts from those reach sets,
+    as ``_verdicts`` would fill them, and the record before it is dropped
+    first (and with it whatever was built from it), so a scan holds one
+    record at a time."""
     faces = _faces(dim + 1)
     for prefix, top in _prefixes(dim, wmax, (), [1]):
         if gcd(*prefix) != 1:
@@ -724,7 +716,7 @@ def ip_vectors(dim: int, wmax: int) -> Iterator[WeightVector]:
                 wv = validate(prefix + (d,))
                 record.cache_clear()
                 rec = record(wv)
-                rec.reach, rec.ip = R, True
+                rec.ip, rec.transverse = True, _quasi_smooth(wv.weights, R)
                 yield wv
 
 
@@ -738,11 +730,8 @@ def transverse(wv: WeightVector) -> bool:
     non-negative integer combination of the weights in S, or at least |S|
     distinct indices j outside S have w - w_j representable that way.
     Both are bits of the reach set R[S] of ``_reach_sets``: bit w, and bit
-    w - w_j."""
-    rec = record(wv)
-    if rec.transverse is None:
-        rec.transverse = _quasi_smooth(wv.weights, _reach(rec))
-    return rec.transverse
+    w - w_j.  The verdict comes with the IP verdict (``_verdicts``)."""
+    return _verdicts(record(wv)).transverse
 
 
 def _quasi_smooth(ws: Sequence[int], R: Sequence[int]) -> bool:

@@ -35,6 +35,7 @@ from stringymirror import (
     validate,
     verify,
 )
+from stringymirror.weights import ip_vectors
 
 from conftest import series_counts
 
@@ -251,3 +252,34 @@ def test_criterion_8_kernel_invariants():
             padded = a.mul_poly(inflated_num)
             assert RationalT(padded.num, padded.shift, padded.den + ((m, 1),)) == a
             assert (a == b) == (a - b).is_zero()
+
+
+def _hodge_identities(table):
+    """The Libgober-Wood identity sum (-1)^(p+q) (p - D/2)^2 h^{p,q} =
+    D chi / 12 and h^{0,0} = h^{D,0} = 1 with h^{p,0} = 0 for 0 < p < D,
+    read off the Hodge table alone."""
+    D = table.dimension
+    grid = [(p, q, (-1) ** (p + q) * table.h(p, q)) for p in range(D + 1) for q in range(D + 1)]
+    chi = sum(e for _, _, e in grid)
+    moment = sum((p - Fraction(D, 2)) ** 2 * e for p, _, e in grid)
+    edge = [table.h(p, 0) for p in range(D + 1)]
+    return moment == Fraction(D * chi, 12) and edge == [1] + [0] * (D - 1) + [1]
+
+
+def test_criterion_9_the_theorem_in_every_dimension():
+    with budgeted("criterion 9 (the theorem for curves up to fivefolds)", 20.0):
+        rows = polynomial = 0
+        for dim, wmax in ((2, 40), (3, 40), (4, 20), (5, 14), (6, 12)):
+            for wv in ip_vectors(dim, wmax):
+                report = verify(wv)
+                assert report.passed and report.self_dual, wv.weights
+                rows += 1
+                if report.stringy_polynomial:
+                    polynomial += 1
+                    table = hodge_table(to_polynomial(stringy_e(wv)), dim - 1)
+                    assert _hodge_identities(table), wv.weights
+        assert (rows, polynomial) == (337, 283)
+        # the sextic fourfold's mirror
+        table = hodge_table(to_polynomial(stringy_e(validate((1,) * 6))), 4)
+        assert (table.h(1, 1), table.h(3, 1), table.h(2, 1), table.h(2, 2)) == (426, 1, 0, 1752)
+        assert table.euler() == 2610

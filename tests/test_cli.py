@@ -12,13 +12,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import stringymirror
-from stringymirror import cli, exact_arith, face_epoly, orbifold, weights
+from stringymirror import cli, exact_arith, face_epoly, orbifold, stringy, weights
 from stringymirror.cli import main, render_bipoly, render_rational_t
 from stringymirror.exact_arith import BiPoly, EFunction, RationalT, poly_strip
 from stringymirror.errors import InconsistentCensus
@@ -400,6 +401,45 @@ def test_a_face_division_fault_is_internal_error(capsys):
     assert "Traceback" not in err
 
 
+def _fractional_face_terms(real):
+    return lambda classes, mask: {k: Fraction(c) for k, c in real(classes, mask).items()}
+
+
+def _fractional_numerator(real):
+    return lambda k: [Fraction(c) for c in real(k)]
+
+
+def _fractional_clearing(real):
+    def clear(P, c, w):
+        Q, m = real(P, c, w)
+        return [Fraction(x) for x in Q], m
+    return clear
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("face_terms", _fractional_face_terms),
+        ("_untwisted_numerator", _fractional_numerator),
+        ("extend_cleared", _fractional_clearing),
+    ],
+)
+def test_a_non_int_pipeline_coefficient_is_internal_error(capsys, monkeypatch, name, fault):
+    # a polynomial of the stringy half with Fraction coefficients of the
+    # same values: its int check ends the command with exit 4 and no
+    # traceback, as every internal guard does
+    monkeypatch.setattr(stringy, name, fault(getattr(stringy, name)))
+    weights.record.cache_clear()
+    try:
+        code, out, err = run(["stringy", "1,1,2,4,5"], capsys)
+    finally:
+        weights.record.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "must be ints" in err
+    assert "Traceback" not in err
+
+
 def test_bad_weight_token_is_input_error(capsys):
     # a token other than an optional sign and ASCII digits, including the
     # ones int() alone would read (digit-group underscores, non-ASCII
@@ -638,11 +678,12 @@ def test_scan_skip_resumes(capsys, monkeypatch):
 def test_prefix_scan_matches_the_per_candidate_route(dim, wmax):
     # the prefix walk, with its shared reach sets and gcds, yields the
     # well-formed IP vectors that one ip_property call per tuple finds, each
-    # with its record seeded by the verdict and the vector's own reach sets
+    # with its record seeded by both verdicts, as a fresh record fills them
     found = []
     for wv in weights.ip_vectors(dim, wmax):
         rec = weights.record(wv)
-        assert rec.ip is True and rec.reach == weights._reach_sets(wv.weights), wv
+        fresh = weights._verdicts(weights.VectorRecord(wv))
+        assert rec.ip is True and (rec.ip, rec.transverse) == (fresh.ip, fresh.transverse), wv
         found.append(wv)
     assert found == _ip_members(dim, wmax)
 

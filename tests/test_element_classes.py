@@ -11,8 +11,10 @@ The oracles in ``conftest`` visit every l of Z/wZ in turn; the one for
 ``vafa_euler`` counts each zero set element by element and sums over pairs.
 """
 
+import tracemalloc
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
@@ -31,7 +33,7 @@ from stringymirror import (
     validate,
 )
 from stringymirror.errors import NotWellFormed
-from stringymirror.weights import class_index, element, element_classes
+from stringymirror.weights import VectorRecord, _classified, class_index, element, element_classes
 
 
 def _check_against_oracles(ws):
@@ -82,3 +84,25 @@ def test_class_sums_match_per_element_loops(ws):
 
 def test_class_sums_match_per_element_loops_high_degree():
     _check_against_oracles((1, 42, 258, 602, 903))
+
+
+@pytest.mark.parametrize("ws", [(1, 1, 1, 20000), (1, 2, 3, 4, 20000)])
+def test_class_table_is_built_one_element_at_a_time(ws):
+    # the one sequence of length w is the class of each l, about 10 bytes an
+    # element; columns of phases and support bits per weight take over 300
+    rec = VectorRecord(validate(ws))
+    tracemalloc.start()
+    try:
+        _classified(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = rec.wv.w
+    assert peak <= 32 * w
+    assert sum(c.count for c in rec.classes) == w
+    for l in (*range(50), *range(w - 50, w), *range(0, w, w // 97)):
+        c = rec.classes[rec.class_of[l]]
+        el = element(rec.wv, l)
+        support = sum(1 << i for i, q in enumerate(el.theta_tilde) if q)
+        assert (c.support, c.age, c.size) == (support, el.age, el.size)
+        assert rec.class_of[c.first] == rec.class_of[l] and c.first <= l

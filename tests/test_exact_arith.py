@@ -24,6 +24,8 @@ from stringymirror import (
 from stringymirror.exact_arith import (
     _peel,
     _rational,
+    _reflected,
+    _same,
     cleared_section,
     clearing_order,
     div_one_minus_tm,
@@ -217,6 +219,31 @@ def peelable_rationals(draw):
 
 def _form(r):
     return r.shift, r.num, r.den
+
+
+@HYP
+@given(rationals(), st.integers(-4, 4))
+def test_reflected_triples_match_inverse_substitution(r, k):
+    # r(1/t) on the kernel's triples, in normal form, and (t**k r)(1/t) is
+    # t**-k r(1/t); reflecting twice gives r back
+    assert _form(_rational(_reflected(r._triple()))) == _form(r.inverse_substitution())
+    shifted = _rational(_reflected(r.mul_tpower(k)._triple()))
+    assert _form(shifted) == _form(r.inverse_substitution().mul_tpower(-k))
+    assert _form(_rational(_reflected(_reflected(r._triple())))) == _form(r)
+    zero = RationalT.zero()._triple()
+    assert _reflected(zero) == zero
+
+
+@HYP
+@given(rationals(), rationals(), st.integers(1, 4))
+def test_same_matches_rational_equality(a, b, m):
+    # cross-multiplied equality on triples is ==, also between a normal
+    # form and an unpeeled triple of the same function
+    assert _same(a._triple(), b._triple()) == (a == b) == (a - b).is_zero()
+    shift, num, den = a._triple()
+    unpeeled = (shift, mul_one_minus_tm(num, m), {**den, m: den.get(m, 0) + 1})
+    assert _same(unpeeled, a._triple()) and _same(a._triple(), unpeeled)
+    assert _same(unpeeled, b._triple()) == (a == b)
 
 
 @HYP

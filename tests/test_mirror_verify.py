@@ -2,12 +2,19 @@
 the orbifold sector sum, globally, per group element, and at the Hodge
 level."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from stringymirror import cli, per_l_check, validate, verify, weights
-from stringymirror.errors import InconsistentVerification, NotIP, OutOfRange
+from stringymirror.errors import (
+    InconsistentVerification,
+    NotIP,
+    OutOfRange,
+    StringyMirrorError,
+)
 from stringymirror.stringy import _stringy
 from stringymirror.weights import ip_vectors
 
@@ -103,15 +110,20 @@ def fresh_records():
     weights.record.cache_clear()
 
 
-def _drop_an_element(wv):
-    """Take one element off the last twisted class of wv's record with more
-    than one, before either half is built: both halves read the faulted
-    table, and ``vafa_euler`` reads no classes."""
+def _fault(wv, change):
+    """Put change(c) in place of the last twisted class c of wv's record with
+    more than one element, before either half is built: both halves read
+    the faulted table, and ``vafa_euler`` reads no classes."""
     rec = weights._classified(weights.record(wv))
     classes = list(rec.classes)
     i = max(i for i, c in enumerate(classes) if c.support and c.count > 1)
-    classes[i] = classes[i]._replace(count=classes[i].count - 1)
+    classes[i] = change(classes[i])
     rec.classes = tuple(classes)
+
+
+def _drop_an_element(wv):
+    """Take one element off that class."""
+    _fault(wv, lambda c: c._replace(count=c.count - 1))
 
 
 @pytest.mark.parametrize("ws", [(1, 1, 1, 2), FERMAT_LIKE], ids=str)
@@ -148,3 +160,50 @@ def test_euler_numbers_agree_over_small_scans(dim, wmax):
         report = verify(wv)
         assert report.euler_stringy == (-1) ** (dim - 1) * report.euler_orbifold, wv
         assert report.passed, wv
+
+
+# one field of a class changed; the classes are the one table both halves read
+CLASS_FAULTS = {
+    "age + 1": lambda c: c._replace(age=c.age + 1),
+    "age - 1": lambda c: c._replace(age=c.age - 1),
+    "count + 1": lambda c: c._replace(count=c.count + 1),
+    "count - 1": lambda c: c._replace(count=c.count - 1),
+    "support bit dropped": lambda c: c._replace(support=c.support & (c.support - 1)),
+}
+
+
+def _reference_vectors():
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    return [tuple(map(int, v.split(","))) for v in json.loads(reference.read_text())["vectors"]]
+
+
+def test_no_class_fault_that_moves_e_str_passes_the_verdict(fresh_records):
+    # a fault in the class table moves both halves alike, so the identity
+    # holds; a wrong age keeps E_str(1, 1) too, and only the duality of
+    # E_str sees it.  Every fault that changes E_str must fail the verdict
+    # or raise
+    escaped = {name: [] for name in CLASS_FAULTS}
+    failed = dict.fromkeys(CLASS_FAULTS, 0)
+    for ws in _reference_vectors():
+        wv = validate(ws)
+        weights.record.cache_clear()
+        rec = weights.ip_record(wv)
+        if not any(c.support and c.count > 1 for c in weights._classified(rec).classes):
+            continue  # no class to fault
+        clean = _stringy(rec).total
+        for name, change in CLASS_FAULTS.items():
+            weights.record.cache_clear()
+            _fault(wv, change)
+            try:
+                report = verify(wv)
+            except (StringyMirrorError, KeyError):
+                # a support of one index has no face for the stringy half
+                failed[name] += 1
+                continue
+            if _stringy(weights.record(wv)).total != clean:
+                if report.passed:
+                    escaped[name].append(ws)
+                else:
+                    failed[name] += 1
+    assert escaped == {name: [] for name in CLASS_FAULTS}
+    assert all(failed.values()), failed

@@ -698,6 +698,24 @@ def test_transverse_known_examples():
     assert not transverse(validate((1, 1, 4)))
 
 
+@pytest.mark.parametrize("first", ["ip", "transverse"])
+def test_both_verdicts_come_from_one_reach_set_pass(monkeypatch, first):
+    # a fresh record builds its reach sets once for the two verdicts, in
+    # either order, also for a vector that fails the IP property
+    calls = []
+    reach_sets = weights._reach_sets
+    monkeypatch.setattr(weights, "_reach_sets", lambda ws: calls.append(ws) or reach_sets(ws))
+    for ws in (QUINTIC, K3, FERMAT_LIKE, (1, 1, 4), (1, 1, 1, 3000001)):
+        weights.record.cache_clear()
+        wv = validate(ws)
+        verdicts = (ip_property, transverse) if first == "ip" else (transverse, ip_property)
+        for verdict in verdicts:
+            verdict(wv)
+        assert calls == [ws]
+        calls.clear()
+    weights.record.cache_clear()
+
+
 @pytest.mark.parametrize(
     "dim, wmax, tuples", [(1, 40, 1), (2, 40, 568), (3, 40, 3118), (4, 20, 329)]
 )
