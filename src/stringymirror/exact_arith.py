@@ -30,6 +30,16 @@ Printed forms: ``_signed_sum`` writes every sum of signed monomials, as in
 polynomials in u, v and the rational functions of t with it.  The CLI
 prints with those, and each repr wraps the writer of its type.
 
+Operators are written once, in ``_Value``: ``+``, ``-`` and ``==`` ask the
+type's ``_pair`` for both operands on common ground (an int lifts to a
+RationalT, an int or a Fraction to a FracPoly or a BiPoly, and two
+FracPolys are rescaled to the lcm of their denominators), and return
+NotImplemented for an operand it does not take.  ``*`` and unary ``-`` are
+``_Ring``'s: RationalT, FracPoly and BiPoly multiply, an EFunction does
+not.  FracPoly and BiPoly add and multiply their ``terms`` maps with
+``_sparse_sum`` and ``_sparse_product``.  Equality is by value, so no value
+is hashable.
+
 Every division by 1 - t**m is a stride-m running sum, ``accumulate`` over
 each residue class mod m: ``series_quotient`` for series and
 ``div_one_minus_tm`` for exact polynomial division.  Multiplication by
@@ -392,10 +402,77 @@ def render_rational_t(r: RationalT) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the operator protocol
+
+
+class _Value:
+    """The operators of the value types.  ``_pair(other)`` returns both
+    operands on common ground, or None for an operand the type does not
+    take; the first of the pair then computes ``_plus``, ``_equals``, or for
+    ``-`` ``_plus`` of the second's ``_negated``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __add__(self, other):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1]._negated())
+
+    def __eq__(self, other):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._equals(pair[1])
+
+    def _equals(self, other):
+        return self.terms == other.terms
+
+
+class _Ring(_Value):
+    """A value type that multiplies (``_times``) and negates as ``self * -1``."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._times(pair[1])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    _negated = __neg__
+
+
+def _sparse_sum(x: Mapping, y: Mapping) -> Dict:
+    """The ``terms`` map of a sum of two sparse polynomials."""
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _sparse_product(x: Mapping, y: Mapping, join) -> Dict:
+    """The ``terms`` map of a product of two sparse polynomials; ``join``
+    adds two exponent keys."""
+    out: Dict = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            k = join(k1, k2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+# ---------------------------------------------------------------------------
 # RationalT
 
 
-class RationalT:
+class RationalT(_Ring):
     """t**shift * num(t) / prod (1 - t**m)**e with integer coefficients.
 
     Values are immutable and kept in the greedy-peel normal form: no
@@ -472,53 +549,27 @@ class RationalT:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RationalT):
-            return other
+    def _pair(self, other):
         if isinstance(other, int):
-            return RationalT.from_int(other)
-        return None
+            other = RationalT.from_int(other)
+        return (self, other) if isinstance(other, RationalT) else None
 
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rational_sum((self, rhs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+    def _plus(self, other):
+        return rational_sum((self, other))
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[1] + (-self)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other or not self.num:
-                return RationalT.zero()
-            return _rational(_scaled(self._triple(), other))
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if self.is_zero() or rhs.is_zero():
-            return RationalT.zero()
-        return RationalT(
-            poly_mul(self.num, rhs.num),
-            self.shift + rhs.shift,
-            tuple(self.den) + tuple(rhs.den),
-        )
-
-    __rmul__ = __mul__
+    def _times(self, other):
+        """Peeled over self's own denominator when other has none
+        (``_product``), so an int factor scales without a peel."""
+        if other.den:
+            return RationalT(
+                poly_mul(self.num, other.num), self.shift + other.shift, self.den + other.den
+            )
+        shift, num, den = self._triple()
+        return _rational(_product((shift + other.shift, num, den), other.num))
 
     def mul_tpower(self, k: int) -> "RationalT":
         """Multiply by t**k (k may be negative: Laurent shift)."""
@@ -533,13 +584,8 @@ class RationalT:
         _check_ints(coeffs, TypeError)
         return _rational(_product(self._triple(), coeffs))
 
-    def __eq__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return _same(self._triple(), rhs._triple())
-
-    __hash__ = None  # semantic equality; not hashable
+    def _equals(self, other):
+        return _same(self._triple(), other._triple())
 
     # -- expansion ------------------------------------------------------------
 
@@ -587,7 +633,7 @@ def rational_sum(terms: Iterable[RationalT]) -> RationalT:
 # FracPoly and the averaging projector
 
 
-class FracPoly:
+class FracPoly(_Ring):
     """Finite sum of c * t**(e/w) terms with a fixed exponent denominator w.
 
     ``terms`` maps the integer numerator e to its coefficient (int or
@@ -629,47 +675,19 @@ class FracPoly:
         k = new_w // self.w
         return FracPoly(new_w, {e * k: c for e, c in self.terms.items()})
 
-    def _common(self, other: "FracPoly"):
+    def _pair(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FracPoly(self.w, {0: other})
+        if not isinstance(other, FracPoly):
+            return None
         w = lcm(self.w, other.w)
         return self.rescaled(w), other.rescaled(w)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FracPoly(self.w, {0: other})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        a, b = self._common(other)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
-            out[e] = out.get(e, 0) + c
-        return FracPoly(a.w, out)
+    def _plus(self, other):
+        return FracPoly(self.w, _sparse_sum(self.terms, other.terms))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FracPoly(self.w, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FracPoly(self.w, {0: other})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return FracPoly(self.w, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        a, b = self._common(other)
-        out: Dict[int, object] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return FracPoly(a.w, out)
-
-    __rmul__ = __mul__
+    def _times(self, other):
+        return FracPoly(self.w, _sparse_product(self.terms, other.terms, add))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -682,18 +700,6 @@ class FracPoly:
             base = base * base
             n >>= 1
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FracPoly(self.w, {0: other})
-        if not isinstance(other, FracPoly):
-            return NotImplemented
-        a, b = self._common(other)
-        if set(a.terms) != set(b.terms):
-            return False
-        return all(a.terms[e] == b.terms[e] for e in a.terms)
-
-    __hash__ = None
 
     def is_integral(self) -> bool:
         return all(e % self.w == 0 for e in self.terms)
@@ -855,7 +861,7 @@ def limit_at_one(r: RationalT) -> Fraction:
 # BiPoly, the mirror transform and the Hodge grid
 
 
-class BiPoly:
+class BiPoly(_Ring):
     """Two-variable polynomial sum c * u**a * v**b, exponents >= 0."""
 
     __slots__ = ("terms",)
@@ -893,50 +899,18 @@ class BiPoly:
     def coefficient(self, a: int, b: int):
         return self.terms.get((a, b), 0)
 
-    def __add__(self, other):
+    def _pair(self, other):
         if isinstance(other, (int, Fraction)):
             other = BiPoly({(0, 0): other})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiPoly(out)
+        return (self, other) if isinstance(other, BiPoly) else None
 
-    __radd__ = __add__
+    def _plus(self, other):
+        return BiPoly(_sparse_sum(self.terms, other.terms))
 
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly({(0, 0): other})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out: Dict[Tuple[int, int], object] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly({(0, 0): other})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
+    def _times(self, other):
+        return BiPoly(
+            _sparse_product(self.terms, other.terms, lambda x, y: (x[0] + y[0], x[1] + y[1]))
+        )
 
     def __call__(self, u, v):
         return sum(c * u**a * v**b for (a, b), c in self.terms.items())
@@ -1033,7 +1007,7 @@ def hodge_table(p: BiPoly, dim: int) -> HodgeTable:
 # EFunction: sums of u^a v^b * R(uv)
 
 
-class EFunction:
+class EFunction(_Value):
     """Finite sum of u^a v^b * R_{a,b}(uv) with min(a, b) = 0.
 
     Construction folds min(a, b) into the rational part as a power of
@@ -1057,11 +1031,13 @@ class EFunction:
 
     def _collect(self, dimension: int, entries: Iterable[Tuple[int, int, Triple]]) -> None:
         acc: Dict[Tuple[int, int], List[Triple]] = {}
-        for a, b, (shift, num, den) in entries:
+        for a, b, part in entries:
             if a < 0 or b < 0:
                 raise ValueError(f"EFunction exponents must be >= 0, got ({a}, {b})")
-            m = min(a, b)
-            acc.setdefault((a - m, b - m), []).append((shift + m, num, den))
+            if a and b:
+                m = min(a, b)
+                a, b, part = a - m, b - m, (part[0] + m, part[1], part[2])
+            acc.setdefault((a, b), []).append(part)
         self.dimension = dimension
         self.terms = {}
         for key, parts in acc.items():
@@ -1073,26 +1049,14 @@ class EFunction:
         for (a, b), r in self.terms.items():
             yield a, b, r
 
-    def __add__(self, other: "EFunction") -> "EFunction":
-        if not isinstance(other, EFunction):
-            return NotImplemented
-        entries = list(self.iter_entries()) + list(other.iter_entries())
-        return EFunction(self.dimension, entries)
+    def _pair(self, other):
+        return (self, other) if isinstance(other, EFunction) else None
 
-    def __sub__(self, other: "EFunction") -> "EFunction":
-        if not isinstance(other, EFunction):
-            return NotImplemented
-        entries = list(self.iter_entries()) + [
-            (a, b, -r) for a, b, r in other.iter_entries()
-        ]
-        return EFunction(self.dimension, entries)
+    def _plus(self, other):
+        return EFunction(self.dimension, chain(self.iter_entries(), other.iter_entries()))
 
-    def __eq__(self, other):
-        if not isinstance(other, EFunction):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
+    def _negated(self):
+        return EFunction(self.dimension, ((a, b, -r) for a, b, r in self.iter_entries()))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -57,7 +57,6 @@ from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Se
 
 from .errors import (
     EmptyInput,
-    InconsistentCensus,
     InconsistentLP,
     NonIntegerMilnor,
     NotIP,
@@ -176,10 +175,9 @@ def element(wv: WeightVector, l: int) -> OrbifoldElement:
     _check_element(wv, l)
     w = wv.w
     theta = tuple(Fraction((l * wi) % w, w) for wi in wv.weights)
-    age = sum(theta)
-    if age.denominator != 1:
-        raise InconsistentCensus(f"element {l} of {wv} has a non-integral age {age}")
-    return OrbifoldElement(l, theta, int(age), sum(1 for q in theta if q))
+    # an integer, as sum_i w_i = w: sum_i (l w_i mod w) = l w - w sum_i floor(l w_i / w)
+    age = int(sum(theta))
+    return OrbifoldElement(l, theta, age, sum(1 for q in theta if q))
 
 
 class ElementClass(NamedTuple):
@@ -221,10 +219,7 @@ def _classified(rec: VectorRecord) -> VectorRecord:
         first = 0
         for (mask, total), c in index.items():
             first = class_of.index(c, first)
-            if total % w:
-                raise InconsistentCensus(
-                    f"element {first} of {rec.wv} has a non-integral age {Fraction(total, w)}"
-                )
+            # w | total, as sum_i w_i = w: sum_i (l w_i mod w) = l w - w sum_i floor(l w_i / w)
             classes.append(ElementClass(mask, total // w, mask.bit_count(), tally[c], first))
         rec.classes, rec.class_of = tuple(classes), class_of
     return rec

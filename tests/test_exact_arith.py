@@ -4,8 +4,9 @@ substitution on bivariate polynomials."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
+from operator import add, eq, mul, ne, neg, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -738,3 +739,253 @@ def test_mirror_transform_overflow():
 def test_mirror_transform_involutive_even_dim(d):
     p = BiPoly(d)
     assert mirror_transform(mirror_transform(p, 4), 4) == p
+
+
+# ---------------------------------------------------------------------------
+# the operator protocol over every pairing of operands
+
+
+_OPERANDS = {
+    "R": RationalT((1, 2), 1, [(1, 1)]),
+    "0R": RationalT.zero(),
+    "3R": RationalT.from_int(3),
+    "F2": FracPoly(2, {1: 1, 2: Fraction(1, 2)}),
+    "F3": FracPoly(3, {0: 2, 2: -1}),
+    "B": BiPoly({(1, 0): 1, (0, 2): -2}),
+    "E": EFunction(2, [(0, 0, RationalT((1,), 0, [(2, 1)])), (1, 0, RationalT.one())]),
+    "3": 3,
+    "0": 0,
+    "2/3": Fraction(2, 3),
+    "True": True,
+    "1.5": 1.5,
+    "'x'": "x",
+    "None": None,
+}
+_VALUES = ("R", "0R", "3R", "F2", "F3", "B", "E")
+_BINARY = {"+": add, "-": sub, "*": mul, "==": eq, "!=": ne}
+# the outcome of each binary operator that the table leaves out
+_DEFAULT = {
+    "+": "TypeError",
+    "-": "TypeError",
+    "*": "TypeError",
+    "==": "bool: False",
+    "!=": "bool: True",
+}
+
+
+# what the operators give at every pairing other than the defaults above
+_OPERATOR_TABLE = """
+-R -> RationalT: RationalT(t^1 * (-1 - 2*t) / ((1 - t^1)))
+-0R -> RationalT: RationalT(0)
+-3R -> RationalT: RationalT((-3))
+-F2 -> FracPoly: FracPoly(-t^(1/2) - 1/2*t^(1))
+-F3 -> FracPoly: FracPoly(-2 + t^(2/3))
+-B -> BiPoly: BiPoly(-u + 2*v^2)
+-E -> TypeError
+R + R -> RationalT: RationalT(t^1 * (2 + 4*t) / ((1 - t^1)))
+R - R -> RationalT: RationalT(0)
+R * R -> RationalT: RationalT(t^2 * (1 + 4*t + 4*t^2) / ((1 - t^1)^2))
+R == R -> bool: True
+R != R -> bool: False
+R + 0R -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+R - 0R -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+R * 0R -> RationalT: RationalT(0)
+R + 3R -> RationalT: RationalT((3 - 2*t + 2*t^2) / ((1 - t^1)))
+R - 3R -> RationalT: RationalT((-3 + 4*t + 2*t^2) / ((1 - t^1)))
+R * 3R -> RationalT: RationalT(t^1 * (3 + 6*t) / ((1 - t^1)))
+R + 3 -> RationalT: RationalT((3 - 2*t + 2*t^2) / ((1 - t^1)))
+R - 3 -> RationalT: RationalT((-3 + 4*t + 2*t^2) / ((1 - t^1)))
+R * 3 -> RationalT: RationalT(t^1 * (3 + 6*t) / ((1 - t^1)))
+R + 0 -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+R - 0 -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+R * 0 -> RationalT: RationalT(0)
+R + True -> RationalT: RationalT((1 + 2*t^2) / ((1 - t^1)))
+R - True -> RationalT: RationalT((-1 + 2*t + 2*t^2) / ((1 - t^1)))
+R * True -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+0R + R -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+0R - R -> RationalT: RationalT(t^1 * (-1 - 2*t) / ((1 - t^1)))
+0R * R -> RationalT: RationalT(0)
+0R + 0R -> RationalT: RationalT(0)
+0R - 0R -> RationalT: RationalT(0)
+0R * 0R -> RationalT: RationalT(0)
+0R == 0R -> bool: True
+0R != 0R -> bool: False
+0R + 3R -> RationalT: RationalT((3))
+0R - 3R -> RationalT: RationalT((-3))
+0R * 3R -> RationalT: RationalT(0)
+0R + 3 -> RationalT: RationalT((3))
+0R - 3 -> RationalT: RationalT((-3))
+0R * 3 -> RationalT: RationalT(0)
+0R + 0 -> RationalT: RationalT(0)
+0R - 0 -> RationalT: RationalT(0)
+0R * 0 -> RationalT: RationalT(0)
+0R == 0 -> bool: True
+0R != 0 -> bool: False
+0R + True -> RationalT: RationalT((1))
+0R - True -> RationalT: RationalT((-1))
+0R * True -> RationalT: RationalT(0)
+3R + R -> RationalT: RationalT((3 - 2*t + 2*t^2) / ((1 - t^1)))
+3R - R -> RationalT: RationalT((3 - 4*t - 2*t^2) / ((1 - t^1)))
+3R * R -> RationalT: RationalT(t^1 * (3 + 6*t) / ((1 - t^1)))
+3R + 0R -> RationalT: RationalT((3))
+3R - 0R -> RationalT: RationalT((3))
+3R * 0R -> RationalT: RationalT(0)
+3R + 3R -> RationalT: RationalT((6))
+3R - 3R -> RationalT: RationalT(0)
+3R * 3R -> RationalT: RationalT((9))
+3R == 3R -> bool: True
+3R != 3R -> bool: False
+3R + 3 -> RationalT: RationalT((6))
+3R - 3 -> RationalT: RationalT(0)
+3R * 3 -> RationalT: RationalT((9))
+3R == 3 -> bool: True
+3R != 3 -> bool: False
+3R + 0 -> RationalT: RationalT((3))
+3R - 0 -> RationalT: RationalT((3))
+3R * 0 -> RationalT: RationalT(0)
+3R + True -> RationalT: RationalT((4))
+3R - True -> RationalT: RationalT((2))
+3R * True -> RationalT: RationalT((3))
+F2 + F2 -> FracPoly: FracPoly(2*t^(1/2) + t^(1))
+F2 - F2 -> FracPoly: FracPoly(0)
+F2 * F2 -> FracPoly: FracPoly(t^(1) + t^(3/2) + 1/4*t^(2))
+F2 == F2 -> bool: True
+F2 != F2 -> bool: False
+F2 + F3 -> FracPoly: FracPoly(2 + t^(1/2) - t^(2/3) + 1/2*t^(1))
+F2 - F3 -> FracPoly: FracPoly(-2 + t^(1/2) + t^(2/3) + 1/2*t^(1))
+F2 * F3 -> FracPoly: FracPoly(2*t^(1/2) + t^(1) - t^(7/6) - 1/2*t^(5/3))
+F2 + 3 -> FracPoly: FracPoly(3 + t^(1/2) + 1/2*t^(1))
+F2 - 3 -> FracPoly: FracPoly(-3 + t^(1/2) + 1/2*t^(1))
+F2 * 3 -> FracPoly: FracPoly(3*t^(1/2) + 3/2*t^(1))
+F2 + 0 -> FracPoly: FracPoly(t^(1/2) + 1/2*t^(1))
+F2 - 0 -> FracPoly: FracPoly(t^(1/2) + 1/2*t^(1))
+F2 * 0 -> FracPoly: FracPoly(0)
+F2 + 2/3 -> FracPoly: FracPoly(2/3 + t^(1/2) + 1/2*t^(1))
+F2 - 2/3 -> FracPoly: FracPoly(-2/3 + t^(1/2) + 1/2*t^(1))
+F2 * 2/3 -> FracPoly: FracPoly(2/3*t^(1/2) + 1/3*t^(1))
+F2 + True -> FracPoly: FracPoly(1 + t^(1/2) + 1/2*t^(1))
+F2 - True -> FracPoly: FracPoly(-1 + t^(1/2) + 1/2*t^(1))
+F2 * True -> FracPoly: FracPoly(t^(1/2) + 1/2*t^(1))
+F3 + F2 -> FracPoly: FracPoly(2 + t^(1/2) - t^(2/3) + 1/2*t^(1))
+F3 - F2 -> FracPoly: FracPoly(2 - t^(1/2) - t^(2/3) - 1/2*t^(1))
+F3 * F2 -> FracPoly: FracPoly(2*t^(1/2) + t^(1) - t^(7/6) - 1/2*t^(5/3))
+F3 + F3 -> FracPoly: FracPoly(4 - 2*t^(2/3))
+F3 - F3 -> FracPoly: FracPoly(0)
+F3 * F3 -> FracPoly: FracPoly(4 - 4*t^(2/3) + t^(4/3))
+F3 == F3 -> bool: True
+F3 != F3 -> bool: False
+F3 + 3 -> FracPoly: FracPoly(5 - t^(2/3))
+F3 - 3 -> FracPoly: FracPoly(-1 - t^(2/3))
+F3 * 3 -> FracPoly: FracPoly(6 - 3*t^(2/3))
+F3 + 0 -> FracPoly: FracPoly(2 - t^(2/3))
+F3 - 0 -> FracPoly: FracPoly(2 - t^(2/3))
+F3 * 0 -> FracPoly: FracPoly(0)
+F3 + 2/3 -> FracPoly: FracPoly(8/3 - t^(2/3))
+F3 - 2/3 -> FracPoly: FracPoly(4/3 - t^(2/3))
+F3 * 2/3 -> FracPoly: FracPoly(4/3 - 2/3*t^(2/3))
+F3 + True -> FracPoly: FracPoly(3 - t^(2/3))
+F3 - True -> FracPoly: FracPoly(1 - t^(2/3))
+F3 * True -> FracPoly: FracPoly(2 - t^(2/3))
+B + B -> BiPoly: BiPoly(2*u - 4*v^2)
+B - B -> BiPoly: BiPoly(0)
+B * B -> BiPoly: BiPoly(u^2 - 4*u*v^2 + 4*v^4)
+B == B -> bool: True
+B != B -> bool: False
+B + 3 -> BiPoly: BiPoly(3 + u - 2*v^2)
+B - 3 -> BiPoly: BiPoly(-3 + u - 2*v^2)
+B * 3 -> BiPoly: BiPoly(3*u - 6*v^2)
+B + 0 -> BiPoly: BiPoly(u - 2*v^2)
+B - 0 -> BiPoly: BiPoly(u - 2*v^2)
+B * 0 -> BiPoly: BiPoly(0)
+B + 2/3 -> BiPoly: BiPoly(2/3 + u - 2*v^2)
+B - 2/3 -> BiPoly: BiPoly(-2/3 + u - 2*v^2)
+B * 2/3 -> BiPoly: BiPoly(2/3*u - 4/3*v^2)
+B + True -> BiPoly: BiPoly(1 + u - 2*v^2)
+B - True -> BiPoly: BiPoly(-1 + u - 2*v^2)
+B * True -> BiPoly: BiPoly(u - 2*v^2)
+E + E -> EFunction: EFunction(u^0 v^0 * (2) / ((1 - t^2)) + u^1 v^0 * (2))
+E - E -> EFunction: EFunction(0)
+E == E -> bool: True
+E != E -> bool: False
+3 + R -> RationalT: RationalT((3 - 2*t + 2*t^2) / ((1 - t^1)))
+3 - R -> RationalT: RationalT((3 - 4*t - 2*t^2) / ((1 - t^1)))
+3 * R -> RationalT: RationalT(t^1 * (3 + 6*t) / ((1 - t^1)))
+3 + 0R -> RationalT: RationalT((3))
+3 - 0R -> RationalT: RationalT((3))
+3 * 0R -> RationalT: RationalT(0)
+3 + 3R -> RationalT: RationalT((6))
+3 - 3R -> RationalT: RationalT(0)
+3 * 3R -> RationalT: RationalT((9))
+3 == 3R -> bool: True
+3 != 3R -> bool: False
+3 + F2 -> FracPoly: FracPoly(3 + t^(1/2) + 1/2*t^(1))
+3 * F2 -> FracPoly: FracPoly(3*t^(1/2) + 3/2*t^(1))
+3 + F3 -> FracPoly: FracPoly(5 - t^(2/3))
+3 * F3 -> FracPoly: FracPoly(6 - 3*t^(2/3))
+3 + B -> BiPoly: BiPoly(3 + u - 2*v^2)
+3 * B -> BiPoly: BiPoly(3*u - 6*v^2)
+0 + R -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+0 - R -> RationalT: RationalT(t^1 * (-1 - 2*t) / ((1 - t^1)))
+0 * R -> RationalT: RationalT(0)
+0 + 0R -> RationalT: RationalT(0)
+0 - 0R -> RationalT: RationalT(0)
+0 * 0R -> RationalT: RationalT(0)
+0 == 0R -> bool: True
+0 != 0R -> bool: False
+0 + 3R -> RationalT: RationalT((3))
+0 - 3R -> RationalT: RationalT((-3))
+0 * 3R -> RationalT: RationalT(0)
+0 + F2 -> FracPoly: FracPoly(t^(1/2) + 1/2*t^(1))
+0 * F2 -> FracPoly: FracPoly(0)
+0 + F3 -> FracPoly: FracPoly(2 - t^(2/3))
+0 * F3 -> FracPoly: FracPoly(0)
+0 + B -> BiPoly: BiPoly(u - 2*v^2)
+0 * B -> BiPoly: BiPoly(0)
+2/3 + F2 -> FracPoly: FracPoly(2/3 + t^(1/2) + 1/2*t^(1))
+2/3 * F2 -> FracPoly: FracPoly(2/3*t^(1/2) + 1/3*t^(1))
+2/3 + F3 -> FracPoly: FracPoly(8/3 - t^(2/3))
+2/3 * F3 -> FracPoly: FracPoly(4/3 - 2/3*t^(2/3))
+2/3 + B -> BiPoly: BiPoly(2/3 + u - 2*v^2)
+2/3 * B -> BiPoly: BiPoly(2/3*u - 4/3*v^2)
+True + R -> RationalT: RationalT((1 + 2*t^2) / ((1 - t^1)))
+True - R -> RationalT: RationalT((1 - 2*t - 2*t^2) / ((1 - t^1)))
+True * R -> RationalT: RationalT(t^1 * (1 + 2*t) / ((1 - t^1)))
+True + 0R -> RationalT: RationalT((1))
+True - 0R -> RationalT: RationalT((1))
+True * 0R -> RationalT: RationalT(0)
+True + 3R -> RationalT: RationalT((4))
+True - 3R -> RationalT: RationalT((-2))
+True * 3R -> RationalT: RationalT((3))
+True + F2 -> FracPoly: FracPoly(1 + t^(1/2) + 1/2*t^(1))
+True * F2 -> FracPoly: FracPoly(t^(1/2) + 1/2*t^(1))
+True + F3 -> FracPoly: FracPoly(3 - t^(2/3))
+True * F3 -> FracPoly: FracPoly(2 - t^(2/3))
+True + B -> BiPoly: BiPoly(1 + u - 2*v^2)
+True * B -> BiPoly: BiPoly(u - 2*v^2)
+"""
+
+
+def _outcome(op, *args):
+    try:
+        out = op(*args)
+    except Exception as exc:
+        return type(exc).__name__
+    return f"{type(out).__name__}: {out!r}"
+
+
+def _operator_table():
+    rows = [f"-{name} -> {_outcome(neg, _OPERANDS[name])}" for name in _VALUES]
+    for left, right in product(_OPERANDS, repeat=2):
+        if left in _VALUES or right in _VALUES:
+            for sym, op in _BINARY.items():
+                outcome = _outcome(op, _OPERANDS[left], _OPERANDS[right])
+                if outcome != _DEFAULT[sym]:
+                    rows.append(f"{left} {sym} {right} -> {outcome}")
+    return rows
+
+
+def test_every_operand_pairing_keeps_its_value_or_error():
+    # unary minus on each value type, then each binary operator over every
+    # ordered pair with a value type on one side: the result's type and
+    # repr, or the exception raised
+    assert _operator_table() == _OPERATOR_TABLE.strip().splitlines()

@@ -182,6 +182,7 @@ def test_subgroup_k3_examples():
     wv = validate(K3)
     assert subgroup(wv, [2, 3]).members == (0,)
     assert subgroup(wv, [0, 1]).members == (0, 6, 12, 18, 24, 30)
+    assert len(subgroup(wv, [0, 1])) == 6
 
 
 def test_subgroup_bad_index():
@@ -249,6 +250,11 @@ def test_subgroup_closed_under_addition():
 def test_lattice_counts_full_J_is_zero():
     wv = validate(K3)
     assert lattice_counts(wv, range(4), 6) == (0,) * 6
+
+
+def test_lattice_counts_need_at_least_one_count():
+    with pytest.raises(OutOfRange):
+        lattice_counts(validate(K3), [0, 2, 3], 0)
 
 
 def test_lattice_counts_single_coin():
